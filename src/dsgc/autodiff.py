@@ -2,8 +2,11 @@
 
 Every tracked value is a 2-D numpy array; scalars are (1, 1). Operations
 link outputs to their inputs, and `backward` replays the implicit tape in
-reverse topological order, accumulating d(root)/d(tensor) into `.grad`.
-Gradients keep accumulating across calls until `zero_grad`.
+reverse topological order, accumulating d(root)/d(leaf) into `.grad`.
+Only leaves (tensors made from values, such as parameters and inputs) hold
+a `.grad` buffer; an operation's result has `grad = None` and passes its
+adjoint on to its inputs. Gradients keep accumulating across calls until
+`zero_grad`.
 
 Numerical guards (they keep gradients finite near singular points):
   * arcosh arguments are clamped to >= 1 + 1e-12
@@ -43,7 +46,7 @@ class Tensor:
 
     def __init__(self, values, _parents=(), _vjp=None):
         self.values = _as_matrix(values)
-        self.grad = np.zeros_like(self.values)
+        self.grad = np.zeros_like(self.values) if _vjp is None else None
         self._parents = _parents
         self._vjp = _vjp
         self._adj = None
@@ -112,42 +115,34 @@ def _values(x):
     return x.values if isinstance(x, Tensor) else _as_matrix(x)
 
 
-def add(a, b):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
-    av, bv = _values(a), _values(b)
+def _record(a, b, v, da, db):
+    """The result v of a binary op, linked to whichever operands are Tensors.
+
+    da(g) and db(g) give each operand's adjoint from the result's adjoint g;
+    it is then summed back over the axes that broadcasting added.
+    """
+    links = [(x, d, x.values.shape) for x, d in ((a, da), (b, db)) if isinstance(x, Tensor)]
+    if not links:
+        return Tensor(v)
+    parents = tuple(x for x, _, _ in links)
+    return Tensor(v, parents, lambda g: tuple(_unbroadcast(d(g), sh) for _, d, sh in links))
+
+
+def _broadcast(name, op, av, bv):
     try:
-        v = av + bv
+        return op(av, bv)
     except ValueError:
-        raise ShapeError(f"add: cannot broadcast {av.shape} with {bv.shape}") from None
-    if at and bt:
-        ash, bsh = av.shape, bv.shape
-        return Tensor(v, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
-    if at:
-        ash = av.shape
-        return Tensor(v, (a,), lambda g: (_unbroadcast(g, ash),))
-    if bt:
-        bsh = bv.shape
-        return Tensor(v, (b,), lambda g: (_unbroadcast(g, bsh),))
-    return Tensor(v)
+        raise ShapeError(f"{name}: cannot broadcast {av.shape} with {bv.shape}") from None
+
+
+def add(a, b):
+    av, bv = _values(a), _values(b)
+    return _record(a, b, _broadcast("add", np.add, av, bv), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
     av, bv = _values(a), _values(b)
-    try:
-        v = av - bv
-    except ValueError:
-        raise ShapeError(f"sub: cannot broadcast {av.shape} with {bv.shape}") from None
-    if at and bt:
-        ash, bsh = av.shape, bv.shape
-        return Tensor(v, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
-    if at:
-        ash = av.shape
-        return Tensor(v, (a,), lambda g: (_unbroadcast(g, ash),))
-    if bt:
-        bsh = bv.shape
-        return Tensor(v, (b,), lambda g: (_unbroadcast(-g, bsh),))
-    return Tensor(v)
+    return _record(a, b, _broadcast("sub", np.subtract, av, bv), lambda g: g, lambda g: -g)
 
 
 def neg(x):
@@ -155,24 +150,9 @@ def neg(x):
 
 
 def mul(a, b):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
     av, bv = _values(a), _values(b)
-    try:
-        v = av * bv
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {av.shape} with {bv.shape}") from None
-    if at and bt:
-        ash, bsh = av.shape, bv.shape
-        return Tensor(
-            v, (a, b), lambda g: (_unbroadcast(g * bv, ash), _unbroadcast(g * av, bsh))
-        )
-    if at:
-        ash = av.shape
-        return Tensor(v, (a,), lambda g: (_unbroadcast(g * bv, ash),))
-    if bt:
-        bsh = bv.shape
-        return Tensor(v, (b,), lambda g: (_unbroadcast(g * av, bsh),))
-    return Tensor(v)
+    v = _broadcast("mul", np.multiply, av, bv)
+    return _record(a, b, v, lambda g: g * bv, lambda g: g * av)
 
 
 def _floored_divisor(bv):
@@ -185,42 +165,16 @@ def _floored_divisor(bv):
 
 
 def div(a, b):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
-    av, bv = _values(a), _values(b)
-    bv = _floored_divisor(bv)
-    try:
-        v = av / bv
-    except ValueError:
-        raise ShapeError(f"div: cannot broadcast {av.shape} with {bv.shape}") from None
-    if at and bt:
-        ash, bsh = av.shape, bv.shape
-        return Tensor(
-            v,
-            (a, b),
-            lambda g: (_unbroadcast(g / bv, ash), _unbroadcast(-g * v / bv, bsh)),
-        )
-    if at:
-        ash = av.shape
-        return Tensor(v, (a,), lambda g: (_unbroadcast(g / bv, ash),))
-    if bt:
-        bsh = bv.shape
-        return Tensor(v, (b,), lambda g: (_unbroadcast(-g * v / bv, bsh),))
-    return Tensor(v)
+    av, bv = _values(a), _floored_divisor(_values(b))
+    v = _broadcast("div", np.divide, av, bv)
+    return _record(a, b, v, lambda g: g / bv, lambda g: -g * v / bv)
 
 
 def matmul(a, b):
-    at, bt = isinstance(a, Tensor), isinstance(b, Tensor)
     av, bv = _values(a), _values(b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-    v = av @ bv
-    if at and bt:
-        return Tensor(v, (a, b), lambda g: (g @ bv.T, av.T @ g))
-    if at:
-        return Tensor(v, (a,), lambda g: (g @ bv.T,))
-    if bt:
-        return Tensor(v, (b,), lambda g: (av.T @ g,))
-    return Tensor(v)
+    return _record(a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def powc(x, p):
@@ -357,7 +311,7 @@ def transpose(x):
 
 
 def backward(root):
-    """Accumulate d(root)/d(t) into t.grad for every tensor reachable from root.
+    """Accumulate d(root)/d(t) into t.grad for every leaf t reachable from root.
 
     Each call computes its own adjoints and adds them in, so repeated calls
     without zero_grad sum exactly.
@@ -385,11 +339,12 @@ def backward(root):
         node._adj = None
         if adj is None:
             continue
-        node.grad += adj
-        if node._vjp is not None:
-            for parent, contrib in zip(node._parents, node._vjp(adj)):
-                # never mutate adjoint arrays in place: contributions may alias
-                parent._adj = contrib if parent._adj is None else parent._adj + contrib
+        if node._vjp is None:
+            node.grad += adj
+            continue
+        for parent, contrib in zip(node._parents, node._vjp(adj)):
+            # never mutate adjoint arrays in place: contributions may alias
+            parent._adj = contrib if parent._adj is None else parent._adj + contrib
 
 
 def zero_grads(tensors):

@@ -88,9 +88,7 @@ def _prop_matrix(g, kind):
         elif kind is EncoderKind.GRAPHSAGE:
             deg = a.sum(axis=1, keepdims=True)
             mat = a / np.maximum(deg, 1.0)  # isolated nodes aggregate zeros
-        elif kind is EncoderKind.GIN:
-            mat = a + np.eye(g.n)
-        else:  # GAT: 0/1 mask over neighbors-with-self
+        else:  # GIN sums over neighbors-with-self; GAT masks attention with the same 0/1 matrix
             mat = a + np.eye(g.n)
         g.cache[key] = mat
     return mat
@@ -153,23 +151,30 @@ class GraphEncoder:
         kept = ad.mul(shifted, mask)
         return ad.div(kept, ad.asum(kept, axis=1))
 
+    def _aggregate(self, X, g, layer):
+        """Kind-specific neighborhood aggregation of the node rows X."""
+        p = self.layer_params[layer]
+        k = self.kind
+        prop = _prop_matrix(g, k)
+        if k is EncoderKind.GRAPHSAGE:
+            return ad.concat_cols([X, ad.matmul(prop, X)])
+        if k is EncoderKind.GAT:
+            att = self._gat_attention(
+                ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]), prop
+            )
+            return ad.matmul(att, X)
+        return ad.matmul(prop, X)  # gcn / gin (eps = 0: (A + I) X)
+
     def layer_forward(self, H, g, layer):
         """One pre-activation layer pass of this encoder's kind."""
         self._check_width(H.shape[1], layer)
         p = self.layer_params[layer]
         k = self.kind
-        prop = _prop_matrix(g, k)
-        if k is EncoderKind.GCN:
-            return ad.matmul(prop, ad.matmul(H, p["W"]))
+        if k in (EncoderKind.GCN, EncoderKind.GAT):
+            return self._aggregate(ad.matmul(H, p["W"]), g, layer)
+        agg = self._aggregate(H, g, layer)
         if k is EncoderKind.GRAPHSAGE:
-            return ad.matmul(ad.concat_cols([H, ad.matmul(prop, H)]), p["W"])
-        if k is EncoderKind.GAT:
-            z = ad.matmul(H, p["W"])
-            att = self._gat_attention(
-                ad.matmul(z, p["a_src"]), ad.matmul(z, p["a_dst"]), prop
-            )
-            return ad.matmul(att, z)
-        agg = ad.matmul(prop, H)  # GIN, eps = 0: (A + I) H
+            return ad.matmul(agg, p["W"])
         h1 = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
         return ad.add(ad.matmul(h1, p["W2"]), p["b2"])
 
@@ -184,20 +189,6 @@ class GraphEncoder:
 
     # --- optional fully-hyperbolic path -----------------------------------
 
-    def _mobius_aggregate(self, T, g, layer):
-        """Kind-specific aggregation applied in the origin tangent space."""
-        p = self.layer_params[layer]
-        k = self.kind
-        prop = _prop_matrix(g, k)
-        if k is EncoderKind.GRAPHSAGE:
-            return ad.concat_cols([T, ad.matmul(prop, T)])
-        if k is EncoderKind.GAT:
-            att = self._gat_attention(
-                ad.matmul(T, p["a_src"]), ad.matmul(T, p["a_dst"]), prop
-            )
-            return ad.matmul(att, T)
-        return ad.matmul(prop, T)  # gcn / gin
-
     def mobius_node_points(self, g, ball):
         """Ball-valued node states: aggregate in tangent space, then the
         Mobius linear/bias/activation composition per layer."""
@@ -206,7 +197,7 @@ class GraphEncoder:
         U = ball.expmap0(Tensor(g.features))
         for layer in range(self.num_layers):
             p = self.layer_params[layer]
-            agg = ball.expmap0(self._mobius_aggregate(ball.logmap0(U), g, layer))
+            agg = ball.expmap0(self._aggregate(ball.logmap0(U), g, layer))
             W = p["W"] if "W" in p else p["W1"]
             b = p.get("b1")
             if b is None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, ShapeError
 
 BOUNDARY_EPS = 1e-5   # radial projection margin
 NORM_FLOOR = 1e-15    # series-limit floor for ||t|| -> 0
@@ -129,17 +129,15 @@ class PoincareBall:
         u = _as_tensor(u)
         if W.shape[1] != u.shape[1]:
             # surface the point/matrix mismatch before matmul's generic message
-            from .errors import ShapeError
-
             raise ShapeError(
                 f"mobius_matvec: W has {W.shape[1]} input columns, points have dim {u.shape[1]}"
             )
-        return self.project(self.expmap0(ad.matmul(self.logmap0(u), ad.transpose(W))))
+        return self.expmap0(ad.matmul(self.logmap0(u), ad.transpose(W)))
 
     def mobius_bias_add(self, u, b):
         """Hyperbolic bias addition: exp0(log0(u) + b) with b broadcast over rows."""
         u, b = _as_tensor(u), _as_tensor(b)
-        return self.project(self.expmap0(ad.add(self.logmap0(u), b)))
+        return self.expmap0(ad.add(self.logmap0(u), b))
 
     def hyperbolic_activation(self, u, W, b, act):
         """exp0(act(log0(W (x) u (+) b))) with act in {relu, tanh, sigmoid}."""
@@ -150,7 +148,7 @@ class PoincareBall:
                 f"unknown activation kind {act!r}, expected one of {sorted(_ACTIVATIONS)}"
             ) from None
         z = self.mobius_bias_add(self.mobius_matvec(W, u), b)
-        return self.project(self.expmap0(act_fn(self.logmap0(z))))
+        return self.expmap0(act_fn(self.logmap0(z)))
 
 
 SIMILARITY_CAP = 1.0 / float(np.arccosh(1.0 + 1e-12))

@@ -103,3 +103,29 @@ def community_expansion_sample(g, cfg):
         candidates.discard(best)
         candidates.update(int(w) for w in adj[best] if int(w) not in members)
     return induced_subgraph(g, order)
+
+
+def check_view(g, view, cfg):
+    """Raise ContractError naming the first sampler invariant `view` breaks.
+
+    A view of g has cfg's target size, maps its nodes one-to-one onto nodes
+    of g, holds exactly the edges g induces on those nodes, and is
+    connected.
+    """
+    target = cfg.target_size(g.n)
+    if view.n != target:
+        raise ContractError(f"check: view has {view.n} nodes, target size is {target}")
+    ids = view.orig_ids
+    chosen = set() if ids is None else set(ids.tolist())
+    if (ids is None or len(ids) != view.n or len(chosen) != view.n
+            or min(chosen) < 0 or max(chosen) >= g.n):
+        raise ContractError("check: node map is not one-to-one into the graph's nodes")
+    kept = {(min(a, b), max(a, b)) for a, b in ids[view.edges].tolist()}
+    orig = {(a, b) for a, b in g.edges.tolist()}
+    if not kept <= orig:
+        raise ContractError(f"check: view edges {sorted(kept - orig)} are not in the graph")
+    missing = {(a, b) for a, b in orig if a in chosen and b in chosen} - kept
+    if missing:
+        raise ContractError(f"check: induced edges {sorted(missing)} are missing from the view")
+    if not view.is_connected():
+        raise ContractError("check: view is not connected")

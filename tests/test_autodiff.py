@@ -102,6 +102,19 @@ class TestBackwardSemantics:
         ad.zero_grads([x])
         assert np.array_equal(x.grad, np.zeros((1, 1)))
 
+    def test_only_leaves_hold_gradients(self):
+        x, w = ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]])
+        h = ad.matmul(x, w)               # 11
+        y = ad.mul(h, h)                  # 121
+        root = ad.asum(ad.sub(y, x))      # y broadcast over x's two columns: 2 y - 3
+        for _ in range(2):
+            ad.backward(root)
+        # two backwards: twice d(2 h^2 - x1 - x2)
+        assert np.array_equal(x.grad, 2.0 * (4.0 * 11.0 * w.values.T - 1.0))
+        assert np.array_equal(w.grad, 2.0 * (4.0 * 11.0 * x.values.T))
+        for node in (h, y, root):
+            assert node.grad is None
+
 
 class TestGuardsAndErrors:
     def test_matmul_shape_error(self):
@@ -111,6 +124,9 @@ class TestGuardsAndErrors:
     def test_add_shape_error(self):
         with pytest.raises(ShapeError):
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
+        for op in (ad.sub, ad.mul, ad.div):
+            with pytest.raises(ShapeError, match=f"{op.__name__}: cannot broadcast"):
+                op(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
 
     def test_log_domain_error_names_op_and_value(self):
         with pytest.raises(DomainError, match="log"):
@@ -188,9 +204,10 @@ class TestAdam:
 class TestGradcheckPrimitives:
     """Central differences vs analytic gradients for each primitive."""
 
-    def _check(self, build, n_params, low=-0.9, high=0.9, shape=(3, 4), tol=1e-6):
+    def _check(self, build, n_params, low=-0.9, high=0.9, shapes=(), tol=1e-6):
         rng = np.random.default_rng(hash(build.__name__) % (2**32))
-        params = [ad.Tensor(rng.uniform(low, high, shape)) for _ in range(n_params)]
+        shapes = shapes or [(3, 4)] * n_params
+        params = [ad.Tensor(rng.uniform(low, high, shape)) for shape in shapes]
         err = ad.finite_difference_gradcheck(lambda: build(*params), params, h=1e-6)
         assert err < tol, f"{build.__name__}: rel err {err}"
 
@@ -255,14 +272,62 @@ class TestGradcheckPrimitives:
         def p_clip(a):
             return ad.asum(ad.clip_min(a, 0.25))
 
-        for fn, k in [
+        # constant operands on either side of each broadcasting op
+        def p_add_const_left(a):
+            return ad.asum(ad.mul(ad.add(1.5, a), a))
+
+        def p_add_const_right(a):
+            return ad.asum(ad.mul(ad.add(a, 1.5), a))
+
+        def p_sub_const_left(a):
+            return ad.asum(ad.mul(ad.sub(1.0, a), a))
+
+        def p_sub_const_right(a):
+            return ad.asum(ad.mul(ad.sub(a, 1.0), a))
+
+        def p_mul_const_left(a):
+            return ad.asum(ad.mul(ad.mul(3.0, a), a))
+
+        def p_mul_const_right(a):
+            return ad.asum(ad.mul(ad.mul(a, 3.0), a))
+
+        def p_div_const_left(a):
+            return ad.asum(ad.div(1.0, ad.add(a, 2.0)))
+
+        def p_div_const_right(a):
+            return ad.asum(ad.mul(ad.div(a, 3.0), a))
+
+        # the small operand is broadcast against the (3, 4) one
+        def p_add_bcast(a, b):
+            return ad.asum(ad.mul(ad.add(a, b), b))
+
+        def p_sub_bcast(a, b):
+            return ad.asum(ad.mul(ad.sub(a, b), b))
+
+        def p_mul_bcast(a, b):
+            return ad.asum(ad.mul(ad.mul(a, b), b))
+
+        def p_div_bcast(a, b):
+            return ad.asum(ad.div(ad.add(a, 2.0), ad.add(b, 2.0)))
+
+        rows = (1, 4), (3, 4)
+        cols = (3, 4), (3, 1)
+        for fn, k, *shapes in [
             (p_add, 2), (p_sub, 2), (p_neg, 1), (p_mul, 2), (p_div, 2),
             (p_matmul, 2), (p_pow, 1), (p_tanh, 1), (p_artanh, 1),
             (p_arcosh, 1), (p_sigmoid, 1), (p_exp, 1), (p_log, 1),
             (p_rownorm, 1), (p_sum_rows, 1), (p_sum_cols, 1), (p_mean, 1),
             (p_concat, 2), (p_transpose, 1), (p_clip, 1),
+            (p_add_const_left, 1), (p_add_const_right, 1),
+            (p_sub_const_left, 1), (p_sub_const_right, 1),
+            (p_mul_const_left, 1), (p_mul_const_right, 1),
+            (p_div_const_left, 1), (p_div_const_right, 1),
+            (p_add_bcast, 2, *rows), (p_add_bcast, 2, *cols),
+            (p_sub_bcast, 2, *rows), (p_sub_bcast, 2, *cols),
+            (p_mul_bcast, 2, *rows), (p_mul_bcast, 2, *cols),
+            (p_div_bcast, 2, *rows), (p_div_bcast, 2, *cols),
         ]:
-            self._check(fn, k)
+            self._check(fn, k, shapes=shapes)
 
     def test_relu_family_away_from_kink(self):
         rng = np.random.default_rng(7)

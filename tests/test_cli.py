@@ -6,8 +6,10 @@ import os
 import pytest
 
 from conftest import synthetic_dataset
+from dsgc import cli
 from dsgc.cli import main
 from dsgc.data import write_tu_dataset
+from dsgc.samplers import diffusion_sample, induced_subgraph
 
 
 def write_config(tmp_path, **over):
@@ -81,6 +83,28 @@ class TestSample:
                 ])
                 assert rc == 0
                 assert "check: ok" in capsys.readouterr().out
+
+    def test_failed_check_exits_2_naming_the_invariant(
+        self, synthetic_tu_dir, capsys, monkeypatch
+    ):
+        def short_view(g, cfg):
+            return induced_subgraph(g, diffusion_sample(g, cfg).orig_ids[:-1])
+
+        monkeypatch.setitem(cli._SAMPLERS, "diffusion", short_view)
+        assert main(["sample", synthetic_tu_dir, "3", "--rate", "0.6", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert "check: ok" not in captured.out
+        assert "target size" in captured.err
+
+    def test_internal_assertion_is_not_a_config_error(
+        self, synthetic_tu_dir, monkeypatch
+    ):
+        def broken(g, cfg):
+            raise AssertionError("internal bug")
+
+        monkeypatch.setitem(cli._SAMPLERS, "diffusion", broken)
+        with pytest.raises(AssertionError, match="internal bug"):
+            main(["sample", synthetic_tu_dir, "3"])
 
     def test_bad_index_exits_2(self, synthetic_tu_dir, capsys):
         assert main(["sample", synthetic_tu_dir, "999"]) == 2

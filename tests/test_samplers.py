@@ -7,6 +7,7 @@ from dsgc.data import Graph, synthesize_features
 from dsgc.errors import ContractError
 from dsgc.samplers import (
     SamplerConfig,
+    check_view,
     community_expansion_sample,
     diffusion_sample,
     induced_subgraph,
@@ -130,3 +131,47 @@ class TestInducedSubgraph:
         assert list(sub.orig_ids) == [2, 0, 1]
         # original edges among {0,1,2} are (0,1),(0,2),(1,2) -> remapped
         assert {tuple(e) for e in sub.edges.tolist()} == {(0, 1), (0, 2), (1, 2)}
+
+
+class TestCheckView:
+    # a 6-cycle with one chord: every edge lies on a cycle
+    RING = Graph(n=6, edges=[(0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)])
+    FULL = SamplerConfig(rate=1.0)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_sampled_views_pass(self, sample):
+        rng = np.random.default_rng(77)
+        for trial in range(100):
+            g = random_connected_graph(rng)
+            cfg = SamplerConfig(rate=float(rng.uniform(0.1, 1.0)), seed=trial)
+            check_view(g, sample(g, cfg), cfg)
+
+    def test_wrong_size_rejected(self):
+        view = induced_subgraph(self.RING, [0, 1, 2, 3, 4])
+        with pytest.raises(ContractError, match="target size is 6"):
+            check_view(self.RING, view, self.FULL)
+
+    def test_dropped_induced_edge_rejected(self):
+        view = diffusion_sample(self.RING, self.FULL)
+        tampered = Graph(n=view.n, edges=view.edges[1:], orig_ids=view.orig_ids)
+        with pytest.raises(ContractError, match="induced edges"):
+            check_view(self.RING, tampered, self.FULL)
+
+    def test_edge_outside_the_graph_rejected(self):
+        view = induced_subgraph(self.RING, [0, 1, 2])  # the path 0-1-2
+        tampered = Graph(n=3, edges=[(0, 1), (0, 2), (1, 2)], orig_ids=view.orig_ids)
+        with pytest.raises(ContractError, match=r"\(0, 2\)\] are not in the graph"):
+            check_view(self.RING, tampered, SamplerConfig(rate=0.5))
+
+    def test_duplicated_node_id_rejected(self):
+        view = community_expansion_sample(self.RING, self.FULL)
+        ids = view.orig_ids.copy()
+        ids[1] = ids[0]
+        tampered = Graph(n=view.n, edges=view.edges, orig_ids=ids)
+        with pytest.raises(ContractError, match="one-to-one"):
+            check_view(self.RING, tampered, self.FULL)
+
+    def test_disconnected_view_rejected(self):
+        view = induced_subgraph(self.RING, [1, 4, 2])  # 1-2 plus an isolated 4
+        with pytest.raises(ContractError, match="not connected"):
+            check_view(self.RING, view, SamplerConfig(rate=0.5))
