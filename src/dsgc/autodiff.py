@@ -250,60 +250,54 @@ def clip_min(x, floor):
 
 
 def asum(x, axis=None):
-    xv = x.values
-    sh = xv.shape
-    if axis is None:
-        v = np.array([[xv.sum()]])
-    else:
-        v = xv.sum(axis=axis, keepdims=True)
+    sh = x.values.shape
+    v = x.values.sum(axis=axis, keepdims=True)
     return Tensor(v, (x,), lambda g: (np.broadcast_to(g, sh),))
 
 
 def amean(x, axis=None):
     xv = x.values
     sh = xv.shape
-    if axis is None:
-        count = xv.size
-        v = np.array([[xv.mean()]])
-    else:
-        count = sh[axis]
-        v = xv.mean(axis=axis, keepdims=True)
-    inv = 1.0 / count
+    inv = 1.0 / (xv.size if axis is None else sh[axis])
+    v = xv.mean(axis=axis, keepdims=True)
     return Tensor(v, (x,), lambda g: (np.broadcast_to(g, sh) * inv,))
 
 
 def amax(x, axis=None):
     """Max reduction; the gradient routes to the first max entry per slice."""
     xv = x.values
+    v = xv.max(axis=axis, keepdims=True)
     mask = np.zeros_like(xv)
     if axis is None:
-        v = np.array([[xv.max()]])
         mask.flat[int(np.argmax(xv))] = 1.0
-    elif axis == 0:
-        v = xv.max(axis=0, keepdims=True)
-        mask[np.argmax(xv, axis=0), np.arange(xv.shape[1])] = 1.0
     else:
-        v = xv.max(axis=1, keepdims=True)
-        mask[np.arange(xv.shape[0]), np.argmax(xv, axis=1)] = 1.0
+        np.put_along_axis(mask, np.argmax(xv, axis=axis, keepdims=True), 1.0, axis=axis)
     return Tensor(v, (x,), lambda g: (g * mask,))
+
+
+def _concat(name, parts, axis):
+    """Join tensors along axis (their other dimension must agree); one part
+    comes back as it is."""
+    if not parts:
+        raise ContractError(f"{name}: empty part list")
+    if len(parts) == 1:
+        return parts[0]
+    shapes = [p.shape for p in parts]
+    if len({sh[1 - axis] for sh in shapes}) != 1:
+        raise ShapeError(f"{name}: {('row', 'column')[1 - axis]} counts differ, {shapes}")
+    bounds = np.cumsum([sh[axis] for sh in shapes])[:-1]
+    v = np.concatenate([p.values for p in parts], axis=axis)
+    return Tensor(v, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def concat_cols(parts):
     """Concatenate tensors along columns (all must share the row count)."""
-    if not parts:
-        raise ContractError("concat_cols: empty part list")
-    vals = [p.values for p in parts]
-    rows = vals[0].shape[0]
-    for pv in vals[1:]:
-        if pv.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts differ, {[v.shape for v in vals]}")
-    v = np.concatenate(vals, axis=1)
-    offsets = np.cumsum([0] + [pv.shape[1] for pv in vals])
+    return _concat("concat_cols", parts, axis=1)
 
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(vals)))
 
-    return Tensor(v, tuple(parts), vjp)
+def concat_rows(parts):
+    """Stack tensors along rows (all must share the column count)."""
+    return _concat("concat_rows", parts, axis=0)
 
 
 def transpose(x):

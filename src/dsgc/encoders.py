@@ -58,7 +58,7 @@ class EncoderKind(str, enum.Enum):
 
 @dataclass
 class GraphEmbedding:
-    tensor: Tensor            # (1, d)
+    tensor: Tensor            # (n, d), one row per graph
     space: str                # EUCLIDEAN or HYPERBOLIC
 
     @property

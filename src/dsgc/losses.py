@@ -13,11 +13,15 @@ InfoNCE terms:
 
   total = supervised + omega * (labeled + (lambda_u / N) * sum_i unlabeled_i)
 
+The N unlabeled graphs travel row-stacked, one row each, so each kind of
+score is one similarity call: s-_i fill one row and unlabeled_i is row i
+of one (N, 1) column, four similarity calls per step whatever N.
+
 Similarities are capped near 7.07e5 (coincident points), so every term is
-evaluated as a max-shifted logsumexp; the shift is grouped so that the
-all-equal-scores case yields ln(N+1) exactly. The supervised loss is
-binary cross-entropy summed over classes, matching the predictor's
-elementwise-sigmoid output.
+evaluated as a max-shifted logsumexp along its row of scores; the shift is
+grouped so that the all-equal-scores case yields ln(N+1) exactly. The
+supervised loss is binary cross-entropy summed over classes, matching the
+predictor's elementwise-sigmoid output.
 """
 
 from __future__ import annotations
@@ -81,45 +85,49 @@ def _require_space(emb, space, who):
 
 
 def to_hyperbolic(h, ball):
-    """Map a Euclidean graph embedding into the ball (tag flips)."""
+    """Map Euclidean graph embeddings, one per row, into the ball (tag flips)."""
     _require_space(h, EUCLIDEAN, "to_hyperbolic")
     return GraphEmbedding(ball.expmap0(h.tensor), HYPERBOLIC)
 
 
 def _nce(s_pos, s_negs, temperature):
-    """-log softmax of the positive score, via a shifted logsumexp.
+    """Per row, -log softmax of the positive score via a shifted logsumexp.
 
-    Grouping the result as log(sum exp(s/t - m)) + (m - s+/t) makes the
-    equal-scores case exact: m equals s+/t, the second term is exactly 0.
+    s_pos is a column of positive scores; s_negs lists blocks of negative
+    scores with the same rows. Returns a column, one loss per row. Grouping
+    it as log(sum exp(s/t - m)) + (m - s+/t) makes the equal-scores case
+    exact: m equals s+/t, the second term is exactly 0.
     """
     inv_t = 1.0 / temperature
     sp = ad.mul(s_pos, inv_t)
-    row = ad.concat_cols([sp] + [ad.mul(s, inv_t) for s in s_negs])
-    m = ad.amax(row)
-    lse = ad.log(ad.asum(ad.exp(ad.sub(row, m))))
+    row = ad.concat_cols([sp, ad.mul(ad.concat_cols(s_negs), inv_t)])
+    m = ad.amax(row, axis=1)
+    lse = ad.log(ad.asum(ad.exp(ad.sub(row, m)), axis=1))
     return ad.add(lse, ad.sub(m, sp))
 
 
 def info_nce_labeled(h_l_hyp, h_l_e2h, h_u_hyps, ball, cfg):
-    """Labeled-anchor InfoNCE with the batch's unlabeled hyperbolic views as negatives."""
+    """Labeled-anchor InfoNCE with the batch's unlabeled hyperbolic views as negatives
+    (every row of every embedding in h_u_hyps is one negative)."""
     _require_space(h_l_hyp, HYPERBOLIC, "info_nce_labeled")
     _require_space(h_l_e2h, HYPERBOLIC, "info_nce_labeled")
     if not h_u_hyps:
         raise ContractError("info_nce_labeled: need at least one negative")
     for h in h_u_hyps:
         _require_space(h, HYPERBOLIC, "info_nce_labeled")
+    negs = ad.concat_rows([h.tensor for h in h_u_hyps])
     s_pos = ball.geodesic_similarity(h_l_hyp.tensor, h_l_e2h.tensor)
-    s_negs = [
-        ball.geodesic_similarity(h_l_e2h.tensor, h.tensor) for h in h_u_hyps
-    ]
-    return _nce(s_pos, s_negs, cfg.temperature)
+    s_negs = ball.geodesic_similarity(h_l_e2h.tensor, negs)
+    return _nce(s_pos, [ad.transpose(s_negs)], cfg.temperature)
 
 
 def info_nce_unlabeled(h_u_hyp, h_u_e2h, h_l_hyp, ball, cfg):
-    """One unlabeled graph's term (the lambda_u/N scaling happens in total_objective)."""
-    _require_space(h_u_hyp, HYPERBOLIC, "info_nce_unlabeled")
-    _require_space(h_u_e2h, HYPERBOLIC, "info_nce_unlabeled")
-    _require_space(h_l_hyp, HYPERBOLIC, "info_nce_unlabeled")
+    """The (N, 1) column of unlabeled terms, row i from row i of the two
+    row-stacked unlabeled views (total_objective applies lambda_u/N)."""
+    for h in (h_u_hyp, h_u_e2h, h_l_hyp):
+        _require_space(h, HYPERBOLIC, "info_nce_unlabeled")
+    if h_u_hyp.tensor.shape[0] != h_u_e2h.tensor.shape[0]:
+        raise ContractError("info_nce_unlabeled: the two unlabeled views differ in rows")
     s_pos = ball.geodesic_similarity(h_u_hyp.tensor, h_u_e2h.tensor)
     s_neg = ball.geodesic_similarity(h_l_hyp.tensor, h_u_e2h.tensor)
     return _nce(s_pos, [s_neg], cfg.temperature)
@@ -138,15 +146,14 @@ def supervised_loss(p, label):
 
 
 def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
-    """sup + omega * (labeled + (lambda_u / N) * sum of unlabeled terms)."""
+    """sup + omega * (labeled + (lambda_u / N) * sum of unlabeled terms), where
+    unlabeled_nces lists columns of terms and N is their total row count."""
     if not unlabeled_nces:
         raise ContractError("total_objective: need at least one unlabeled term")
     if cfg.omega == 0.0:
         return sup
-    acc = unlabeled_nces[0]
-    for t in unlabeled_nces[1:]:
-        acc = ad.add(acc, t)
-    contra = ad.add(labeled_nce, ad.mul(acc, cfg.lambda_u / len(unlabeled_nces)))
+    terms = ad.concat_rows(unlabeled_nces)
+    contra = ad.add(labeled_nce, ad.mul(ad.asum(terms), cfg.lambda_u / terms.shape[0]))
     return ad.add(sup, ad.mul(contra, cfg.omega))
 
 
@@ -195,24 +202,19 @@ def train_step(batch, model, views, cfg, optimizer):
     sup = supervised_loss(p, g_l.label)
 
     if cfg.omega != 0.0:
-        h_h_l = encode_hyperbolic(views.hyperbolic_view(g_l), model.encoder_h, model.ball)
-        h_eh_l = to_hyperbolic(h_e_l, model.ball)
-        u_hyps, u_terms = [], []
-        for g_u in batch.unlabeled:
-            h_h_u = encode_hyperbolic(
-                views.hyperbolic_view(g_u), model.encoder_h, model.ball
-            )
-            h_eh_u = to_hyperbolic(
-                encode_euclidean(views.euclidean_view(g_u), model.encoder_e),
-                model.ball,
-            )
-            u_hyps.append(h_h_u)
-            u_terms.append(info_nce_unlabeled(h_h_u, h_eh_u, h_h_l, model.ball, cfg))
-        l_term = info_nce_labeled(h_h_l, h_eh_l, u_hyps, model.ball, cfg)
-        total = total_objective(sup, l_term, u_terms, cfg)
-        contrastive = l_term.item() + cfg.lambda_u / len(u_terms) * sum(
-            t.item() for t in u_terms
-        )
+        ball, enc_h = model.ball, model.encoder_h
+        h_h_l = encode_hyperbolic(views.hyperbolic_view(g_l), enc_h, ball)
+        rows_h = [encode_hyperbolic(views.hyperbolic_view(g), enc_h, ball).tensor
+                  for g in batch.unlabeled]
+        rows_e = [encode_euclidean(views.euclidean_view(g), model.encoder_e).tensor
+                  for g in batch.unlabeled]
+        h_h_u = GraphEmbedding(ad.concat_rows(rows_h), HYPERBOLIC)
+        h_eh_u = to_hyperbolic(GraphEmbedding(ad.concat_rows(rows_e), EUCLIDEAN), ball)
+        u_terms = info_nce_unlabeled(h_h_u, h_eh_u, h_h_l, ball, cfg)
+        l_term = info_nce_labeled(h_h_l, to_hyperbolic(h_e_l, ball), [h_h_u], ball, cfg)
+        total = total_objective(sup, l_term, [u_terms], cfg)
+        u_sum = float(u_terms.values.sum())
+        contrastive = l_term.item() + cfg.lambda_u / len(rows_h) * u_sum
     else:
         total = sup
         contrastive = 0.0

@@ -69,16 +69,20 @@ class PoincareBall:
             )
 
     def project(self, x):
-        """Radially pull rows with norm >= (1 - 1e-5)/sqrt(c) back onto that radius.
+        """Radially pull rows with norm > (1 - 1e-5)/sqrt(c) back onto that radius.
 
         The rescale factor is computed from current values and applied as a
         constant, so gradients are untouched on the (normal) interior path.
+        Pulled rows read back at or inside the radius, so a second call is a no-op.
         """
         x = _as_tensor(x)
-        norms = np.sqrt((x.values * x.values).sum(axis=1, keepdims=True))
-        if (norms < self.max_norm).all():
+        norms = np.linalg.norm(x.values, axis=1, keepdims=True)
+        if (norms <= self.max_norm).all():
             return x
-        factors = np.where(norms >= self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
+        factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
+        # rounding can leave a rescaled row an ulp or two past the radius
+        while (over := np.linalg.norm(x.values * factors, axis=1) > self.max_norm).any():
+            factors[over] = np.nextafter(factors[over], 0.0)
         return ad.mul(x, factors)
 
     def geodesic_similarity(self, u, v):

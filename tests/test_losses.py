@@ -197,6 +197,8 @@ class TestInfoNce:
             info_nce_labeled(h, h, [], ball, cfg)
         with pytest.raises(ContractError):
             info_nce_unlabeled(h, e, h, ball, cfg)
+        with pytest.raises(ContractError, match="differ in rows"):
+            info_nce_unlabeled(hyp([[0.1, 0.1], [0.2, 0.0]]), h, h, ball, cfg)
 
 
 class TestSupervisedLoss:
@@ -343,16 +345,21 @@ class TestTrainStep:
             assert int(np.argmax(p.values)) == g.label
 
 
+def gradcheck_model():
+    model = build_model(42, d=4)
+    # move zero-initialized biases off the relu kink, where central
+    # differences and the one-sided analytic convention disagree
+    gen = np.random.default_rng(99)
+    for t in model.params:
+        if not t.values.any():
+            t.values[...] = gen.uniform(0.01, 0.05, size=t.values.shape)
+    return model
+
+
 class TestFullObjectiveGradcheck:
     def test_frozen_batch_matches_finite_differences(self):
         g0, g1, g2 = toy_graphs()
-        model = build_model(42, d=4)
-        # move zero-initialized biases off the relu kink, where central
-        # differences and the one-sided analytic convention disagree
-        gen = np.random.default_rng(99)
-        for t in model.params:
-            if not t.values.any():
-                t.values[...] = gen.uniform(0.01, 0.05, size=t.values.shape)
+        model = gradcheck_model()
         cfg = LossConfig(omega=0.01)
         vs = ViewSampler(0.8, 0.8, seed=3)
         v_e = {id(g): vs.euclidean_view(g) for g in (g0, g1, g2)}
@@ -375,6 +382,21 @@ class TestFullObjectiveGradcheck:
                 )
             l_term = info_nce_labeled(h_h_l, h_eh_l, u_hyps, model.ball, cfg)
             return total_objective(sup, l_term, u_terms, cfg)
+
+        err = ad.finite_difference_gradcheck(objective, model.params, h=1e-5)
+        assert err < 1e-4, f"worst relative gradient error {err}"
+
+    def test_train_step_gradient_matches_finite_differences(self):
+        # the row-stacked objective exactly as train_step builds it: an
+        # lr-0 optimizer keeps the parameters put, and train_step's own
+        # backward leaves the analytic gradient in .grad
+        g0, g1, g2 = toy_graphs()
+        model = gradcheck_model()
+        batch, views = Batch(g0, [g1, g2, g0]), ViewSampler(0.8, 0.8, seed=3)
+        cfg, frozen = LossConfig(omega=1.0), Adam(model.params, lr=0.0)
+
+        def objective():
+            return Tensor(train_step(batch, model, views, cfg, frozen).total)
 
         err = ad.finite_difference_gradcheck(objective, model.params, h=1e-5)
         assert err < 1e-4, f"worst relative gradient error {err}"

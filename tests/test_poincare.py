@@ -222,6 +222,20 @@ class TestProjection:
         assert out.values[0, 0] == 0.1
         assert abs(out.values[1, 0] - (1.0 - 1e-5)) < 1e-12
 
+    def test_near_boundary_rows_land_inside_and_reproject_unchanged(self):
+        # rows a hair past the radius are where rounding of the rescale
+        # used to leave the result an ulp outside
+        rng = np.random.default_rng(21)
+        for c in (0.5, 1.0, 2.0, 3.7):
+            ball = PoincareBall(c)
+            for d in (2, 16, 64):
+                x = rng.standard_normal((500, d))
+                x *= ball.max_norm / np.linalg.norm(x, axis=1, keepdims=True)
+                x *= 1.0 + rng.uniform(0.0, 1e-3, (500, 1))
+                once = ball.project(Tensor(x)).values
+                assert (np.linalg.norm(once, axis=1) <= ball.max_norm).all()
+                assert np.array_equal(ball.project(Tensor(once)).values, once)
+
 
 class TestBallDomain:
     def test_curvature_must_be_positive(self):
