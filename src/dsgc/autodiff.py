@@ -1,12 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
-Every tracked value is a 2-D numpy array; scalars are (1, 1). Operations
-link outputs to their inputs, and `backward` replays the implicit tape in
-reverse topological order, accumulating d(root)/d(leaf) into `.grad`.
-Only leaves (tensors made from values, such as parameters and inputs) hold
-a `.grad` buffer; an operation's result has `grad = None` and passes its
-adjoint on to its inputs. Gradients keep accumulating across calls until
-`zero_grad`.
+Every value is a 2-D numpy array; scalars are (1, 1). A constant stays a
+plain array, and an operation whose operands are all arrays returns a plain
+array, so constants never reach the tape. Only Tensors made from values
+(parameters, and inputs a caller wants gradients for) are leaves and hold a
+`.grad` buffer; an operation on at least one Tensor returns a Tensor linked
+to its Tensor operands, with `grad = None`, that passes its adjoint on.
+Tensors are numbered as they are created, so every operation is newer than
+its inputs; `backward` walks the reachable tape newest first, which is a
+reverse topological order, and adds d(root)/d(leaf) into each leaf's
+`.grad`. Gradients keep accumulating across calls until `zero_grad`.
 
 Numerical guards (they keep gradients finite near singular points):
   * arcosh arguments are clamped to >= 1 + 1e-12
@@ -17,6 +20,8 @@ Numerical guards (they keep gradients finite near singular points):
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +31,8 @@ from .errors import ContractError, DomainError, ShapeError
 ARCOSH_MIN = 1.0 + 1e-12
 ARTANH_MAX = 1.0 - 1e-7
 DIV_FLOOR = 1e-15
+
+_created = itertools.count()  # creation numbers, one count for all: any Tensors may meet
 
 
 def _as_matrix(values):
@@ -42,14 +49,14 @@ def _as_matrix(values):
 class Tensor:
     """A (rows, cols) float64 matrix tracked by the autodiff tape."""
 
-    __slots__ = ("values", "grad", "_parents", "_vjp", "_adj")
+    __slots__ = ("values", "grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, values, _parents=(), _vjp=None):
         self.values = _as_matrix(values)
         self.grad = np.zeros_like(self.values) if _vjp is None else None
         self._parents = _parents
         self._vjp = _vjp
-        self._adj = None
+        self._seq = next(_created)
 
     @property
     def shape(self):
@@ -66,38 +73,10 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return neg(self)
+def values_of(x):
+    """The array behind x: a Tensor's values, or x itself as a 2-D matrix."""
+    return x.values if isinstance(x, Tensor) else _as_matrix(x)
 
 
 def _unbroadcast(g, shape):
@@ -111,10 +90,6 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _values(x):
-    return x.values if isinstance(x, Tensor) else _as_matrix(x)
-
-
 def _record(a, b, v, da, db):
     """The result v of a binary op, linked to whichever operands are Tensors.
 
@@ -123,9 +98,15 @@ def _record(a, b, v, da, db):
     """
     links = [(x, d, x.values.shape) for x, d in ((a, da), (b, db)) if isinstance(x, Tensor)]
     if not links:
-        return Tensor(v)
+        return v
     parents = tuple(x for x, _, _ in links)
     return Tensor(v, parents, lambda g: tuple(_unbroadcast(d(g), sh) for _, d, sh in links))
+
+
+def _unary(x, v, vjp):
+    """The result v of a one-operand op: linked to x when x is a Tensor
+    (vjp(g) gives the 1-tuple of x's adjoint), else a plain array."""
+    return Tensor(v, (x,), vjp) if isinstance(x, Tensor) else v
 
 
 def _broadcast(name, op, av, bv):
@@ -136,21 +117,21 @@ def _broadcast(name, op, av, bv):
 
 
 def add(a, b):
-    av, bv = _values(a), _values(b)
+    av, bv = values_of(a), values_of(b)
     return _record(a, b, _broadcast("add", np.add, av, bv), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    av, bv = _values(a), _values(b)
+    av, bv = values_of(a), values_of(b)
     return _record(a, b, _broadcast("sub", np.subtract, av, bv), lambda g: g, lambda g: -g)
 
 
 def neg(x):
-    return Tensor(-x.values, (x,), lambda g: (-g,))
+    return _unary(x, -values_of(x), lambda g: (-g,))
 
 
 def mul(a, b):
-    av, bv = _values(a), _values(b)
+    av, bv = values_of(a), values_of(b)
     v = _broadcast("mul", np.multiply, av, bv)
     return _record(a, b, v, lambda g: g * bv, lambda g: g * av)
 
@@ -165,13 +146,13 @@ def _floored_divisor(bv):
 
 
 def div(a, b):
-    av, bv = _values(a), _floored_divisor(_values(b))
+    av, bv = values_of(a), _floored_divisor(values_of(b))
     v = _broadcast("div", np.divide, av, bv)
     return _record(a, b, v, lambda g: g / bv, lambda g: -g * v / bv)
 
 
 def matmul(a, b):
-    av, bv = _values(a), _values(b)
+    av, bv = values_of(a), values_of(b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
     return _record(a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
@@ -179,115 +160,120 @@ def matmul(a, b):
 
 def powc(x, p):
     """x ** p for a constant float exponent."""
-    xv = x.values
+    xv = values_of(x)
     if p != int(p) and (xv < 0).any():
         raise DomainError(f"powc: negative base with fractional exponent {p}")
     v = xv ** p
-    return Tensor(v, (x,), lambda g: (g * p * xv ** (p - 1.0),))
+    return _unary(x, v, lambda g: (g * p * xv ** (p - 1.0),))
 
 
 def tanh(x):
-    v = np.tanh(x.values)
-    return Tensor(v, (x,), lambda g: (g * (1.0 - v * v),))
+    v = np.tanh(values_of(x))
+    return _unary(x, v, lambda g: (g * (1.0 - v * v),))
 
 
 def artanh(x):
-    xc = np.clip(x.values, -ARTANH_MAX, ARTANH_MAX)
+    xc = np.clip(values_of(x), -ARTANH_MAX, ARTANH_MAX)
     v = np.arctanh(xc)
-    return Tensor(v, (x,), lambda g: (g / (1.0 - xc * xc),))
+    return _unary(x, v, lambda g: (g / (1.0 - xc * xc),))
 
 
 def arcosh(x):
-    xc = np.maximum(x.values, ARCOSH_MIN)
+    xc = np.maximum(values_of(x), ARCOSH_MIN)
     v = np.arccosh(xc)
-    return Tensor(v, (x,), lambda g: (g / np.sqrt(xc * xc - 1.0),))
+    return _unary(x, v, lambda g: (g / np.sqrt(xc * xc - 1.0),))
 
 
 def sigmoid(x):
     # clipping at +-500 avoids exp overflow without changing any representable output
-    v = 1.0 / (1.0 + np.exp(-np.clip(x.values, -500.0, 500.0)))
-    return Tensor(v, (x,), lambda g: (g * v * (1.0 - v),))
+    v = 1.0 / (1.0 + np.exp(-np.clip(values_of(x), -500.0, 500.0)))
+    return _unary(x, v, lambda g: (g * v * (1.0 - v),))
 
 
 def relu(x):
-    xv = x.values
+    xv = values_of(x)
     v = np.maximum(xv, 0.0)
-    return Tensor(v, (x,), lambda g: (g * (xv > 0.0),))
+    return _unary(x, v, lambda g: (g * (xv > 0.0),))
 
 
 def leaky_relu(x, slope=0.2):
-    xv = x.values
+    xv = values_of(x)
     v = np.where(xv > 0.0, xv, slope * xv)
-    return Tensor(v, (x,), lambda g: (g * np.where(xv > 0.0, 1.0, slope),))
+    return _unary(x, v, lambda g: (g * np.where(xv > 0.0, 1.0, slope),))
 
 
 def exp(x):
-    v = np.exp(x.values)
-    return Tensor(v, (x,), lambda g: (g * v,))
+    v = np.exp(values_of(x))
+    return _unary(x, v, lambda g: (g * v,))
 
 
 def log(x):
-    xv = x.values
+    xv = values_of(x)
     lo = xv.min() if xv.size else 1.0
     if lo <= 0.0:
         raise DomainError(f"log: argument must be positive, got {lo}")
-    return Tensor(np.log(xv), (x,), lambda g: (g / xv,))
+    return _unary(x, np.log(xv), lambda g: (g / xv,))
 
 
 def rownorm(x):
     """Euclidean norm of each row, shape (n, 1)."""
-    xv = x.values
+    xv = values_of(x)
     v = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
     safe = np.maximum(v, DIV_FLOOR)
-    return Tensor(v, (x,), lambda g: (g * xv / safe,))
+    return _unary(x, v, lambda g: (g * xv / safe,))
 
 
 def clip_min(x, floor):
     """max(x, floor) elementwise; gradient passes where x >= floor."""
-    xv = x.values
+    xv = values_of(x)
     v = np.maximum(xv, floor)
-    return Tensor(v, (x,), lambda g: (g * (xv >= floor),))
+    return _unary(x, v, lambda g: (g * (xv >= floor),))
 
 
 def asum(x, axis=None):
-    sh = x.values.shape
-    v = x.values.sum(axis=axis, keepdims=True)
-    return Tensor(v, (x,), lambda g: (np.broadcast_to(g, sh),))
+    xv = values_of(x)
+    sh = xv.shape
+    return _unary(x, xv.sum(axis=axis, keepdims=True), lambda g: (np.broadcast_to(g, sh),))
 
 
 def amean(x, axis=None):
-    xv = x.values
+    xv = values_of(x)
     sh = xv.shape
     inv = 1.0 / (xv.size if axis is None else sh[axis])
     v = xv.mean(axis=axis, keepdims=True)
-    return Tensor(v, (x,), lambda g: (np.broadcast_to(g, sh) * inv,))
+    return _unary(x, v, lambda g: (np.broadcast_to(g, sh) * inv,))
 
 
 def amax(x, axis=None):
     """Max reduction; the gradient routes to the first max entry per slice."""
-    xv = x.values
+    xv = values_of(x)
     v = xv.max(axis=axis, keepdims=True)
     mask = np.zeros_like(xv)
     if axis is None:
         mask.flat[int(np.argmax(xv))] = 1.0
     else:
         np.put_along_axis(mask, np.argmax(xv, axis=axis, keepdims=True), 1.0, axis=axis)
-    return Tensor(v, (x,), lambda g: (g * mask,))
+    return _unary(x, v, lambda g: (g * mask,))
 
 
 def _concat(name, parts, axis):
-    """Join tensors along axis (their other dimension must agree); one part
-    comes back as it is."""
+    """Join parts along axis (their other dimension must agree), linked to
+    the parts that are Tensors; one part comes back as it is."""
     if not parts:
         raise ContractError(f"{name}: empty part list")
     if len(parts) == 1:
         return parts[0]
-    shapes = [p.shape for p in parts]
+    arrays = [values_of(p) for p in parts]
+    shapes = [a.shape for a in arrays]
     if len({sh[1 - axis] for sh in shapes}) != 1:
         raise ShapeError(f"{name}: {('row', 'column')[1 - axis]} counts differ, {shapes}")
+    v = np.concatenate(arrays, axis=axis)
+    linked = [isinstance(p, Tensor) for p in parts]
+    if not any(linked):
+        return v
     bounds = np.cumsum([sh[axis] for sh in shapes])[:-1]
-    v = np.concatenate([p.values for p in parts], axis=axis)
-    return Tensor(v, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))
+    return Tensor(v, tuple(itertools.compress(parts, linked)),
+                  lambda g: tuple(itertools.compress(np.split(g, bounds, axis=axis), linked)))
 
 
 def concat_cols(parts):
@@ -301,49 +287,34 @@ def concat_rows(parts):
 
 
 def transpose(x):
-    return Tensor(x.values.T.copy(), (x,), lambda g: (g.T,))
+    return _unary(x, values_of(x).T.copy(), lambda g: (g.T,))
 
 
 def backward(root):
     """Accumulate d(root)/d(t) into t.grad for every leaf t reachable from root.
 
-    Each call computes its own adjoints and adds them in, so repeated calls
-    without zero_grad sum exactly.
+    Pending nodes wait in a heap keyed by creation number; the newest comes
+    out first, and by then every node built from it has passed its adjoint
+    on. Each call computes its own adjoints and adds them in, so repeated
+    calls without zero_grad sum exactly.
     """
     if root.values.shape != (1, 1):
         raise ContractError(f"backward root must be 1x1, got {root.values.shape}")
-    topo = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    root._adj = np.ones((1, 1))
-    for node in reversed(topo):
-        adj = node._adj
-        node._adj = None
-        if adj is None:
-            continue
+    adjoints = {root: np.ones((1, 1))}
+    heap = [(-root._seq, root)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        adj = adjoints.pop(node)
         if node._vjp is None:
             node.grad += adj
             continue
         for parent, contrib in zip(node._parents, node._vjp(adj)):
-            # never mutate adjoint arrays in place: contributions may alias
-            parent._adj = contrib if parent._adj is None else parent._adj + contrib
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
+            if parent in adjoints:
+                # never mutate adjoint arrays in place: contributions may alias
+                adjoints[parent] = adjoints[parent] + contrib
+            else:
+                adjoints[parent] = contrib
+                heapq.heappush(heap, (-parent._seq, parent))
 
 
 def glorot_uniform(rng, rows, cols):

@@ -11,7 +11,8 @@ Configs are flat JSON key-value files; a previously written manifest.json
 also works (its top-level "config" block is used), so any run can be
 reproduced from its own output directory. $DSGC_DATA_DIR supplies the
 default dataset root. Exit codes: 2 for configuration, parsing, or path
-problems and for a failed `sample --check`; 3 when training diverges.
+problems and for a failed `sample --check`; 3 when training diverges; 4 when
+a `--parallel-folds` worker process dies.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime
 
 from .data import dataset_stats, parse_tu_dataset, prepare_dataset
@@ -210,6 +212,9 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"error: a fold worker process died ({exc})", file=sys.stderr)
+        return 4
 
 
 def cli():

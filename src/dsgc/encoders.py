@@ -182,7 +182,7 @@ class GraphEncoder:
         """relu-activated stack over the graph's feature matrix."""
         if g.features is None:
             raise ContractError("graph has no features; synthesize them first")
-        H = Tensor(g.features)
+        H = g.features
         for layer in range(self.num_layers):
             H = ad.relu(self.layer_forward(H, g, layer))
         return H
@@ -194,7 +194,7 @@ class GraphEncoder:
         Mobius linear/bias/activation composition per layer."""
         if g.features is None:
             raise ContractError("graph has no features; synthesize them first")
-        U = ball.expmap0(Tensor(g.features))
+        U = ball.expmap0(g.features)
         for layer in range(self.num_layers):
             p = self.layer_params[layer]
             agg = ball.expmap0(self._aggregate(ball.logmap0(U), g, layer))

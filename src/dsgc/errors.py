@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training loss became non-finite."""
+    """A training loss became non-finite, or a step raised DomainError."""
 
     def __init__(self, fold, epoch):
         super().__init__(f"non-finite loss at fold {fold}, epoch {epoch}")

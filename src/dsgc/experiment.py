@@ -34,7 +34,7 @@ from .encoders import (
     encode_euclidean,
     predict,
 )
-from .errors import ConfigError, ContractError, TrainingDivergedError
+from .errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from .losses import Batch, DsgcModel, LossConfig, train_step
 from .poincare import PoincareBall
 from .samplers import SamplerConfig, community_expansion_sample, diffusion_sample
@@ -310,7 +310,10 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
                 labeled=graphs[anchor],
                 unlabeled=[graphs[i] for i in chosen],
             )
-            m = train_step(batch, model, views, loss_cfg, opt)
+            try:
+                m = train_step(batch, model, views, loss_cfg, opt)
+            except DomainError as exc:  # a value left its op's domain: diverged
+                raise TrainingDivergedError(fold, epoch) from exc
             if not np.isfinite(m.total):
                 raise TrainingDivergedError(fold, epoch)
             sums += (m.total, m.supervised, m.contrastive)

@@ -29,17 +29,12 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractError, DomainError, ShapeError
 
 BOUNDARY_EPS = 1e-5   # radial projection margin
 NORM_FLOOR = 1e-15    # series-limit floor for ||t|| -> 0
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class PoincareBall:
@@ -57,11 +52,11 @@ class PoincareBall:
 
     def contains(self, x):
         """True when every row is strictly inside the open ball."""
-        v = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        v = ad.values_of(x)
         return bool((self.c * (v * v).sum(axis=-1) < 1.0).all())
 
     def _check_inside(self, x, what):
-        v = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        v = ad.values_of(x)
         sq = self.c * (v * v).sum(axis=-1)
         if (sq >= 1.0).any():
             raise DomainError(
@@ -74,14 +69,18 @@ class PoincareBall:
         The rescale factor is computed from current values and applied as a
         constant, so gradients are untouched on the (normal) interior path.
         Pulled rows read back at or inside the radius, so a second call is a no-op.
+        A row whose norm is not finite (inf, NaN, overflow) raises DomainError.
         """
-        x = _as_tensor(x)
-        norms = np.linalg.norm(x.values, axis=1, keepdims=True)
+        xv = ad.values_of(x)
+        norms = np.linalg.norm(xv, axis=1, keepdims=True)
         if (norms <= self.max_norm).all():
             return x
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise DomainError(f"project: row {bad[0]} has a non-finite norm {norms[bad[0], 0]}")
         factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
         # rounding can leave a rescaled row an ulp or two past the radius
-        while (over := np.linalg.norm(x.values * factors, axis=1) > self.max_norm).any():
+        while (over := np.linalg.norm(xv * factors, axis=1) > self.max_norm).any():
             factors[over] = np.nextafter(factors[over], 0.0)
         return ad.mul(x, factors)
 
@@ -91,7 +90,6 @@ class PoincareBall:
         Coincident rows hit the arcosh clamp and return the cap value
         1/arcosh(1 + 1e-12) ~= 1/sqrt(2e-12).
         """
-        u, v = _as_tensor(u), _as_tensor(v)
         self._check_inside(u, "geodesic_similarity")
         self._check_inside(v, "geodesic_similarity")
         if self.c != 1.0:
@@ -111,7 +109,6 @@ class PoincareBall:
 
     def expmap0(self, t):
         """Map a tangent vector at the origin into the ball (rows independently)."""
-        t = _as_tensor(t)
         n = ad.clip_min(ad.rownorm(t), NORM_FLOOR)
         if self.sqrt_c != 1.0:
             n = ad.mul(n, self.sqrt_c)
@@ -120,7 +117,6 @@ class PoincareBall:
 
     def logmap0(self, u):
         """Map a ball point back to the origin tangent space (inverse of expmap0)."""
-        u = _as_tensor(u)
         self._check_inside(u, "logmap0")
         n = ad.clip_min(ad.rownorm(u), NORM_FLOOR)
         if self.sqrt_c != 1.0:
@@ -129,8 +125,6 @@ class PoincareBall:
 
     def mobius_matvec(self, W, u):
         """Hyperbolic matrix multiply: exp0(log0(u) @ W^T) for W of shape (out, in)."""
-        W = _as_tensor(W)
-        u = _as_tensor(u)
         if W.shape[1] != u.shape[1]:
             # surface the point/matrix mismatch before matmul's generic message
             raise ShapeError(
@@ -140,7 +134,6 @@ class PoincareBall:
 
     def mobius_bias_add(self, u, b):
         """Hyperbolic bias addition: exp0(log0(u) + b) with b broadcast over rows."""
-        u, b = _as_tensor(u), _as_tensor(b)
         return self.expmap0(ad.add(self.logmap0(u), b))
 
     def hyperbolic_activation(self, u, W, b, act):

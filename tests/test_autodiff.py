@@ -108,10 +108,47 @@ class TestBackwardSemantics:
             ad.backward(x)
 
     def test_zero_grads(self):
-        x = scalar(3.0)
-        ad.backward(ad.mul(x, x))
-        ad.zero_grads([x])
+        # Adam.zero_grad is the one reset path: it clears every parameter's
+        # buffer in place and leaves the next backward to start from zero
+        x, w = scalar(3.0), ad.Tensor([[1.0, 2.0]])
+        opt = ad.Adam([x, w], lr=0.1)
+        buffers = [x.grad, w.grad]
+        ad.backward(ad.asum(ad.mul(x, w)))
+        assert x.grad[0, 0] == 3.0 and np.array_equal(w.grad, [[3.0, 3.0]])
+        opt.zero_grad()
         assert np.array_equal(x.grad, np.zeros((1, 1)))
+        assert np.array_equal(w.grad, np.zeros((1, 2)))
+        assert x.grad is buffers[0] and w.grad is buffers[1]
+        ad.backward(ad.mul(x, x))
+        assert x.grad[0, 0] == 6.0
+
+    def test_constant_operands_give_plain_arrays(self):
+        a, b = np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]])
+        for out in (ad.add(a, b), ad.tanh(a), ad.asum(a), ad.concat_rows([a, b])):
+            assert type(out) is np.ndarray
+        assert np.array_equal(ad.concat_rows([a, b]), [[1.0, -2.0], [0.5, 0.5]])
+        # one Tensor operand links only itself; the constant gets no adjoint
+        x = ad.Tensor([[3.0, 4.0]])
+        out = ad.concat_rows([a, x, b])
+        assert isinstance(out, ad.Tensor) and out._parents == (x,)
+        ad.backward(ad.asum(ad.mul(out, out)))
+        assert np.array_equal(x.grad, [[6.0, 8.0]])
+
+    def test_backward_runs_each_node_once_newest_first(self):
+        # y feeds z and w; taken before both have passed their shares on, y
+        # would run its VJP twice (linearity keeps the gradient right, so
+        # only the order and the count show it)
+        x = scalar(2.0)
+        y = ad.mul(x, x)
+        z = ad.mul(y, x)
+        w = ad.add(y, x)
+        root = ad.add(z, w)
+        ran = []
+        for node in (y, z, w, root):
+            node._vjp = lambda g, node=node, vjp=node._vjp: (ran.append(node), vjp(g))[1]
+        ad.backward(root)
+        assert x.grad[0, 0] == 3.0 * 4.0 + 2.0 * 2.0 + 1.0
+        assert ran == [root, w, z, y]
 
     def test_only_leaves_hold_gradients(self):
         x, w = ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]])

@@ -12,6 +12,11 @@ from dsgc.data import write_tu_dataset
 from dsgc.samplers import diffusion_sample, induced_subgraph
 
 
+def _die(job):
+    """A fold worker that ends its process without a result."""
+    os._exit(1)
+
+
 def write_config(tmp_path, **over):
     cfg = {
         "dataset": "RINGS",
@@ -190,6 +195,19 @@ class TestTrain:
         assert "fold 0" in err and "epoch" in err
         # manifest precedes training; no result files exist
         assert (out / "manifest.json").exists()
+        assert not (out / "folds.csv").exists()
+
+    def test_dead_fold_worker_exits_4(self, tmp_path, data_root, monkeypatch, capsys):
+        from dsgc import experiment
+
+        monkeypatch.setattr(experiment, "_fold_worker", _die)
+        cfg_path = write_config(tmp_path, epochs=1, folds=2)
+        out = tmp_path / "run"
+        rc = main(["train", cfg_path, "--data-dir", data_root, "--out", str(out),
+                   "--parallel-folds", "2"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: a fold worker process died") and err.count("\n") == 1
         assert not (out / "folds.csv").exists()
 
     def test_env_var_dataset_root(self, tmp_path, data_root, monkeypatch):

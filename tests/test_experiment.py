@@ -9,7 +9,7 @@ import pytest
 
 from conftest import synthetic_dataset
 from dsgc.data import synthesize_features
-from dsgc.errors import ConfigError, ContractError, TrainingDivergedError
+from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
     ExperimentConfig,
     MetricsRecord,
@@ -215,6 +215,21 @@ class TestRunExperiment:
             run_experiment(cfg, dataset=ds)
         assert err.value.fold == 0
         assert "fold 0" in str(err.value)
+
+    def test_domain_error_in_step_becomes_divergence(self, monkeypatch):
+        from dsgc import experiment
+
+        def leave_the_ball(*args):
+            raise DomainError("project: row 0 has a non-finite norm inf")
+
+        monkeypatch.setattr(experiment, "train_step", leave_the_ball)
+        ds = synthetic_dataset()
+        ds = dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
+        with pytest.raises(TrainingDivergedError) as err:
+            run_experiment(ExperimentConfig(**FAST), dataset=ds)
+        assert (err.value.fold, err.value.epoch) == (0, 0)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert "project: row 0" in str(err.value.__cause__)
 
     def test_parallel_folds_match_serial(self):
         ds = synthetic_dataset()

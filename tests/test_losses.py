@@ -307,6 +307,37 @@ class TestTrainStep:
         for t in model.params:
             assert np.abs(t.grad).max() > 0.0
 
+    @pytest.mark.parametrize("kind_e,kind_h,mobius", [
+        ("gcn", "gin", False), ("graphsage", "gat", False),
+        ("gat", "graphsage", True), ("gin", "gin", True),
+    ])
+    def test_only_parameters_are_leaves(self, monkeypatch, kind_e, kind_h, mobius):
+        # graph features, masks and ball constants stay plain arrays, so the
+        # objective's tape ends at the model's parameters and nowhere else
+        g0, g1, g2 = toy_graphs()
+        rng = np.random.default_rng(5)
+        model = DsgcModel(
+            GraphEncoder(kind_e, 4, 8, 2, rng),
+            GraphEncoder(kind_h, 4, 8, 2, rng, mobius=mobius),
+            Predictor(8, 2, rng), PoincareBall(0.5),
+        )
+        roots = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: (roots.append(root), backward(root)))
+        train_step(Batch(labeled=g0, unlabeled=[g1, g2]), model, ViewSampler(0.8, 0.8, 2),
+                   LossConfig(omega=0.01), Adam(model.params, lr=1e-3))
+        seen, stack, leaves = {id(roots[0])}, [roots[0]], set()
+        while stack:
+            node = stack.pop()
+            assert isinstance(node, Tensor)
+            if not node._parents:
+                leaves.add(id(node))
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert leaves == {id(t) for t in model.params}
+
     def test_omega_zero_skips_contrastive_half(self):
         g0, g1, _ = toy_graphs()
         model = build_model(3)

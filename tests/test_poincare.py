@@ -236,6 +236,16 @@ class TestProjection:
                 assert (np.linalg.norm(once, axis=1) <= ball.max_norm).all()
                 assert np.array_equal(ball.project(Tensor(once)).values, once)
 
+    @pytest.mark.parametrize("row", [[math.inf, 0.0], [math.nan, 0.0], [1e308, 1e308]])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_norm_raises_naming_the_row(self, row):
+        # inf * 0 used to give NaN and an overflowing norm the origin
+        ball = PoincareBall()
+        with pytest.raises(DomainError, match="project: row 1 "):
+            ball.project(Tensor([[0.1, 0.2], row]))
+        with pytest.raises(DomainError, match="project: row 0 "):
+            ball.project(np.array([row]))
+
 
 class TestBallDomain:
     def test_curvature_must_be_positive(self):

@@ -1,5 +1,6 @@
 """Property tests: the row-stacked contrastive terms against per-graph
-references, and ball identities across curvatures and widths."""
+references, ball identities across curvatures and widths, and the sampler
+invariants on random connected graphs."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dsgc import autodiff as ad  # noqa: E402
 from dsgc.autodiff import Tensor  # noqa: E402
+from dsgc.data import Graph  # noqa: E402
 from dsgc.encoders import HYPERBOLIC, GraphEmbedding  # noqa: E402
 from dsgc.losses import LossConfig, info_nce_labeled, info_nce_unlabeled  # noqa: E402
 from dsgc.poincare import PoincareBall  # noqa: E402
+from dsgc.samplers import (  # noqa: E402
+    SamplerConfig,
+    check_view,
+    community_expansion_sample,
+    diffusion_sample,
+)
 
 # derandomized: every run draws the same examples, so a failure replays
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -124,3 +132,26 @@ class TestBallIdentities:
         b = ball.geodesic_similarity(Tensor(v), Tensor(u)).values
         assert np.all(a > 0.0)
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+@st.composite
+def connected_graphs(draw, max_nodes=24):
+    """A random spanning tree on shuffled node ids plus random chords."""
+    n = draw(st.integers(1, max_nodes))
+    ids = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((ids[i], ids[draw(st.integers(0, i - 1))]))) for i in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        chords = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=2 * n))
+        edges |= {tuple(sorted(p)) for p in chords}
+    return Graph(n=n, edges=sorted(edges))
+
+
+class TestSamplerInvariants:
+    @PROPERTY
+    @given(g=connected_graphs(), rate=st.floats(0.0, 1.0, exclude_min=True), seed=seeds)
+    def test_views_pass_check_view(self, g, rate, seed):
+        assert g.is_connected()
+        cfg = SamplerConfig(rate=rate, seed=seed)
+        for sampler in (diffusion_sample, community_expansion_sample):
+            check_view(g, sampler(g, cfg), cfg)
