@@ -99,8 +99,8 @@ class Graph:
 
 
 def canonical_edges(pairs, n):
-    """Normalize an iterable of (i, j) pairs to unique i < j rows, dropping order."""
-    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    """Normalize (i, j) pairs (an array or a list) to unique, sorted i < j rows."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(arr) == 0:
         return arr
     lo = arr.min(axis=1)
@@ -143,12 +143,37 @@ def _dataset_prefix(directory):
     return names[0][: -len("_A.txt")]
 
 
-def _read_required(directory, filename):
+def _to_int64(lines, cols):
+    """The one conversion of TU text to integers: `cols` comma-separated
+    int() fields per line into an int64 (k, cols) array, or None when a line
+    has another field count, a non-integer field or a value outside int64."""
+    if any(line.count(",") != cols - 1 for line in lines):
+        return None
+    fields = (f for line in lines for f in line.split(","))
+    try:
+        return np.fromiter(map(int, fields), np.int64, cols * len(lines)).reshape(-1, cols)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_ints(directory, filename, cols):
+    """(path, rows, line_no, bad): a TU file's non-blank lines before its first
+    malformed one as int64 rows, their 1-based line numbers, and a
+    TUParseError for that line or None, returned so earlier faults go first."""
     path = os.path.join(directory, filename)
     if not os.path.isfile(path):
         raise FileNotFoundError(f"missing dataset file: {path}")
     with open(path) as fh:
-        return path, fh.read().splitlines()
+        lines = fh.read().splitlines()
+    line_no = [i for i, line in enumerate(lines, 1) if line.strip()]
+    text = [lines[i - 1] for i in line_no]
+    rows, bad = _to_int64(text, cols), None
+    if rows is None:  # keep the rows before the first line that fails alone
+        k = next(k for k, line in enumerate(text) if _to_int64([line], cols) is None)
+        bad = TUParseError(f"expected {cols} comma-separated int64 value(s), got {text[k]!r}", path, line_no[k])
+        line_no = line_no[:k]
+        rows = _to_int64(text[:k], cols)
+    return path, rows, np.array(line_no, dtype=np.int64), bad
 
 
 def parse_tu_dataset(directory):
@@ -161,109 +186,69 @@ def parse_tu_dataset(directory):
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"dataset directory not found: {directory}")
     name = _dataset_prefix(directory)
-    a_path, edge_lines = _read_required(directory, f"{name}_A.txt")
-    ind_path, ind_lines = _read_required(directory, f"{name}_graph_indicator.txt")
-    lab_path, label_lines = _read_required(directory, f"{name}_graph_labels.txt")
-
-    node_graph = np.empty(len(ind_lines), dtype=np.int64)  # node -> graph, 0-indexed
-    count = 0
-    for i, line in enumerate(ind_lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            node_graph[count] = int(line) - 1
-        except ValueError:
-            raise TUParseError(f"bad graph indicator {line!r}", ind_path, i + 1) from None
-        count += 1
-    node_graph = node_graph[:count]
-    num_nodes = count
+    a_path, pairs, a_line_no, a_bad = _read_ints(directory, f"{name}_A.txt", 2)
+    ind_path, ind, _, ind_bad = _read_ints(directory, f"{name}_graph_indicator.txt", 1)
+    _, raw_labels, _, lab_bad = _read_ints(directory, f"{name}_graph_labels.txt", 1)
+    num_nodes, num_graphs = len(ind), len(raw_labels)
+    if ind_bad:
+        raise ind_bad
     if num_nodes == 0:
         raise TUParseError("empty graph indicator file", ind_path)
+    if lab_bad:
+        raise lab_bad
+    if ind.min() < 1 or ind.max() > num_graphs:
+        raise TUParseError(f"graph indicator outside 1..{num_graphs}", ind_path)
+    node_graph = ind[:, 0] - 1  # node -> graph, 0-indexed
 
-    raw_labels = []
-    for i, line in enumerate(label_lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            raw_labels.append(int(line))
-        except ValueError:
-            raise TUParseError(f"bad graph label {line!r}", lab_path, i + 1) from None
-    num_graphs = len(raw_labels)
-    if node_graph.min() < 0 or node_graph.max() >= num_graphs:
-        raise TUParseError(
-            f"graph indicator outside 1..{num_graphs}", ind_path
-        )
-
-    # local node index within each graph, in order of global node id
-    sizes = np.bincount(node_graph, minlength=num_graphs)
-    offsets = np.zeros(num_graphs, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    local_idx = np.arange(num_nodes) - offsets[node_graph]
-    if (local_idx < 0).any():
+    # grouped by graph: graph g owns the global node ids offsets[g] + 0..n-1
+    if (np.diff(node_graph) < 0).any():
         raise TUParseError("graph indicator is not grouped by graph", ind_path)
+    sizes = np.bincount(node_graph, minlength=num_graphs)
+    offsets = np.cumsum(sizes) - sizes
 
-    per_graph_edges = [set() for _ in range(num_graphs)]
-    for i, line in enumerate(edge_lines):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TUParseError(f"expected 'i, j', got {line!r}", a_path, i + 1)
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise TUParseError(f"non-integer edge endpoint in {line!r}", a_path, i + 1) from None
-        if not (1 <= u <= num_nodes) or not (1 <= v <= num_nodes):
-            raise TUParseError(
-                f"node id out of range in edge ({u}, {v}), have {num_nodes} nodes",
-                a_path,
-                i + 1,
-            )
-        if u == v:
-            raise TUParseError(f"self-loop on node {u}", a_path, i + 1)
-        gu, gv = node_graph[u - 1], node_graph[v - 1]
-        if gu != gv:
-            raise TUParseError(
-                f"edge ({u}, {v}) crosses graphs {gu + 1} and {gv + 1}", a_path, i + 1
-            )
-        lu, lv = int(local_idx[u - 1]), int(local_idx[v - 1])
-        per_graph_edges[gu].add((min(lu, lv), max(lu, lv)))
+    # the first edge row that is out of range, a self-loop or across graphs
+    out_of_range = ((pairs < 1) | (pairs > num_nodes)).any(axis=1)
+    ends = np.where(out_of_range[:, None], 1, pairs) - 1  # 0-based, in range
+    edge_graph = node_graph[ends]
+    self_loop = pairs[:, 0] == pairs[:, 1]
+    bad = np.flatnonzero(out_of_range | self_loop | (edge_graph[:, 0] != edge_graph[:, 1]))
+    if len(bad):
+        k = bad[0]
+        (u, v), (gu, gv) = pairs[k], edge_graph[k] + 1
+        msg = (f"node id out of range in edge ({u}, {v}), have {num_nodes} nodes" if out_of_range[k]
+               else f"self-loop on node {u}" if self_loop[k]
+               else f"edge ({u}, {v}) crosses graphs {gu} and {gv}")
+        raise TUParseError(msg, a_path, int(a_line_no[k]))
+    if a_bad:
+        raise a_bad
 
-    label_map = {raw: k for k, raw in enumerate(sorted(set(raw_labels)))}
+    # sorted canonical rows in global ids: graph g's rows are the slice whose
+    # first endpoint lies in its node range, as nodes are grouped by graph
+    edges = canonical_edges(ends, num_nodes)
+    bounds = np.searchsorted(edges[:, 0], np.append(offsets, num_nodes))
+    classes, dense = np.unique(raw_labels[:, 0], return_inverse=True)
     graphs = []
-    for gid in range(num_graphs):
-        n = int(sizes[gid])
+    for gid, n in enumerate(sizes.tolist()):
         if n == 0:
             raise TUParseError(f"graph {gid + 1} has no nodes", ind_path)
-        edges = canonical_edges(per_graph_edges[gid], n) if per_graph_edges[gid] else np.empty((0, 2), dtype=np.int64)
-        graphs.append(Graph(n=n, edges=edges, label=label_map[raw_labels[gid]]))
-    return Dataset(name=name, graphs=graphs, num_classes=len(label_map))
+        local = edges[bounds[gid]:bounds[gid + 1]] - offsets[gid]
+        graphs.append(Graph(n=n, edges=local, label=int(dense[gid])))
+    return Dataset(name=name, graphs=graphs, num_classes=len(classes))
 
 
 def write_tu_dataset(ds, directory):
     """Write a Dataset back to TU format (both edge directions, 1-indexed)."""
     os.makedirs(directory, exist_ok=True)
-    a_rows, ind_rows, lab_rows = [], [], []
-    base = 1
-    for gid, g in enumerate(ds.graphs, start=1):
-        for _ in range(g.n):
-            ind_rows.append(str(gid))
-        for i, j in g.edges:
-            a_rows.append(f"{base + int(i)}, {base + int(j)}")
-            a_rows.append(f"{base + int(j)}, {base + int(i)}")
-        lab_rows.append(str(g.label if g.label is not None else 0))
-        base += g.n
-    for fname, rows in [
-        (f"{ds.name}_A.txt", a_rows),
-        (f"{ds.name}_graph_indicator.txt", ind_rows),
-        (f"{ds.name}_graph_labels.txt", lab_rows),
-    ]:
-        with open(os.path.join(directory, fname), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+    sizes = [g.n for g in ds.graphs]
+    rows = {
+        "A": [f"{b + x}, {b + y}" for g, b in zip(ds.graphs, np.cumsum([1] + sizes))
+              for i, j in g.edges for x, y in ((i, j), (j, i))],
+        "graph_indicator": np.repeat(np.arange(1, len(sizes) + 1), sizes),
+        "graph_labels": [0 if g.label is None else g.label for g in ds.graphs],
+    }
+    for suffix, values in rows.items():
+        with open(os.path.join(directory, f"{ds.name}_{suffix}.txt"), "w") as fh:
+            fh.write("\n".join(map(str, values)) + "\n")
 
 
 def filter_connected(ds):

@@ -36,13 +36,16 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training loss became non-finite, or a step raised DomainError."""
+    """A training loss became non-finite, or a step raised DomainError (its
+    text, `detail`, ends the message, also across processes)."""
 
-    def __init__(self, fold, epoch):
-        super().__init__(f"non-finite loss at fold {fold}, epoch {epoch}")
+    def __init__(self, fold, epoch, detail=None):
+        super().__init__(f"non-finite loss at fold {fold}, epoch {epoch}"
+                         + (f": {detail}" if detail else ""))
         self.fold = fold
         self.epoch = epoch
+        self.detail = detail
 
     def __reduce__(self):
         # default exception pickling would replay __init__ with the message
-        return (type(self), (self.fold, self.epoch))
+        return (type(self), (self.fold, self.epoch, self.detail))

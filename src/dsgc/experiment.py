@@ -313,7 +313,7 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
             try:
                 m = train_step(batch, model, views, loss_cfg, opt)
             except DomainError as exc:  # a value left its op's domain: diverged
-                raise TrainingDivergedError(fold, epoch) from exc
+                raise TrainingDivergedError(fold, epoch, str(exc)) from exc
             if not np.isfinite(m.total):
                 raise TrainingDivergedError(fold, epoch)
             sums += (m.total, m.supervised, m.contrastive)

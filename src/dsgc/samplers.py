@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Graph
+from .data import Graph, canonical_edges
 from .errors import ContractError
 
 
@@ -49,16 +49,8 @@ def induced_subgraph(g, order):
     order = np.asarray(order, dtype=np.int64)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[order] = np.arange(len(order))
-    if g.num_edges:
-        e = g.edges
-        mask = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
-        sub = remap[e[mask]]
-        lo = sub.min(axis=1)
-        hi = sub.max(axis=1)
-        keys = np.sort(lo * len(order) + hi)
-        edges = np.stack([keys // len(order), keys % len(order)], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    sub = remap[g.edges]
+    edges = canonical_edges(sub[(sub >= 0).all(axis=1)], len(order))
     feats = g.features[order] if g.features is not None else None
     return Graph(n=len(order), edges=edges, features=feats, label=g.label, orig_ids=order)
 

@@ -69,6 +69,15 @@ class TestStats:
         err = capsys.readouterr().err
         assert "BAD_A.txt:2" in err
 
+    def test_value_beyond_int64_exits_2_naming_the_line(self, tmp_path, capsys):
+        d = tmp_path / "BIG"
+        d.mkdir()
+        (d / "BIG_A.txt").write_text("1, 2\n")
+        (d / "BIG_graph_indicator.txt").write_text("1\n99999999999999999999\n")
+        (d / "BIG_graph_labels.txt").write_text("0\n")
+        assert main(["stats", str(d)]) == 2
+        assert "BIG_graph_indicator.txt:2" in capsys.readouterr().err
+
 
 class TestSample:
     def test_full_rate_keeps_edge_count(self, synthetic_tu_dir, capsys):
@@ -193,6 +202,7 @@ class TestTrain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "fold 0" in err and "epoch" in err
+        assert "project: row" in err  # the DomainError that ended the fold
         # manifest precedes training; no result files exist
         assert (out / "manifest.json").exists()
         assert not (out / "folds.csv").exists()

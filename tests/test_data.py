@@ -99,11 +99,69 @@ class TestParse:
         with pytest.raises(TUParseError, match="self-loop"):
             parse_tu_dataset(d)
 
+    @pytest.mark.parametrize("a, ind, lab, where", [
+        # a bad edge row of any kind: the first line wins, blank lines counted
+        ("1, 2\n\n2, 2\nx, 1\n", "1\n1\n", "0\n", ("_A.txt", 3)),
+        ("1, 2\nx, 1\n2, 2\n", "1\n1\n", "0\n", ("_A.txt", 2)),
+        ("1, 2, 3\n1, 9\n", "1\n1\n", "0\n", ("_A.txt", 1)),
+        # indicator and label faults come before any edge fault
+        ("x\n", "1\n1\n", "0\n\nzero\n", ("_graph_labels.txt", 3)),
+        ("2, 2\n", "1\n3\n", "0\n", ("_graph_indicator.txt", None)),
+        # an empty indicator comes before a bad label line
+        ("1, 2\n", "\n\n", "x\n", ("_graph_indicator.txt", None)),
+        ("1, 2\n", "1\n1, 1\n", "x\n", ("_graph_indicator.txt", 2)),
+        # a graph without nodes is reported after the edges
+        ("1, 1\n", "1\n3\n", "0\n1\n2\n", ("_A.txt", 1)),
+    ])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, a, ind, lab, where):
+        d = tmp_path / "ORD"
+        d.mkdir()
+        for suffix, text in (("A", a), ("graph_indicator", ind), ("graph_labels", lab)):
+            (d / f"ORD_{suffix}.txt").write_text(text)
+        with pytest.raises(TUParseError) as err:
+            parse_tu_dataset(d)
+        assert err.value.path.endswith("ORD" + where[0])
+        assert err.value.line == where[1]
+
+    BEYOND_INT64 = 99999999999999999999
+
+    def test_indicator_beyond_int64_names_the_line(self, tmp_path):
+        d = write_tu(tmp_path, "TOY", [(1, 2)], [1, 1], [1])
+        (d / "TOY_graph_indicator.txt").write_text(f"1\n\n{self.BEYOND_INT64}\n")
+        with pytest.raises(TUParseError, match=r"_graph_indicator\.txt:3") as err:
+            parse_tu_dataset(d)
+        assert err.value.line == 3
+
+    def test_label_beyond_int64_names_the_line(self, tmp_path):
+        d = write_tu(tmp_path, "TOY", [(1, 2)], [1, 1, 2], [1, -self.BEYOND_INT64])
+        with pytest.raises(TUParseError, match=r"_graph_labels\.txt:2"):
+            parse_tu_dataset(d)
+        # the int64 extremes themselves are valid labels
+        d = write_tu(tmp_path, "TOY", [(1, 2)], [1, 1, 2], [2**63 - 1, -(2**63)])
+        assert [g.label for g in parse_tu_dataset(d).graphs] == [1, 0]
+
+    def test_edge_endpoint_beyond_int64_names_the_line(self, tmp_path):
+        d = write_tu(tmp_path, "TOY", [(1, 2), (2, self.BEYOND_INT64)], [1, 1], [1])
+        with pytest.raises(TUParseError, match=r"_A\.txt:2"):
+            parse_tu_dataset(d)
+
     def test_duplicate_direction_collapsed(self, tmp_path):
         d = write_tu(tmp_path, "TOY", [(1, 2), (2, 1), (2, 3), (3, 2)], [1, 1, 1], [5])
         ds = parse_tu_dataset(d)
         assert ds.graphs[0].num_edges == 2
         assert ds.num_classes == 1
+
+    def test_writer_emits_both_directions_one_indexed(self, tmp_path):
+        ds = Dataset(name="W", graphs=[Graph(n=2, edges=[(0, 1)], label=1),
+                                       Graph(n=3, edges=[(0, 2), (1, 2)]),
+                                       Graph(n=1, edges=np.empty((0, 2)), label=0)],
+                     num_classes=2)
+        write_tu_dataset(ds, tmp_path / "W")
+        text = {s: (tmp_path / "W" / f"W_{s}.txt").read_text()
+                for s in ("A", "graph_indicator", "graph_labels")}
+        assert text == {"A": "1, 2\n2, 1\n3, 5\n5, 3\n4, 5\n5, 4\n",
+                        "graph_indicator": "1\n1\n2\n2\n2\n3\n",
+                        "graph_labels": "1\n0\n0\n"}
 
     def test_roundtrip_isomorphic(self, tmp_path):
         rng = np.random.default_rng(0)

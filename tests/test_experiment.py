@@ -230,6 +230,18 @@ class TestRunExperiment:
         assert (err.value.fold, err.value.epoch) == (0, 0)
         assert isinstance(err.value.__cause__, DomainError)
         assert "project: row 0" in str(err.value.__cause__)
+        assert "project: row 0" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parallel_divergence_keeps_the_domain_error_text(self):
+        # a worker's __cause__ comes back as a remote traceback; the op and
+        # row must survive in the error's own message
+        ds = synthetic_dataset()
+        ds = dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
+        cfg = ExperimentConfig(**{**FAST, "learning_rate": 1e200, "folds": 2})
+        with pytest.raises(TrainingDivergedError, match="project: row") as err:
+            run_experiment(cfg, dataset=ds, parallel=2)
+        assert err.value.detail.startswith("project: row")
 
     def test_parallel_folds_match_serial(self):
         ds = synthetic_dataset()

@@ -32,23 +32,6 @@ def random_connected_graph(rng, max_n=30):
     return Graph(n=n, edges=arr)
 
 
-def assert_valid_sample(g, sub, cfg):
-    assert sub.n == cfg.target_size(g.n)
-    assert sub.is_connected()
-    # injective map into original nodes
-    assert len(set(sub.orig_ids.tolist())) == sub.n
-    # induced-subgraph completeness both ways
-    orig = {(min(a, b), max(a, b)) for a, b in g.edges}
-    mapped = {
-        (min(int(sub.orig_ids[i]), int(sub.orig_ids[j])), max(int(sub.orig_ids[i]), int(sub.orig_ids[j])))
-        for i, j in sub.edges
-    }
-    assert mapped <= orig
-    chosen = set(sub.orig_ids.tolist())
-    expected = {e for e in orig if e[0] in chosen and e[1] in chosen}
-    assert mapped == expected
-
-
 class TestConfig:
     def test_rate_bounds(self):
         with pytest.raises(ContractError):
@@ -70,7 +53,7 @@ class TestSamplerContracts:
         sub = sample(g, SamplerConfig(rate=1.0, seed=3))
         assert sub.n == g.n
         assert sub.num_edges == g.num_edges
-        assert_valid_sample(g, sub, SamplerConfig(rate=1.0, seed=3))
+        check_view(g, sub, SamplerConfig(rate=1.0, seed=3))
 
     def test_path_half_rate(self):
         g = Graph(n=10, edges=[(i, i + 1) for i in range(9)])
@@ -121,7 +104,7 @@ class TestSamplerContracts:
         for trial in range(250):
             g = random_connected_graph(rng)
             cfg = SamplerConfig(rate=float(rng.uniform(0.1, 1.0)), seed=trial)
-            assert_valid_sample(g, sample(g, cfg), cfg)
+            check_view(g, sample(g, cfg), cfg)
 
 
 class TestInducedSubgraph:
