@@ -61,14 +61,15 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self):
-        """Adjacency list as a tuple of sorted int arrays (cached)."""
+        """Adjacency list as a tuple of sorted int64 arrays (cached)."""
         adj = self.cache.get("adj")
         if adj is None:
-            lists = [[] for _ in range(self.n)]
-            for a, b in self.edges:
-                lists[a].append(b)
-                lists[b].append(a)
-            adj = tuple(np.array(sorted(l), dtype=np.int64) for l in lists)
+            a, b = self.edges.T
+            rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+            by_row = np.lexsort((cols, rows))
+            cuts = np.searchsorted(rows[by_row], np.arange(self.n + 1)).tolist()
+            cols = cols[by_row]
+            adj = tuple(cols[i:j] for i, j in zip(cuts, cuts[1:]))
             self.cache["adj"] = adj
         return adj
 
@@ -78,21 +79,19 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_connected(self):
-        """BFS reachability from node 0 (cached)."""
+        """Reachability from node 0, one BFS level per pass over the edge
+        rows: the edges with exactly one reached end lead to the next
+        level (cached)."""
         hit = self.cache.get("connected")
         if hit is None:
-            adj = self.neighbors()
             seen = np.zeros(self.n, dtype=bool)
             seen[0] = True
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if not seen[v]:
-                            seen[v] = True
-                            nxt.append(int(v))
-                frontier = nxt
+            a, b = self.edges.T
+            cross = seen[a] != seen[b]
+            while cross.any():
+                seen[a[cross]] = True
+                seen[b[cross]] = True
+                cross = seen[a] != seen[b]
             hit = bool(seen.all())
             self.cache["connected"] = hit
         return hit

@@ -36,12 +36,12 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A training loss became non-finite, or a step raised DomainError (its
-    text, `detail`, ends the message, also across processes)."""
+    """Training diverged: a loss became non-finite, or a step raised
+    DomainError, whose text is then the `detail` that ends the message,
+    also across processes."""
 
-    def __init__(self, fold, epoch, detail=None):
-        super().__init__(f"non-finite loss at fold {fold}, epoch {epoch}"
-                         + (f": {detail}" if detail else ""))
+    def __init__(self, fold, epoch, detail="non-finite loss"):
+        super().__init__(f"training diverged at fold {fold}, epoch {epoch}: {detail}")
         self.fold = fold
         self.epoch = epoch
         self.detail = detail

@@ -8,12 +8,20 @@ always connected.
 
   * diffusion_sample: frontier diffusion — repeatedly pick a uniform-random
     member of S that still has an outside neighbor, then a uniform-random
-    such neighbor. Produces an unbiased "skeleton" view.
+    such neighbor. Produces an unbiased "skeleton" view. It keeps, per
+    node, the count of its neighbors outside S (degree at the start, one
+    less for each neighbor that joins S), so the eligible members are one
+    mask over the first k entries of the insertion order: O(k + deg) per
+    growth step.
   * community_expansion_sample: greedy structure expansion — among the
     candidate neighbors of S, add the one with the most neighbors outside
-    S and the candidate set (ties: smallest original id). Only the start
-    node is random; the growth itself is deterministic. Produces a
-    hierarchy-flavored view.
+    S and the candidate set. Only the start node is random; the growth
+    itself is deterministic. Produces a hierarchy-flavored view. It keeps
+    a candidate mask, a mask of the nodes not yet counted (neither in S
+    nor candidates) and, per node, the count of its uncounted neighbors
+    (one less for each neighbor that becomes counted), and picks with one
+    argmax over the candidates' counts: O(n + deg) per step. Ties go to
+    argmax's first index, the smallest original id.
 """
 
 from __future__ import annotations
@@ -60,17 +68,20 @@ def diffusion_sample(g, cfg):
     rng = np.random.default_rng(cfg.seed)
     target = cfg.target_size(g.n)
     adj = g.neighbors()
-    in_s = np.zeros(g.n, dtype=bool)
-    start = int(rng.integers(g.n))
-    order = [start]
-    in_s[start] = True
-    while len(order) < target:
-        eligible = [u for u in order if not in_s[adj[u]].all()]
-        u = eligible[int(rng.integers(len(eligible)))]
-        outside = adj[u][~in_s[adj[u]]]
-        v = int(outside[int(rng.integers(len(outside)))])
-        order.append(v)
-        in_s[v] = True
+    free = np.ones(g.n, dtype=bool)        # outside S
+    outside = g.degrees()                  # neighbors outside S, per node
+    order = np.empty(target, dtype=np.int64)
+    v = rng.integers(g.n)
+    for k in range(target):
+        if k:
+            members = order[:k]
+            eligible = members[outside[members] > 0]
+            nb = adj[eligible[rng.integers(len(eligible))]]
+            out = nb[free[nb]]
+            v = out[rng.integers(len(out))]
+        order[k] = v
+        free[v] = False
+        outside[adj[v]] -= 1
     return induced_subgraph(g, order)
 
 
@@ -79,21 +90,24 @@ def community_expansion_sample(g, cfg):
     rng = np.random.default_rng(cfg.seed)
     target = cfg.target_size(g.n)
     adj = g.neighbors()
-    start = int(rng.integers(g.n))
-    order = [start]
-    members = {start}
-    candidates = {int(v) for v in adj[start]}
-    while len(order) < target:
-        counted = members | candidates
-        best, best_gain = -1, -1
-        for v in sorted(candidates):
-            gain = sum(1 for w in adj[v] if int(w) not in counted)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        order.append(best)
-        members.add(best)
-        candidates.discard(best)
-        candidates.update(int(w) for w in adj[best] if int(w) not in members)
+    uncounted = np.ones(g.n, dtype=bool)   # neither a member nor a candidate
+    candidate = np.zeros(g.n, dtype=bool)
+    gain = g.degrees()                     # uncounted neighbors, per node
+    order = np.empty(target, dtype=np.int64)
+    best = rng.integers(g.n)
+    uncounted[best] = False
+    gain[adj[best]] -= 1
+    for k in range(target):
+        if k:
+            best = np.where(candidate, gain, -1).argmax()
+        order[k] = best
+        candidate[best] = False
+        nb = adj[best]
+        fresh = nb[uncounted[nb]]
+        candidate[fresh] = True
+        uncounted[fresh] = False
+        for w in fresh.tolist():
+            gain[adj[w]] -= 1
     return induced_subgraph(g, order)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ class TestRunExperiment:
         with pytest.raises(TrainingDivergedError, match="project: row") as err:
             run_experiment(cfg, dataset=ds, parallel=2)
         assert err.value.detail.startswith("project: row")
+
+    def test_divergence_message_names_its_cause(self):
+        plain = TrainingDivergedError(2, 5)
+        domain = TrainingDivergedError(0, 1, "project: row 0 has a non-finite norm nan")
+        for err in (plain, pickle.loads(pickle.dumps(plain))):
+            assert str(err) == "training diverged at fold 2, epoch 5: non-finite loss"
+            assert (err.fold, err.epoch, err.detail) == (2, 5, "non-finite loss")
+        for err in (domain, pickle.loads(pickle.dumps(domain))):
+            assert str(err) == ("training diverged at fold 0, epoch 1: "
+                                "project: row 0 has a non-finite norm nan")
+            assert "non-finite loss" not in str(err)
+            assert (err.fold, err.epoch) == (0, 1)
 
     def test_parallel_folds_match_serial(self):
         ds = synthetic_dataset()

@@ -1,24 +1,27 @@
 """Property tests: the row-stacked contrastive terms against per-graph
 references, ball identities across curvatures and widths, and the sampler
-invariants on random connected graphs."""
+invariants on random connected graphs, where the incremental samplers must
+draw exactly the views of the quadratic ones kept here as the reference."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from dsgc import autodiff as ad  # noqa: E402
 from dsgc.autodiff import Tensor  # noqa: E402
-from dsgc.data import Graph  # noqa: E402
+from dsgc.data import Graph, synthesize_features  # noqa: E402
 from dsgc.encoders import HYPERBOLIC, GraphEmbedding  # noqa: E402
 from dsgc.losses import LossConfig, info_nce_labeled, info_nce_unlabeled  # noqa: E402
 from dsgc.poincare import PoincareBall  # noqa: E402
 from dsgc.samplers import (  # noqa: E402
     SamplerConfig,
+    _require_connected,
     check_view,
     community_expansion_sample,
     diffusion_sample,
+    induced_subgraph,
 )
 
 # derandomized: every run draws the same examples, so a failure replays
@@ -147,6 +150,51 @@ def connected_graphs(draw, max_nodes=24):
     return Graph(n=n, edges=sorted(edges))
 
 
+@st.composite
+def any_graphs(draw, max_nodes=24):
+    """Simple graphs of any shape: isolated nodes, several components, no edges."""
+    n = draw(st.integers(1, max_nodes))
+    edges = set()
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = {tuple(sorted(p)) for p in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]),
+                                                         max_size=2 * n))}
+    return Graph(n=n, edges=sorted(edges))
+
+
+def reference_neighbors(g):
+    """The per-edge loop the array-built adjacency replaced."""
+    lists = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        lists[a].append(b)
+        lists[b].append(a)
+    return tuple(np.array(sorted(l), dtype=np.int64) for l in lists)
+
+
+def reference_is_connected(g):
+    """Per-node BFS from node 0 over the reference adjacency."""
+    adj, seen, frontier = reference_neighbors(g), {0}, [0]
+    while frontier:
+        frontier = [int(v) for u in frontier for v in adj[u] if int(v) not in seen]
+        seen.update(frontier)
+    return len(seen) == g.n
+
+
+class TestAdjacency:
+    @PROPERTY
+    @given(g=any_graphs())
+    @example(g=Graph(n=1, edges=np.empty((0, 2))))
+    @example(g=Graph(n=4, edges=np.empty((0, 2))))
+    @example(g=Graph(n=5, edges=[(0, 1), (1, 2)]))            # isolated nodes
+    @example(g=Graph(n=6, edges=[(0, 1), (1, 2), (3, 4), (4, 5)]))
+    def test_neighbors_and_connectivity_match_the_loops(self, g):
+        got, want = g.neighbors(), reference_neighbors(g)
+        assert type(got) is tuple and len(got) == len(want) == g.n
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64 and np.array_equal(a, b)
+        assert g.is_connected() == reference_is_connected(g)
+
+
 class TestSamplerInvariants:
     @PROPERTY
     @given(g=connected_graphs(), rate=st.floats(0.0, 1.0, exclude_min=True), seed=seeds)
@@ -155,3 +203,99 @@ class TestSamplerInvariants:
         cfg = SamplerConfig(rate=rate, seed=seed)
         for sampler in (diffusion_sample, community_expansion_sample):
             check_view(g, sampler(g, cfg), cfg)
+
+
+# The quadratic samplers the incremental ones replaced, kept as the reference:
+# they rescan S (diffusion) or every candidate (community) on each step.
+def reference_diffusion_sample(g, cfg):
+    _require_connected(g, "diffusion_sample")
+    rng = np.random.default_rng(cfg.seed)
+    target = cfg.target_size(g.n)
+    adj = g.neighbors()
+    in_s = np.zeros(g.n, dtype=bool)
+    start = int(rng.integers(g.n))
+    order = [start]
+    in_s[start] = True
+    while len(order) < target:
+        eligible = [u for u in order if not in_s[adj[u]].all()]
+        u = eligible[int(rng.integers(len(eligible)))]
+        outside = adj[u][~in_s[adj[u]]]
+        v = int(outside[int(rng.integers(len(outside)))])
+        order.append(v)
+        in_s[v] = True
+    return induced_subgraph(g, order)
+
+
+def reference_community_expansion_sample(g, cfg):
+    _require_connected(g, "community_expansion_sample")
+    rng = np.random.default_rng(cfg.seed)
+    target = cfg.target_size(g.n)
+    adj = g.neighbors()
+    start = int(rng.integers(g.n))
+    order = [start]
+    members = {start}
+    candidates = {int(v) for v in adj[start]}
+    while len(order) < target:
+        counted = members | candidates
+        best, best_gain = -1, -1
+        for v in sorted(candidates):
+            gain = sum(1 for w in adj[v] if int(w) not in counted)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        order.append(best)
+        members.add(best)
+        candidates.discard(best)
+        candidates.update(int(w) for w in adj[best] if int(w) not in members)
+    return induced_subgraph(g, order)
+
+
+SAMPLER_PAIRS = [
+    (diffusion_sample, reference_diffusion_sample),
+    (community_expansion_sample, reference_community_expansion_sample),
+]
+
+
+def assert_same_views(g, cfg):
+    for sample, reference in SAMPLER_PAIRS:
+        got, want = sample(g, cfg), reference(g, cfg)
+        assert got.n == want.n
+        for a, b in ((got.orig_ids, want.orig_ids), (got.edges, want.edges),
+                     (got.features, want.features)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def star(leaves, hub):
+    """A star whose hub is node `hub` and whose leaves are the other ids."""
+    return Graph(n=leaves + 1,
+                 edges=[tuple(sorted((hub, v))) for v in range(leaves + 1) if v != hub])
+
+
+class TestIncrementalSamplers:
+    @PROPERTY
+    @given(g=connected_graphs(), rate=st.floats(0.0, 1.0, exclude_min=True), seed=seeds)
+    def test_views_equal_the_quadratic_reference(self, g, rate, seed):
+        assert_same_views(synthesize_features(g, cap=4), SamplerConfig(rate=rate, seed=seed))
+
+    @pytest.mark.parametrize("g", [
+        Graph(n=1, edges=np.empty((0, 2))),
+        Graph(n=9, edges=[(i, i + 1) for i in range(8)]),
+        star(7, hub=0),
+        star(7, hub=4),
+        Graph(n=6, edges=[(i, j) for i in range(6) for j in range(i + 1, 6)]),
+    ], ids=["one-node", "path", "star-hub-0", "star-hub-4", "clique"])
+    @pytest.mark.parametrize("rate", [0.3, 0.5, 1.0])
+    def test_fixed_graphs_equal_the_reference(self, g, rate):
+        g = synthesize_features(g, cap=8)
+        for seed in range(12):
+            assert_same_views(g, SamplerConfig(rate=rate, seed=seed))
+
+    def test_star_ties_go_to_the_smallest_leaf(self):
+        # every leaf's gain is 0, so community growth takes leaves in id order
+        g, starts = star(7, hub=4), set()
+        for seed in range(16):
+            ids = community_expansion_sample(g, SamplerConfig(rate=0.75, seed=seed)).orig_ids
+            start = int(ids[0])
+            leaves = [v for v in range(8) if v not in (4, start)]
+            assert ids.tolist() == ([start] + leaves if start == 4 else [start, 4] + leaves)[:6]
+            starts.add(start)
+        assert 4 in starts and len(starts) > 2
