@@ -4,8 +4,10 @@
     dsgc sample DIR INDEX [--sampler diffusion|community] [--rate R]
                 [--seed S] [--check]
     dsgc train  CONFIG [--data-dir DIR] [--out DIR] [--set KEY=VALUE ...]
-                [--omega W] [--parallel-folds N]
+                [--parallel-folds N]
     dsgc sweep  CONFIG --kind dim|encoders [same train flags]
+
+`--set omega=W` sets the contrastive weight, like any other config key.
 
 Configs are flat JSON key-value files; a previously written manifest.json
 also works (its top-level "config" block is used), so any run can be
@@ -27,16 +29,14 @@ from datetime import datetime
 from .data import dataset_stats, parse_tu_dataset, prepare_dataset
 from .errors import ConfigError, ContractError, TrainingDivergedError, TUParseError
 from .experiment import (
-    DEFAULT_SWEEP_DIMS,
     ExperimentConfig,
-    encoder_pair_grid,
-    hidden_dim_sweep,
+    dataset_path,
     load_dataset,
     run_experiment,
-    write_dim_sweep_csv,
-    write_grid_csv,
+    sweep_configs,
     write_manifest,
     write_results,
+    write_sweep_csv,
 )
 from .samplers import SamplerConfig, check_view, community_expansion_sample, diffusion_sample
 
@@ -44,6 +44,7 @@ _SAMPLERS = {"diffusion": diffusion_sample, "community": community_expansion_sam
 
 
 def _load_config(path, overrides):
+    """The config at `path` with the KEY=VALUE `overrides` applied."""
     with open(path) as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
@@ -51,35 +52,12 @@ def _load_config(path, overrides):
     if isinstance(raw.get("config"), dict):  # a manifest re-fed as config
         raw = raw["config"]
     merged = dict(raw)
-    merged.update(overrides)
-    return ExperimentConfig.from_dict(merged)
-
-
-def _parse_overrides(pairs):
-    out = {}
-    for pair in pairs or []:
+    for pair in overrides or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigError(f"override {pair!r} is not KEY=VALUE")
-        out[key] = value
-    return out
-
-
-def _default_out_dir(cfg, command):
-    stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
-    return os.path.join("runs", f"{cfg.dataset}-{command}-{stamp}-s{cfg.seed}")
-
-
-def _manifest_extra(cfg, command, data_dir, out_dir):
-    return {
-        "command": command,
-        "dataset_path": os.path.join(
-            data_dir or os.environ.get("DSGC_DATA_DIR") or ".", cfg.dataset
-        ),
-        "out_dir": out_dir,
-        "created": datetime.now().isoformat(timespec="seconds"),
-        "seed": cfg.seed,
-    }
+        merged[key] = value
+    return ExperimentConfig.from_dict(merged)
 
 
 def cmd_stats(args):
@@ -120,38 +98,36 @@ def cmd_sample(args):
     return 0
 
 
-def cmd_train(args):
-    cfg = _load_config(args.config, _parse_overrides(args.set_))
-    if args.omega is not None:
-        cfg = cfg.replace(omega=float(args.omega))
+def cmd_run(args):
+    """train: one protocol run; sweep: one run per `sweep_configs` entry.
+    Either way the dataset is loaded once and the manifest comes first."""
+    if args.parallel_folds < 1:
+        raise ConfigError(f"--parallel-folds must be at least 1, got {args.parallel_folds}")
+    cfg = _load_config(args.config, args.set_)
     ds = load_dataset(cfg, args.data_dir)
-    out_dir = args.out or _default_out_dir(cfg, "train")
-    write_manifest(cfg, out_dir, _manifest_extra(cfg, "train", args.data_dir, out_dir))
-    record = run_experiment(cfg, dataset=ds, parallel=args.parallel_folds)
-    write_results(record, out_dir)
-    print(f"mean_accuracy: {record.mean:.4f}")
-    print(f"std_accuracy: {record.std:.4f}")
-    print(f"out_dir: {out_dir}")
-    return 0
-
-
-def cmd_sweep(args):
-    cfg = _load_config(args.config, _parse_overrides(args.set_))
-    if args.omega is not None:
-        cfg = cfg.replace(omega=float(args.omega))
-    ds = load_dataset(cfg, args.data_dir)
-    out_dir = args.out or _default_out_dir(cfg, f"sweep-{args.kind}")
-    write_manifest(
-        cfg, out_dir, _manifest_extra(cfg, f"sweep-{args.kind}", args.data_dir, out_dir)
+    command = "train" if args.command == "train" else f"sweep-{args.kind}"
+    stamp = datetime.now()
+    out_dir = args.out or os.path.join(
+        "runs", f"{cfg.dataset}-{command}-{stamp:%Y%m%d-%H%M%S}-s{cfg.seed}"
     )
-    if args.kind == "dim":
-        sweep = hidden_dim_sweep(cfg, dims=DEFAULT_SWEEP_DIMS, dataset=ds,
-                                 parallel=args.parallel_folds)
-        path = write_dim_sweep_csv(sweep, out_dir)
+    write_manifest(cfg, out_dir, {
+        "command": command,
+        "dataset_path": dataset_path(cfg, args.data_dir),
+        "out_dir": out_dir,
+        "created": stamp.isoformat(timespec="seconds"),
+        "seed": cfg.seed,
+    })
+    if args.command == "train":
+        record = run_experiment(cfg, dataset=ds, parallel=args.parallel_folds)
+        write_results(record, out_dir)
+        print(f"mean_accuracy: {record.mean:.4f}")
+        print(f"std_accuracy: {record.std:.4f}")
     else:
-        grid = encoder_pair_grid(cfg, dataset=ds, parallel=args.parallel_folds)
-        path = write_grid_csv(grid, out_dir)
-    print(f"sweep_csv: {path}")
+        records = {
+            label: run_experiment(sub, dataset=ds, parallel=args.parallel_folds)
+            for label, sub in sweep_configs(cfg, args.kind).items()
+        }
+        print(f"sweep_csv: {write_sweep_csv(records, out_dir, args.kind)}")
     print(f"out_dir: {out_dir}")
     return 0
 
@@ -190,13 +166,11 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", dest="set_", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--omega", default=None,
-                       help="shortcut override for the contrastive weight")
         p.add_argument("--parallel-folds", type=int, default=1,
                        help="train up to N folds in parallel processes")
         if name == "sweep":
             p.add_argument("--kind", choices=("dim", "encoders"), required=True)
-        p.set_defaults(fn=cmd_train if name == "train" else cmd_sweep)
+        p.set_defaults(fn=cmd_run)
 
     return parser
 

@@ -46,9 +46,8 @@ class Graph:
                 raise ContractError("edge endpoint out of range")
             if (a >= b).any():
                 raise ContractError("edges must be canonical (i < j), no self-loops")
-            keys = a * self.n + b
-            if len(np.unique(keys)) != m:
-                raise ContractError("duplicate undirected edge")
+            if (np.diff(a * self.n + b) <= 0).any():
+                raise ContractError("edge rows must be sorted with no duplicate edge")
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.shape[0] != self.n:
@@ -257,13 +256,15 @@ def filter_connected(ds):
 
 
 def synthesize_features(g, cap=DEFAULT_DEGREE_CAP):
-    """One-hot encode min(degree, cap) per node; returns a new Graph, F = cap + 1."""
+    """One-hot encode min(degree, cap) per node; returns a new Graph, F = cap + 1,
+    that starts from a copy of g's cache (same nodes and edges)."""
     if cap < 1:
         raise ContractError(f"degree cap must be positive, got {cap}")
     deg = np.minimum(g.degrees(), cap)
     feats = np.zeros((g.n, cap + 1), dtype=np.float64)
     feats[np.arange(g.n), deg] = 1.0
-    return Graph(n=g.n, edges=g.edges, features=feats, label=g.label, orig_ids=g.orig_ids)
+    return Graph(n=g.n, edges=g.edges, features=feats, label=g.label,
+                 orig_ids=g.orig_ids, cache=dict(g.cache))
 
 
 def dataset_stats(ds):

@@ -115,17 +115,18 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
                 if f.type in ("int", int):
+                    if isinstance(value, bool) or (
+                        isinstance(value, float) and not value.is_integer()
+                    ):
+                        raise ValueError(value)
                     value = int(value)
                 elif f.type in ("float", float):
                     value = float(value)
                 elif f.type in ("bool", bool):
-                    if isinstance(value, str):
-                        low = value.strip().lower()
-                        if low not in ("true", "false", "1", "0"):
-                            raise ValueError(value)
-                        value = low in ("true", "1")
-                    else:
-                        value = bool(value)
+                    text = value.strip().lower() if isinstance(value, str) else value
+                    if text not in ("true", "false", "1", "0", 1, 0):
+                        raise ValueError(value)
+                    value = text in ("true", "1", 1)
                 else:
                     value = str(value)
             except (TypeError, ValueError):
@@ -325,11 +326,16 @@ def _fold_worker(args):
     return _train_fold(*args)
 
 
-def load_dataset(cfg, data_dir=None):
-    """Resolve the dataset directory (argument, then $DSGC_DATA_DIR, then
-    the working directory) and load/featurize cfg.dataset from it."""
+def dataset_path(cfg, data_dir=None):
+    """cfg.dataset's directory under the dataset root: `data_dir`, then
+    $DSGC_DATA_DIR, then the working directory."""
     root = data_dir or os.environ.get("DSGC_DATA_DIR") or "."
-    return prepare_dataset(os.path.join(root, cfg.dataset), degree_cap=cfg.degree_cap)
+    return os.path.join(root, cfg.dataset)
+
+
+def load_dataset(cfg, data_dir=None):
+    """Load and featurize cfg.dataset from its `dataset_path`."""
+    return prepare_dataset(dataset_path(cfg, data_dir), degree_cap=cfg.degree_cap)
 
 
 def run_experiment(cfg, dataset=None, data_dir=None, parallel=1):
@@ -350,27 +356,19 @@ def run_experiment(cfg, dataset=None, data_dir=None, parallel=1):
     )
 
 
-def encoder_pair_grid(cfg, dataset=None, data_dir=None, kinds=None, parallel=1):
-    """run_experiment for every (euclidean, hyperbolic) encoder-kind pair."""
-    ds = dataset if dataset is not None else load_dataset(cfg, data_dir)
-    kinds = [EncoderKind.parse(k).value for k in (kinds or list(EncoderKind))]
-    grid = {}
-    for e_kind in kinds:
-        for h_kind in kinds:
-            sub = cfg.replace(euclidean_encoder=e_kind, hyperbolic_encoder=h_kind)
-            grid[(e_kind, h_kind)] = run_experiment(sub, dataset=ds, parallel=parallel)
-    return grid
-
-
-def hidden_dim_sweep(cfg, dims=DEFAULT_SWEEP_DIMS, dataset=None, data_dir=None,
-                     parallel=1):
-    """run_experiment at each hidden dimension, same splits and seeds."""
-    ds = dataset if dataset is not None else load_dataset(cfg, data_dir)
-    return {
-        int(d): run_experiment(cfg.replace(hidden_dim=int(d)), dataset=ds,
-                               parallel=parallel)
-        for d in dims
-    }
+def sweep_configs(cfg, kind):
+    """Label -> config of one sweep, in row order. `dim` varies hidden_dim
+    over DEFAULT_SWEEP_DIMS (d8 ... d64); `encoders` pairs every euclidean
+    with every hyperbolic encoder kind (e-h, in sorted label order)."""
+    if kind == "dim":
+        return {f"d{d}": cfg.replace(hidden_dim=d) for d in DEFAULT_SWEEP_DIMS}
+    if kind == "encoders":
+        kinds = sorted(k.value for k in EncoderKind)
+        return {
+            f"{e}-{h}": cfg.replace(euclidean_encoder=e, hyperbolic_encoder=h)
+            for e in kinds for h in kinds
+        }
+    raise ContractError(f"unknown sweep kind {kind!r}; expected dim or encoders")
 
 
 # --- run artifacts ---------------------------------------------------------
@@ -422,26 +420,15 @@ def write_results(record, out_dir):
         )
 
 
-def _write_sweep_csv(path, labeled_records):
-    """Long-form sweep table: one row per (config label, fold)."""
+def write_sweep_csv(records, out_dir, kind):
+    """sweep_<kind>.csv: one row per (config label, fold), labels in
+    `records` order."""
     out = ["config,fold,accuracy"]
-    for label, record in labeled_records:
+    for label, record in records.items():
         out += [
             f"{label},{i},{acc!r}"
             for i, acc in enumerate(record.fold_accuracies)
         ]
+    path = os.path.join(out_dir, f"sweep_{kind}.csv")
     _write_atomic(path, "\n".join(out) + "\n")
-
-
-def write_grid_csv(grid, out_dir):
-    path = os.path.join(out_dir, "sweep_encoders.csv")
-    _write_sweep_csv(
-        path, [(f"{e}-{h}", rec) for (e, h), rec in sorted(grid.items())]
-    )
-    return path
-
-
-def write_dim_sweep_csv(sweep, out_dir):
-    path = os.path.join(out_dir, "sweep_dim.csv")
-    _write_sweep_csv(path, [(f"d{d}", sweep[d]) for d in sorted(sweep)])
     return path

@@ -152,25 +152,17 @@ class TestTrain:
         ) < 1e-12
         assert not any(p.suffix == ".tmp" for p in out.iterdir())
 
-    def test_omega_override_lands_in_manifest(self, tmp_path, data_root):
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "run"
-        rc = main(["train", cfg_path, "--data-dir", data_root,
-                   "--out", str(out), "--omega", "0"])
-        assert rc == 0
-        with open(out / "manifest.json") as f:
-            assert json.load(f)["config"]["omega"] == 0.0
-
     def test_set_override_and_rerun_from_manifest(self, tmp_path, data_root):
         cfg_path = write_config(tmp_path)
         out1 = tmp_path / "a"
         rc = main(["train", cfg_path, "--data-dir", data_root, "--out", str(out1),
-                   "--set", "epochs=1", "--set", "seed=5"])
+                   "--set", "epochs=1", "--set", "seed=5", "--set", "omega=0"])
         assert rc == 0
         with open(out1 / "manifest.json") as f:
             body = json.load(f)
         assert body["config"]["epochs"] == 1
         assert body["config"]["seed"] == 5
+        assert body["config"]["omega"] == 0.0
         out2 = tmp_path / "b"
         rc = main(["train", str(out1 / "manifest.json"), "--data-dir", data_root,
                    "--out", str(out2)])
@@ -220,6 +212,16 @@ class TestTrain:
         assert err.startswith("error: a fold worker process died") and err.count("\n") == 1
         assert not (out / "folds.csv").exists()
 
+    @pytest.mark.parametrize("command,n", [("train", "0"), ("sweep", "-2")])
+    def test_parallel_folds_below_one_exits_2(self, tmp_path, data_root, capsys,
+                                              command, n):
+        out = tmp_path / "run"
+        argv = [command, write_config(tmp_path), "--data-dir", data_root,
+                "--out", str(out), "--parallel-folds", n]
+        assert main(argv + (["--kind", "dim"] if command == "sweep" else [])) == 2
+        assert "--parallel-folds must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_var_dataset_root(self, tmp_path, data_root, monkeypatch):
         monkeypatch.setenv("DSGC_DATA_DIR", data_root)
         cfg_path = write_config(tmp_path)
@@ -227,6 +229,8 @@ class TestTrain:
         assert main(["train", cfg_path, "--out", str(out), "--set",
                      "epochs=1"]) == 0
         assert (out / "summary.json").exists()
+        with open(out / "manifest.json") as f:
+            assert json.load(f)["dataset_path"] == os.path.join(data_root, "RINGS")
 
 
 class TestSweep:
@@ -239,8 +243,8 @@ class TestSweep:
         lines = [ln for ln in (out / "sweep_dim.csv").read_text().split("\n") if ln]
         assert lines[0] == "config,fold,accuracy"
         assert len(lines) == 1 + 4 * 2
-        labels = {ln.split(",")[0] for ln in lines[1:]}
-        assert labels == {"d8", "d16", "d32", "d64"}
+        labels = [ln.split(",")[0] for ln in lines[1::2]]
+        assert labels == ["d8", "d16", "d32", "d64"]
 
     def test_encoders_sweep_rows(self, tmp_path, data_root):
         cfg_path = write_config(tmp_path, epochs=1, folds=2, num_layers=1)
@@ -252,8 +256,8 @@ class TestSweep:
             ln for ln in (out / "sweep_encoders.csv").read_text().split("\n") if ln
         ]
         assert len(lines) == 1 + 16 * 2
-        labels = {ln.split(",")[0] for ln in lines[1:]}
-        assert len(labels) == 16
+        labels = [ln.split(",")[0] for ln in lines[1::2]]
+        assert len(set(labels)) == 16 and labels == sorted(labels)
         assert "gcn-gin" in labels
 
     def test_kind_is_required(self, tmp_path, data_root, capsys):

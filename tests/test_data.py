@@ -47,6 +47,10 @@ class TestGraphInvariants:
         with pytest.raises(ContractError):
             Graph(n=3, edges=[(0, 1), (0, 1)])
 
+    def test_rejects_unsorted_rows(self):
+        with pytest.raises(ContractError, match="sorted"):
+            Graph(n=3, edges=[(1, 2), (0, 1)])
+
     def test_rejects_feature_mismatch(self):
         with pytest.raises(ContractError):
             Graph(n=2, edges=[(0, 1)], features=np.ones((3, 2)))
@@ -268,3 +272,7 @@ class TestPrepare:
         assert ds.graphs[0].features.shape == (2, 4)
         keep = prepare_dataset(d, degree_cap=3, keep_disconnected=True)
         assert len(keep) == 2
+
+    def test_prepared_graphs_keep_the_filter_cache(self, tmp_path):
+        d = write_tu(tmp_path, "C", [(1, 2), (2, 1)], [1, 1], [0])
+        assert prepare_dataset(d).graphs[0].cache["connected"] is True

@@ -12,17 +12,17 @@ from conftest import synthetic_dataset
 from dsgc.data import synthesize_features
 from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
+    DEFAULT_SWEEP_DIMS,
     ExperimentConfig,
     MetricsRecord,
     _train_fold,
     derive_seed,
-    encoder_pair_grid,
-    hidden_dim_sweep,
     run_experiment,
     split_folds,
-    write_dim_sweep_csv,
+    sweep_configs,
     write_manifest,
     write_results,
+    write_sweep_csv,
 )
 
 FAST = dict(
@@ -44,11 +44,13 @@ class TestConfig:
     def test_from_dict_coerces_strings(self):
         cfg = ExperimentConfig.from_dict(
             {"epochs": "50", "learning_rate": "1e-3", "independent_draws": "true",
-             "dataset": "RINGS"}
+             "dataset": "RINGS", "hidden_dim": 32.0, "mobius_layers": 0.0}
         )
         assert cfg.epochs == 50
         assert cfg.learning_rate == 1e-3
         assert cfg.independent_draws is True
+        assert cfg.hidden_dim == 32 and isinstance(cfg.hidden_dim, int)
+        assert cfg.mobius_layers is False
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="learningrate"):
@@ -64,11 +66,13 @@ class TestConfig:
          ("batch_size", 1), ("folds", 1), ("learning_rate", 0.0),
          ("temperature", -1.0), ("curvature", 0.0), ("omega", -0.01),
          ("alpha_e", 0.0), ("alpha_h", 1.2), ("num_layers", 0),
-         ("euclidean_encoder", "mlp")],
+         ("euclidean_encoder", "mlp"), ("epochs", 2.7), ("epochs", "2.7"),
+         ("hidden_dim", 16.9), ("epochs", float("inf")), ("epochs", True),
+         ("independent_draws", 2), ("mobius_layers", -1), ("mobius_layers", 0.5)],
     )
     def test_field_validation(self, field, value):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict({field: value})
 
     def test_round_trip(self):
         cfg = ExperimentConfig(hidden_dim=32, omega=0.0)
@@ -279,21 +283,32 @@ class TestSweeps:
 
     def test_encoder_grid_is_complete_and_consistent(self, tiny):
         cfg, ds = tiny
-        kinds = ("gcn", "gin")
-        grid = encoder_pair_grid(cfg, dataset=ds, kinds=kinds)
-        assert set(grid) == {(e, h) for e in kinds for h in kinds}
+        grid = sweep_configs(cfg, "encoders")
+        kinds = ("gat", "gcn", "gin", "graphsage")
+        assert list(grid) == [f"{e}-{h}" for e in kinds for h in kinds]
+        assert list(grid) == sorted(grid)
+        for label, sub in grid.items():
+            assert label == f"{sub.euclidean_encoder}-{sub.hyperbolic_encoder}"
+            assert sub.replace(euclidean_encoder="gcn", hyperbolic_encoder="gin") == cfg
         alone = run_experiment(
             cfg.replace(euclidean_encoder="gcn", hyperbolic_encoder="gcn"),
             dataset=ds,
         )
-        assert grid[("gcn", "gcn")].fold_accuracies == alone.fold_accuracies
+        swept = run_experiment(grid["gcn-gcn"], dataset=ds)
+        assert swept.fold_accuracies == alone.fold_accuracies
 
     def test_dim_sweep_keys_and_consistency(self, tiny):
         cfg, ds = tiny
-        sweep = hidden_dim_sweep(cfg, dims=(4, 8), dataset=ds)
-        assert sorted(sweep) == [4, 8]
+        sweep = sweep_configs(cfg, "dim")
+        assert list(sweep) == ["d8", "d16", "d32", "d64"]
+        assert [sub.hidden_dim for sub in sweep.values()] == list(DEFAULT_SWEEP_DIMS)
+        assert all(sub.replace(hidden_dim=cfg.hidden_dim) == cfg for sub in sweep.values())
         alone = run_experiment(cfg.replace(hidden_dim=8), dataset=ds)
-        assert sweep[8].fold_accuracies == alone.fold_accuracies
+        assert run_experiment(sweep["d8"], dataset=ds).fold_accuracies == alone.fold_accuracies
+
+    def test_unknown_kind_is_named(self, tiny):
+        with pytest.raises(ContractError, match="layers"):
+            sweep_configs(tiny[0], "layers")
 
 
 class TestRunArtifacts:
@@ -327,11 +342,13 @@ class TestRunArtifacts:
 
     def test_dim_sweep_csv_row_count(self, tmp_path):
         sweep = {
-            8: MetricsRecord.from_folds([0.1, 0.2]),
-            16: MetricsRecord.from_folds([0.3, 0.4]),
+            "d8": MetricsRecord.from_folds([0.1, 0.2]),
+            "d16": MetricsRecord.from_folds([0.3, 1 / 3]),
         }
-        path = write_dim_sweep_csv(sweep, str(tmp_path))
-        lines = [ln for ln in open(path).read().split("\n") if ln]
-        assert lines[0] == "config,fold,accuracy"
-        assert len(lines) == 1 + 4
-        assert lines[1] == "d8,0,0.1"
+        path = write_sweep_csv(sweep, str(tmp_path), "dim")
+        assert path == str(tmp_path / "sweep_dim.csv")
+        assert open(path).read() == (
+            "config,fold,accuracy\n"
+            "d8,0,0.1\nd8,1,0.2\nd16,0,0.3\nd16,1,0.3333333333333333\n"
+        )
+        assert not any(p.suffix == ".tmp" for p in tmp_path.iterdir())
