@@ -31,6 +31,8 @@ from .errors import ContractError, DomainError, ShapeError
 ARCOSH_MIN = 1.0 + 1e-12
 ARTANH_MAX = 1.0 - 1e-7
 DIV_FLOOR = 1e-15
+ATTENTION_SLOPE = 0.2  # LeakyReLU slope of block_aggregate's attention scores
+_MASK_OFFSET = 1e4     # pushes scores outside the attention mask below any real one
 
 _created = itertools.count()  # creation numbers, one count for all: any Tensors may meet
 
@@ -256,6 +258,16 @@ def amax(x, axis=None):
     return _unary(x, v, lambda g: (g * mask,))
 
 
+def _link(parts, v, vjp):
+    """The result v of an op on several operands, linked to the parts that
+    are Tensors (vjp(g) gives one adjoint per part), else a plain array."""
+    linked = [isinstance(p, Tensor) for p in parts]
+    if not any(linked):
+        return v
+    return Tensor(v, tuple(itertools.compress(parts, linked)),
+                  lambda g: tuple(itertools.compress(vjp(g), linked)))
+
+
 def _concat(name, parts, axis):
     """Join parts along axis (their other dimension must agree), linked to
     the parts that are Tensors; one part comes back as it is."""
@@ -267,13 +279,9 @@ def _concat(name, parts, axis):
     shapes = [a.shape for a in arrays]
     if len({sh[1 - axis] for sh in shapes}) != 1:
         raise ShapeError(f"{name}: {('row', 'column')[1 - axis]} counts differ, {shapes}")
-    v = np.concatenate(arrays, axis=axis)
-    linked = [isinstance(p, Tensor) for p in parts]
-    if not any(linked):
-        return v
     bounds = np.cumsum([sh[axis] for sh in shapes])[:-1]
-    return Tensor(v, tuple(itertools.compress(parts, linked)),
-                  lambda g: tuple(itertools.compress(np.split(g, bounds, axis=axis), linked)))
+    return _link(parts, np.concatenate(arrays, axis=axis),
+                 lambda g: np.split(g, bounds, axis=axis))
 
 
 def concat_cols(parts):
@@ -288,6 +296,58 @@ def concat_rows(parts):
 
 def transpose(x):
     return _unary(x, values_of(x).T.copy(), lambda g: (g.T,))
+
+
+def block_aggregate(x, slots, ops, scores=None):
+    """Per-graph products ops[b] @ X_b over the node rows of B graphs stacked
+    graph after graph in x, as one tape node.
+
+    slots[r] is row r's place b * n_max + i in a zero-padded (B, n_max, cols)
+    block, and ops is the constant (B, n_max, n_max) stack of per-graph
+    operators, zero outside each graph's own corner. The rows are scattered
+    into the block, multiplied by one 3-D matmul and gathered back, so pad
+    rows exist only inside this op and never reach its result.
+
+    With scores = (s, t), two (rows, 1) columns, ops is a 0/1 mask and the
+    operator is the attention row-softmax of LeakyReLU(ATTENTION_SLOPE)(s_i + t_j)
+    over the entries row i's mask keeps. A pad row keeps no entry; its
+    weights stay zero instead of being divided by an empty sum.
+    """
+    xv = values_of(x)
+    count, n_max, _ = ops.shape
+    if xv.shape[0] != len(slots):
+        raise ShapeError(f"block_aggregate: {xv.shape[0]} rows for {len(slots)} slots")
+
+    def scatter(a):
+        block = np.zeros((count * n_max, a.shape[1]))
+        block[slots] = a
+        return block.reshape(count, n_max, a.shape[1])
+
+    def gather(block):
+        return block.reshape(count * n_max, -1)[slots]
+
+    xb = scatter(xv)
+    if scores is None:
+        w = ops
+    else:
+        s, t = (scatter(values_of(c)) for c in scores)
+        pre = s + t.transpose(0, 2, 1)
+        masked = np.where(pre > 0.0, pre, ATTENTION_SLOPE * pre) * ops - _MASK_OFFSET * (1.0 - ops)
+        kept = np.exp(masked - masked.max(axis=2, keepdims=True)) * ops
+        total = kept.sum(axis=2, keepdims=True)
+        w = kept / np.where(total > 0.0, total, 1.0)
+
+    def vjp(g):
+        gb = scatter(g)
+        gx = gather(w.transpose(0, 2, 1) @ gb)
+        if scores is None:
+            return (gx,)
+        gw = gb @ xb.transpose(0, 2, 1)
+        gpre = w * (gw - (w * gw).sum(axis=2, keepdims=True))
+        gpre *= np.where(pre > 0.0, 1.0, ATTENTION_SLOPE)
+        return gx, gather(gpre.sum(axis=2)), gather(gpre.sum(axis=1))
+
+    return _link((x, *(scores or ())), gather(w @ xb), vjp)
 
 
 def backward(root):

@@ -20,6 +20,7 @@ a `--parallel-folds` worker process dies.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .errors import ConfigError, ContractError, TrainingDivergedError, TUParseEr
 from .experiment import (
     ExperimentConfig,
     dataset_path,
+    fold_pool,
     load_dataset,
     run_experiment,
     sweep_configs,
@@ -100,7 +102,8 @@ def cmd_sample(args):
 
 def cmd_run(args):
     """train: one protocol run; sweep: one run per `sweep_configs` entry.
-    Either way the dataset is loaded once and the manifest comes first."""
+    Either way the dataset is loaded once, the manifest comes first, and
+    with --parallel-folds N > 1 every run shares one pool of N workers."""
     if args.parallel_folds < 1:
         raise ConfigError(f"--parallel-folds must be at least 1, got {args.parallel_folds}")
     cfg = _load_config(args.config, args.set_)
@@ -117,17 +120,19 @@ def cmd_run(args):
         "created": stamp.isoformat(timespec="seconds"),
         "seed": cfg.seed,
     })
-    if args.command == "train":
-        record = run_experiment(cfg, dataset=ds, parallel=args.parallel_folds)
-        write_results(record, out_dir)
-        print(f"mean_accuracy: {record.mean:.4f}")
-        print(f"std_accuracy: {record.std:.4f}")
-    else:
-        records = {
-            label: run_experiment(sub, dataset=ds, parallel=args.parallel_folds)
-            for label, sub in sweep_configs(cfg, args.kind).items()
-        }
-        print(f"sweep_csv: {write_sweep_csv(records, out_dir, args.kind)}")
+    pool = fold_pool(args.parallel_folds) if args.parallel_folds > 1 else None
+    with pool or contextlib.nullcontext():
+        if args.command == "train":
+            record = run_experiment(cfg, dataset=ds, pool=pool)
+            write_results(record, out_dir)
+            print(f"mean_accuracy: {record.mean:.4f}")
+            print(f"std_accuracy: {record.std:.4f}")
+        else:
+            records = {
+                label: run_experiment(sub, dataset=ds, pool=pool)
+                for label, sub in sweep_configs(cfg, args.kind).items()
+            }
+            print(f"sweep_csv: {write_sweep_csv(records, out_dir, args.kind)}")
     print(f"out_dir: {out_dir}")
     return 0
 

@@ -24,8 +24,8 @@ class Graph:
     """An undirected graph with canonical (i < j, sorted, unique) edge rows.
 
     `orig_ids` maps local node ids back to the parent graph for sampled
-    sub-graphs; `cache` memoizes derived matrices (adjacency, propagation
-    operators) and never affects equality.
+    sub-graphs; `cache` memoizes derived structure (adjacency lists,
+    connectivity) and never affects equality.
     """
 
     n: int
@@ -101,9 +101,8 @@ def canonical_edges(pairs, n):
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(arr) == 0:
         return arr
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
-    keys = np.unique(lo * n + hi)
+    keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.stack([keys // n, keys % n], axis=1)
 
 

@@ -17,10 +17,28 @@ variant (`mobius=True`) instead keeps node states on the ball and applies
 each layer as aggregate-in-tangent-space followed by the Mobius
 linear/bias/activation composition; the GIN MLP degenerates to that single
 Mobius linear layer there.
+
+Every encoder call takes a GraphBatch: the node rows of B graphs stacked
+graph after graph, (sum of n_b, width), with no padding. Weight matmuls,
+biases and activations act on all rows at once, so each is one tape node
+per layer whatever B is. The per-graph aggregation is one
+`autodiff.block_aggregate` node: it scatters the rows into a zero-padded
+(B, n_max, width) block, applies the stacked (B, n_max, n_max) operators
+with one 3-D matmul and gathers the real rows back. Padding lives only
+inside that op, so GIN's bias never reaches a pad row and GAT's softmax
+never divides by a pad row's empty mask. The readout is one matmul with the
+constant (B, sum n_b) averaging matrix, giving one row per graph. A single
+Graph is a batch of one. The padded operator stack is built from the edges
+once per batch and dies with it; nothing is cached across calls. Training
+encodes each space's views of a step as one batch, labeled view first.
+Evaluation encodes the test graphs in chunks of at most 8, fewer when the
+graphs are big (`experiment._EVAL_ROWS`), through frozen parameter copies
+that build no tape.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -33,8 +51,6 @@ from .poincare import PoincareBall
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
-
-_GAT_NEG_OFFSET = 1e4  # pushes non-neighbor scores below any real one
 
 
 class EncoderKind(str, enum.Enum):
@@ -58,40 +74,66 @@ class EncoderKind(str, enum.Enum):
 
 @dataclass
 class GraphEmbedding:
-    tensor: Tensor            # (n, d), one row per graph
+    tensor: Tensor            # (B, d), one row per graph
     space: str                # EUCLIDEAN or HYPERBOLIC
 
     @property
     def values(self):
-        return self.tensor.values
+        return ad.values_of(self.tensor)
 
 
-def _adjacency(g):
-    a = np.zeros((g.n, g.n))
-    if g.num_edges:
-        e = g.edges
-        a[e[:, 0], e[:, 1]] = 1.0
-        a[e[:, 1], e[:, 0]] = 1.0
-    return a
+class GraphBatch:
+    """Graphs row-stacked for one encoder pass.
+
+    `features` holds the node rows graph after graph and `n` counts them;
+    `slots` gives each row its place b * n_max + i in the padded layout of
+    `autodiff.block_aggregate`, and `readout` is the constant (B, n) matrix
+    whose row b averages graph b's rows.
+    """
+
+    def __init__(self, graphs):
+        self.graphs = list(graphs)
+        if not self.graphs:
+            raise ContractError("a graph batch needs at least one graph")
+        if any(g.features is None for g in self.graphs):
+            raise ContractError("graph has no features; synthesize them first")
+        sizes = np.array([g.n for g in self.graphs])
+        self.n = int(sizes.sum())
+        self.n_max = int(sizes.max())
+        self._graph_of = np.repeat(np.arange(len(sizes)), sizes)
+        self._local = np.arange(self.n) - (np.cumsum(sizes) - sizes)[self._graph_of]
+        self.slots = self._graph_of * self.n_max + self._local
+        self.features = np.concatenate([g.features for g in self.graphs])
+        self.readout = np.zeros((len(sizes), self.n))
+        self.readout[self._graph_of, np.arange(self.n)] = 1.0 / sizes[self._graph_of]
+        self._ops = {}
+
+    def operators(self, kind):
+        """The (B, n_max, n_max) stack of the graphs' propagation operators,
+        zero outside each graph's corner; built once per batch from the edges."""
+        ops = self._ops.get(kind)
+        if ops is None:
+            ops = np.zeros((len(self.graphs), self.n_max, self.n_max))
+            owner = np.repeat(np.arange(len(self.graphs)), [g.num_edges for g in self.graphs])
+            i, j = np.concatenate([g.edges for g in self.graphs]).T
+            ops[owner, i, j] = 1.0
+            ops[owner, j, i] = 1.0
+            if kind is EncoderKind.GRAPHSAGE:
+                ops /= np.maximum(ops.sum(axis=2, keepdims=True), 1.0)  # isolated nodes aggregate zeros
+            else:  # neighbors-with-self: GIN sums over them, GAT masks attention with them
+                ops[self._graph_of, self._local, self._local] = 1.0
+            if kind is EncoderKind.GCN:
+                deg = ops.sum(axis=2)
+                d_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))  # pad rows have degree 0
+                ops *= d_inv_sqrt[:, :, None]
+                ops *= d_inv_sqrt[:, None, :]
+            self._ops[kind] = ops
+        return ops
 
 
-def _prop_matrix(g, kind):
-    """Kind-specific constant propagation operator, memoized per graph."""
-    key = f"prop:{kind.value}"
-    mat = g.cache.get(key)
-    if mat is None:
-        a = _adjacency(g)
-        if kind is EncoderKind.GCN:
-            a_hat = a + np.eye(g.n)
-            d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-            mat = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-        elif kind is EncoderKind.GRAPHSAGE:
-            deg = a.sum(axis=1, keepdims=True)
-            mat = a / np.maximum(deg, 1.0)  # isolated nodes aggregate zeros
-        else:  # GIN sums over neighbors-with-self; GAT masks attention with the same 0/1 matrix
-            mat = a + np.eye(g.n)
-        g.cache[key] = mat
-    return mat
+def _as_batch(graphs):
+    """A GraphBatch as it is; a single Graph as a batch of one."""
+    return graphs if isinstance(graphs, GraphBatch) else GraphBatch([graphs])
 
 
 class GraphEncoder:
@@ -136,6 +178,13 @@ class GraphEncoder:
     def params(self):
         return [t for layer in self.layer_params for t in layer.values()]
 
+    def frozen(self):
+        """A copy on plain arrays of the current parameter values: same
+        outputs, but no tape is built (evaluation needs no gradients)."""
+        out = copy.copy(self)
+        out.layer_params = [{k: t.values for k, t in layer.items()} for layer in self.layer_params]
+        return out
+
     def _check_width(self, h_cols, layer):
         expect = self.in_dim if layer == 0 else self.hidden_dim
         if h_cols != expect:
@@ -143,61 +192,52 @@ class GraphEncoder:
                 f"layer {layer} of {self.kind.value} expects width {expect}, got {h_cols}"
             )
 
-    def _gat_attention(self, scores_src, scores_dst, mask):
-        # additive attention, masked row-softmax with a max shift for stability
-        e = ad.leaky_relu(ad.add(scores_src, ad.transpose(scores_dst)), 0.2)
-        masked = ad.sub(ad.mul(e, mask), _GAT_NEG_OFFSET * (1.0 - mask))
-        shifted = ad.exp(ad.sub(masked, ad.amax(masked, axis=1)))
-        kept = ad.mul(shifted, mask)
-        return ad.div(kept, ad.asum(kept, axis=1))
-
-    def _aggregate(self, X, g, layer):
-        """Kind-specific neighborhood aggregation of the node rows X."""
-        p = self.layer_params[layer]
+    def _aggregate(self, X, batch, layer):
+        """Kind-specific neighborhood aggregation of the node rows X, one
+        block_aggregate node for every graph of the batch."""
         k = self.kind
-        prop = _prop_matrix(g, k)
+        ops = batch.operators(k)
         if k is EncoderKind.GRAPHSAGE:
-            return ad.concat_cols([X, ad.matmul(prop, X)])
+            return ad.concat_cols([X, ad.block_aggregate(X, batch.slots, ops)])
         if k is EncoderKind.GAT:
-            att = self._gat_attention(
-                ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]), prop
-            )
-            return ad.matmul(att, X)
-        return ad.matmul(prop, X)  # gcn / gin (eps = 0: (A + I) X)
+            p = self.layer_params[layer]
+            scores = (ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]))
+            return ad.block_aggregate(X, batch.slots, ops, scores)
+        return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
-    def layer_forward(self, H, g, layer):
-        """One pre-activation layer pass of this encoder's kind."""
+    def layer_forward(self, H, graphs, layer):
+        """One pre-activation layer pass of this encoder's kind over the
+        node rows H of `graphs` (a GraphBatch or one Graph)."""
         self._check_width(H.shape[1], layer)
+        batch = _as_batch(graphs)
         p = self.layer_params[layer]
         k = self.kind
         if k in (EncoderKind.GCN, EncoderKind.GAT):
-            return self._aggregate(ad.matmul(H, p["W"]), g, layer)
-        agg = self._aggregate(H, g, layer)
+            return self._aggregate(ad.matmul(H, p["W"]), batch, layer)
+        agg = self._aggregate(H, batch, layer)
         if k is EncoderKind.GRAPHSAGE:
             return ad.matmul(agg, p["W"])
         h1 = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
         return ad.add(ad.matmul(h1, p["W2"]), p["b2"])
 
-    def node_embeddings(self, g):
-        """relu-activated stack over the graph's feature matrix."""
-        if g.features is None:
-            raise ContractError("graph has no features; synthesize them first")
-        H = g.features
+    def node_embeddings(self, graphs):
+        """relu-activated stack over the batch's row-stacked features."""
+        batch = _as_batch(graphs)
+        H = batch.features
         for layer in range(self.num_layers):
-            H = ad.relu(self.layer_forward(H, g, layer))
+            H = ad.relu(self.layer_forward(H, batch, layer))
         return H
 
     # --- optional fully-hyperbolic path -----------------------------------
 
-    def mobius_node_points(self, g, ball):
+    def mobius_node_points(self, graphs, ball):
         """Ball-valued node states: aggregate in tangent space, then the
         Mobius linear/bias/activation composition per layer."""
-        if g.features is None:
-            raise ContractError("graph has no features; synthesize them first")
-        U = ball.expmap0(g.features)
+        batch = _as_batch(graphs)
+        U = ball.expmap0(batch.features)
         for layer in range(self.num_layers):
             p = self.layer_params[layer]
-            agg = ball.expmap0(self._aggregate(ball.logmap0(U), g, layer))
+            agg = ball.expmap0(self._aggregate(ball.logmap0(U), batch, layer))
             W = p["W"] if "W" in p else p["W1"]
             b = p.get("b1")
             if b is None:
@@ -206,24 +246,31 @@ class GraphEncoder:
         return U
 
 
-def readout_mean(node_embeddings):
-    """Column-wise mean over node rows -> Euclidean graph embedding (1, d)."""
-    if node_embeddings.shape[0] < 1:
+def readout_mean(node_embeddings, batch=None):
+    """Euclidean graph embeddings (B, d): row b is the mean of graph b's
+    node rows, one matmul with `batch.readout`; without a batch all rows
+    belong to one graph."""
+    n = node_embeddings.shape[0]
+    if n < 1:
         raise ContractError("readout over zero rows")
-    return GraphEmbedding(ad.amean(node_embeddings, axis=0), EUCLIDEAN)
+    avg = np.full((1, n), 1.0 / n) if batch is None else batch.readout
+    return GraphEmbedding(ad.matmul(avg, node_embeddings), EUCLIDEAN)
 
 
-def encode_euclidean(g, enc):
-    return readout_mean(enc.node_embeddings(g))
+def encode_euclidean(graphs, enc):
+    """One embedding row per graph of `graphs` (a GraphBatch or one Graph)."""
+    batch = _as_batch(graphs)
+    return readout_mean(enc.node_embeddings(batch), batch)
 
 
-def encode_hyperbolic(g, enc, ball):
+def encode_hyperbolic(graphs, enc, ball):
     """Same architecture on its own parameters; readout mapped into the ball."""
+    batch = _as_batch(graphs)
     if enc.mobius:
-        points = enc.mobius_node_points(g, ball)
-        mean_tangent = ad.amean(ball.logmap0(points), axis=0)
+        points = enc.mobius_node_points(batch, ball)
+        mean_tangent = readout_mean(ball.logmap0(points), batch).tensor
         return GraphEmbedding(ball.expmap0(mean_tangent), HYPERBOLIC)
-    emb = readout_mean(enc.node_embeddings(g))
+    emb = readout_mean(enc.node_embeddings(batch), batch)
     return GraphEmbedding(ball.expmap0(emb.tensor), HYPERBOLIC)
 
 
@@ -241,13 +288,19 @@ class Predictor:
     def params(self):
         return [self.W1, self.b1, self.W2, self.b2]
 
+    def frozen(self):
+        """A copy on plain arrays of the current parameter values (no tape)."""
+        out = copy.copy(self)
+        out.W1, out.b1, out.W2, out.b2 = (t.values for t in self.params)
+        return out
+
     def logits(self, h):
         z = ad.relu(ad.add(ad.matmul(h, self.W1), self.b1))
         return ad.add(ad.matmul(z, self.W2), self.b2)
 
 
 def predict(h, pred):
-    """Class-probability vector (1, K): sigmoid of the predictor MLP output."""
+    """Class probabilities (B, K), one row per graph: sigmoid of the predictor MLP output."""
     if h.space != EUCLIDEAN:
         raise ContractError(f"predict expects a euclidean embedding, got {h.space!r}")
     return ad.sigmoid(pred.logits(h.tensor))

@@ -15,7 +15,9 @@ InfoNCE terms:
 
 The N unlabeled graphs travel row-stacked, one row each, so each kind of
 score is one similarity call: s-_i fill one row and unlabeled_i is row i
-of one (N, 1) column, four similarity calls per step whatever N.
+of one (N, 1) column, four similarity calls per step whatever N. Each
+space encodes all N + 1 views of a step in one encoder call (labeled view
+first), and constant selector matmuls pick the labeled and unlabeled rows.
 
 Similarities are capped near 7.07e5 (coincident points), so every term is
 evaluated as a max-shifted logsumexp along its row of scores; the shift is
@@ -35,6 +37,7 @@ from .samplers import SamplerConfig, community_expansion_sample, diffusion_sampl
 from .encoders import (
     EUCLIDEAN,
     HYPERBOLIC,
+    GraphBatch,
     GraphEmbedding,
     encode_euclidean,
     encode_hyperbolic,
@@ -189,32 +192,39 @@ class DsgcModel:
         return self.encoder_e.params + self.encoder_h.params + self.predictor.params
 
 
+def _rows(emb, rows):
+    """The chosen rows of an embedding, by one constant selector matmul."""
+    return GraphEmbedding(ad.matmul(np.eye(emb.tensor.shape[0])[rows], emb.tensor), emb.space)
+
+
 def train_step(batch, model, views, cfg, optimizer):
     """One optimizer step on a batch; returns the step's losses and prediction.
 
-    With omega == 0 the contrastive half (hyperbolic views and encoder) is
-    skipped entirely; the objective value is identical either way.
+    Each space encodes its views of the batch as one GraphBatch, labeled
+    view first, and the Euclidean rows go into the ball with one expmap0.
+    With omega == 0 the contrastive half (unlabeled and hyperbolic views,
+    hyperbolic encoder) is skipped entirely; the objective value is
+    identical either way.
     """
     g_l = batch.labeled
-    v_e_l = views.euclidean_view(g_l)
-    h_e_l = encode_euclidean(v_e_l, model.encoder_e)
-    p = predict(h_e_l, model.predictor)
+    graphs = [g_l] + list(batch.unlabeled) if cfg.omega != 0.0 else [g_l]
+    first, rest = [0], list(range(1, len(graphs)))
+    h_e = encode_euclidean(GraphBatch([views.euclidean_view(g) for g in graphs]),
+                           model.encoder_e)
+    p = predict(_rows(h_e, first), model.predictor)
     sup = supervised_loss(p, g_l.label)
 
     if cfg.omega != 0.0:
-        ball, enc_h = model.ball, model.encoder_h
-        h_h_l = encode_hyperbolic(views.hyperbolic_view(g_l), enc_h, ball)
-        rows_h = [encode_hyperbolic(views.hyperbolic_view(g), enc_h, ball).tensor
-                  for g in batch.unlabeled]
-        rows_e = [encode_euclidean(views.euclidean_view(g), model.encoder_e).tensor
-                  for g in batch.unlabeled]
-        h_h_u = GraphEmbedding(ad.concat_rows(rows_h), HYPERBOLIC)
-        h_eh_u = to_hyperbolic(GraphEmbedding(ad.concat_rows(rows_e), EUCLIDEAN), ball)
-        u_terms = info_nce_unlabeled(h_h_u, h_eh_u, h_h_l, ball, cfg)
-        l_term = info_nce_labeled(h_h_l, to_hyperbolic(h_e_l, ball), [h_h_u], ball, cfg)
+        ball = model.ball
+        h_h = encode_hyperbolic(GraphBatch([views.hyperbolic_view(g) for g in graphs]),
+                                model.encoder_h, ball)
+        h_eh = to_hyperbolic(h_e, ball)
+        h_h_l, h_h_u = _rows(h_h, first), _rows(h_h, rest)
+        u_terms = info_nce_unlabeled(h_h_u, _rows(h_eh, rest), h_h_l, ball, cfg)
+        l_term = info_nce_labeled(h_h_l, _rows(h_eh, first), [h_h_u], ball, cfg)
         total = total_objective(sup, l_term, [u_terms], cfg)
         u_sum = float(u_terms.values.sum())
-        contrastive = l_term.item() + cfg.lambda_u / len(rows_h) * u_sum
+        contrastive = l_term.item() + cfg.lambda_u / len(rest) * u_sum
     else:
         total = sup
         contrastive = 0.0

@@ -185,6 +185,10 @@ class TestGuardsAndErrors:
         with pytest.raises(ContractError, match="concat_rows: empty"):
             ad.concat_rows([])
 
+    def test_block_aggregate_rows_must_fill_the_slots(self):
+        with pytest.raises(ShapeError, match="block_aggregate: 3 rows for 2 slots"):
+            ad.block_aggregate(ad.Tensor(np.ones((3, 2))), np.array([0, 1]), np.zeros((1, 2, 2)))
+
     def test_log_domain_error_names_op_and_value(self):
         with pytest.raises(DomainError, match="log"):
             ad.log(ad.Tensor([[-0.5]]))
@@ -391,6 +395,31 @@ class TestGradcheckPrimitives:
             (p_div_bcast, 2, *rows), (p_div_bcast, 2, *cols),
         ]:
             self._check(fn, k, shapes=shapes)
+
+    def test_block_aggregate(self):
+        # three graphs of 2, 1 and 3 nodes in a (3, 3) padded layout
+        slots = np.array([0, 1, 3, 6, 7, 8])
+        rng = np.random.default_rng(9)
+        ops = np.zeros((3, 3, 3))
+        mask = np.zeros((3, 3, 3))
+        for b, n in enumerate((2, 1, 3)):
+            ops[b, :n, :n] = rng.uniform(-1.0, 1.0, (n, n))
+            mask[b, :n, :n] = np.maximum(rng.integers(0, 2, (n, n)), np.eye(n))
+        weights = rng.standard_normal((6, 4))
+
+        def p_block(x):
+            return ad.asum(ad.mul(ad.block_aggregate(x, slots, ops), weights))
+
+        def p_block_attention(x, s, t):
+            return ad.asum(ad.mul(ad.block_aggregate(x, slots, mask, (s, t)), weights))
+
+        def p_block_attention_scores_only(s, t):
+            x = weights[:, ::-1].copy()
+            return ad.asum(ad.mul(ad.block_aggregate(x, slots, mask, (s, t)), weights))
+
+        self._check(p_block, 1, shapes=[(6, 4)])
+        self._check(p_block_attention, 3, shapes=[(6, 4), (6, 1), (6, 1)])
+        self._check(p_block_attention_scores_only, 2, shapes=[(6, 1), (6, 1)])
 
     def test_relu_family_away_from_kink(self):
         rng = np.random.default_rng(7)

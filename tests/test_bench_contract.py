@@ -8,11 +8,20 @@ The list mirrors the standing constraints in ROADMAP.md.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import synthetic_dataset
 from dsgc import autodiff as ad
+from dsgc.data import write_tu_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 WRAPPED = [
     "experiment.train_step",
@@ -62,3 +71,27 @@ def test_tensor_keeps_parents_and_grad():
     y = ad.mul(x, x)
     assert x._parents == () and isinstance(x.grad, np.ndarray)
     assert y._parents == (x, x) and y.grad is None
+
+
+def test_traced_benchmark_child_runs_on_a_tiny_set(tmp_path):
+    # the traced child wraps the encoders and reads `.n` off their first
+    # argument; a batch object without it fails here before the benchmark
+    write_tu_dataset(synthetic_dataset(), str(tmp_path / "data" / "RINGS"))
+    spec = {
+        "src": str(ROOT / "src"),
+        "traced": True,
+        "eval_calls": 2,
+        "setup_probes": 1,
+        "data_dir": str(tmp_path / "data"),
+        "config": {"dataset": "RINGS", "seed": 0, "epochs": 1, "folds": 2},
+    }
+    spec_path, out_path = tmp_path / "spec.json", tmp_path / "out.json"
+    spec_path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "workload.py"),
+                    str(spec_path), str(out_path)], env=env, cwd=str(ROOT), timeout=300)
+    out = json.loads(out_path.read_text())
+    assert out["error"] is None, out["error"]
+    assert out["steps"] > 0 and out["nonfinite_steps"] == 0
+    assert out["layers"]["encoders.view_nodes_per_step"] > 0

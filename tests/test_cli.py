@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output layout, determinism, printed formats."""
 
+import concurrent.futures
 import json
 import os
 
@@ -259,6 +260,26 @@ class TestSweep:
         labels = [ln.split(",")[0] for ln in lines[1::2]]
         assert len(set(labels)) == 16 and labels == sorted(labels)
         assert "gcn-gin" in labels
+
+    def test_parallel_sweep_builds_one_pool_and_matches_serial(self, tmp_path, data_root,
+                                                               monkeypatch):
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        cfg_path = write_config(tmp_path, epochs=1, folds=2, num_layers=1)
+        csv = {}
+        for n in ("1", "2"):
+            out = tmp_path / f"sweep{n}"
+            assert main(["sweep", cfg_path, "--kind", "encoders", "--data-dir", data_root,
+                         "--out", str(out), "--parallel-folds", n]) == 0
+            csv[n] = (out / "sweep_encoders.csv").read_text()
+        assert made == [2]
+        assert csv["1"] == csv["2"] and csv["1"].count("\n") == 1 + 16 * 2
 
     def test_kind_is_required(self, tmp_path, data_root, capsys):
         cfg_path = write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Config validation, fold splitting, seeded determinism, small full runs."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -8,15 +9,22 @@ import pickle
 import numpy as np
 import pytest
 
+import per_graph_reference as ref
 from conftest import synthetic_dataset
+from dsgc import experiment
 from dsgc.data import synthesize_features
+from dsgc.encoders import EUCLIDEAN, GraphEmbedding, predict
 from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
     DEFAULT_SWEEP_DIMS,
     ExperimentConfig,
     MetricsRecord,
+    _build_model,
     _train_fold,
     derive_seed,
+    evaluate_accuracy,
+    fold_pool,
+    openblas_function,
     run_experiment,
     split_folds,
     sweep_configs,
@@ -244,8 +252,9 @@ class TestRunExperiment:
         ds = synthetic_dataset()
         ds = dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
         cfg = ExperimentConfig(**{**FAST, "learning_rate": 1e200, "folds": 2})
-        with pytest.raises(TrainingDivergedError, match="project: row") as err:
-            run_experiment(cfg, dataset=ds, parallel=2)
+        with pytest.raises(TrainingDivergedError, match="project: row") as err, \
+                fold_pool(2) as pool:
+            run_experiment(cfg, dataset=ds, pool=pool)
         assert err.value.detail.startswith("project: row")
 
     def test_divergence_message_names_its_cause(self):
@@ -265,11 +274,69 @@ class TestRunExperiment:
         graphs = [synthesize_features(g, cap=8) for g in ds.graphs]
         ds = dataclasses.replace(ds, graphs=graphs)
         cfg = ExperimentConfig(**{**FAST, "epochs": 1, "folds": 2})
-        serial = run_experiment(cfg, dataset=ds, parallel=1)
-        parallel = run_experiment(cfg, dataset=ds, parallel=2)
+        serial = run_experiment(cfg, dataset=ds)
+        with fold_pool(2) as pool:
+            parallel = run_experiment(cfg, dataset=ds, pool=pool)
         assert serial.fold_accuracies == parallel.fold_accuracies
         for x, y in zip(serial.traces, parallel.traces):
             assert np.array_equal(x, y)
+
+    def test_fold_workers_run_one_blas_thread(self):
+        if openblas_function("get_num_threads") is None:
+            pytest.skip("no OpenBLAS get_num_threads symbol resolves")
+        with fold_pool(2) as pool:
+            counts = [pool.submit(_blas_threads).result(timeout=60) for _ in range(4)]
+        assert counts == [1, 1, 1, 1]
+
+
+def _blas_threads():
+    fn = openblas_function("get_num_threads")
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
+
+
+def reference_logits(model, g):
+    return model.predictor.logits(ref.encode_euclidean(g, model.encoder_e)).values[0]
+
+
+def reference_accuracy(model, graphs, ids):
+    """The per-graph loop: each graph encoded alone on the reference path."""
+    hits = 0
+    for i in ids:
+        h = GraphEmbedding(ref.encode_euclidean(graphs[i], model.encoder_e), EUCLIDEAN)
+        hits += int(np.argmax(predict(h, model.predictor).values[0])) == graphs[i].label
+    return hits / len(ids)
+
+
+class TestBatchedEvaluation:
+    @pytest.fixture
+    def rings(self):
+        ds = synthetic_dataset()
+        return dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
+
+    @pytest.mark.parametrize("rows", [None, 16])
+    @pytest.mark.parametrize("kind", ["gat", "gcn", "gin", "graphsage"])
+    def test_matches_the_per_graph_loop(self, rings, kind, rows, monkeypatch):
+        if rows is not None:  # big-graph rule: 16 rows make chunks of 2 RINGS graphs
+            monkeypatch.setattr(experiment, "_EVAL_ROWS", rows)
+        cfg = ExperimentConfig(**{**FAST, "euclidean_encoder": kind})
+        model = _build_model(cfg, rings.graphs[0].features.shape[1], 2, 0)
+        rng = np.random.default_rng(3)
+        for t in model.encoder_e.params + model.predictor.params:
+            t.values[...] = rng.uniform(-1.0, 1.0, t.values.shape)
+        # move the class-0 logit so the margins split between two distinct
+        # values: both classes get predicted, and no graph sits on a tie
+        margins = np.array([np.subtract(*reference_logits(model, g)) for g in rings.graphs])
+        distinct = np.unique(np.round(margins, 6))
+        assert len(distinct) > 1
+        mid = len(distinct) // 2
+        model.predictor.b2.values[0, 0] -= (distinct[mid - 1] + distinct[mid]) / 2
+        every = np.arange(len(rings.graphs))
+        id_sets = [split.test for split in split_folds(rings, cfg)]
+        id_sets += [every[:11], every[5:6], every[::-1]]  # 11 = 8 + 3, one id, reversed
+        for ids in id_sets:
+            assert evaluate_accuracy(model, rings.graphs, ids) == \
+                reference_accuracy(model, rings.graphs, ids)
 
 
 class TestSweeps:

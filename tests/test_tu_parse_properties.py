@@ -17,7 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dsgc.data import Dataset, Graph, _dataset_prefix, parse_tu_dataset  # noqa: E402
+from dsgc.data import (  # noqa: E402
+    Dataset,
+    Graph,
+    _dataset_prefix,
+    canonical_edges,
+    parse_tu_dataset,
+)
 from dsgc.errors import TUParseError  # noqa: E402
 
 
@@ -280,3 +286,30 @@ def test_valid_directories_parse_as_the_reference_does(case):
 @given(tu_directories(st.integers(1, 2)))
 def test_defects_raise_as_the_reference_does(case):
     check_against_reference(*case)
+
+
+@st.composite
+def edge_pairs(draw):
+    """(pairs, n): pairs over n nodes in either direction, with duplicates."""
+    n = draw(st.integers(2, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=60))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
+    return draw(st.permutations(pairs)), n
+
+
+@PROPERTY
+@given(edge_pairs(), st.booleans())
+def test_canonical_edges_matches_the_unique_form(case, as_array):
+    pairs, n = case
+    got = canonical_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs, n)
+    want = reference_canonical_edges(pairs, n)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 2), dtype=np.int64)])
+def test_canonical_edges_of_nothing_is_an_empty_row_block(empty):
+    got = canonical_edges(empty, 5)
+    assert got.shape == (0, 2) and got.dtype == np.int64
