@@ -278,10 +278,8 @@ def dataset_stats(ds):
     )
 
 
-def prepare_dataset(directory, degree_cap=DEFAULT_DEGREE_CAP, keep_disconnected=False):
-    """Parse, connectivity-filter (optional), and featurize a TU directory."""
-    ds = parse_tu_dataset(directory)
-    if not keep_disconnected:
-        ds = filter_connected(ds)
+def prepare_dataset(directory, degree_cap=DEFAULT_DEGREE_CAP):
+    """Parse, connectivity-filter, and featurize a TU directory."""
+    ds = filter_connected(parse_tu_dataset(directory))
     graphs = [synthesize_features(g, degree_cap) for g in ds.graphs]
     return Dataset(name=ds.name, graphs=graphs, num_classes=ds.num_classes)

@@ -31,9 +31,7 @@ constant (B, sum n_b) averaging matrix, giving one row per graph. A single
 Graph is a batch of one. The padded operator stack is built from the edges
 once per batch and dies with it; nothing is cached across calls. Training
 encodes each space's views of a step as one batch, labeled view first.
-Evaluation encodes the test graphs in chunks of at most 8, fewer when the
-graphs are big (`experiment._EVAL_ROWS`), through frozen parameter copies
-that build no tape.
+`experiment.evaluate_accuracy` sizes the evaluation batches.
 """
 
 from __future__ import annotations

@@ -45,13 +45,14 @@ from .poincare import PoincareBall
 from .samplers import SamplerConfig, community_expansion_sample, diffusion_sample
 
 DEFAULT_SWEEP_DIMS = (8, 16, 32, 64)
-# Evaluation batches hold at most _EVAL_CHUNK graphs and, for big graphs,
-# fewer: at most _EVAL_ROWS node rows by the largest graph evaluated. Past
-# about 1e6 multiply-adds (65 feature columns x 16 x ~960 rows) OpenBLAS
-# hands a product to its thread pool; with 2 idle threads on a 2-vCPU
-# machine that product took 5.2 ms instead of 0.09 ms.
-_EVAL_CHUNK = 8
-_EVAL_ROWS = 640
+# An evaluation chunk's first product, its node rows (graphs x the largest
+# graph evaluated) by the encoder's largest first-layer weight, stays within
+# _EVAL_MACS multiply-adds. Past about 1e6 multiply-adds OpenBLAS hands a
+# product to its thread pool; with 2 idle threads on a 2-vCPU machine,
+# (967, 65) @ (65, 16), 1.006e6 multiply-adds, took 5.2 ms where
+# (953, 65) @ (65, 16), 0.991e6, took 0.09 ms. The budget is 640 rows of
+# the default gcn's 65 x 16 weight.
+_EVAL_MACS = 640 * 65 * 16
 
 
 @dataclass(frozen=True)
@@ -288,12 +289,14 @@ def evaluate_accuracy(model, graphs, ids):
     Evaluation encodes the full graph; sampling is a training-time device.
     The graphs go through frozen copies of the encoder and predictor, which
     build no tape, in GraphBatches of equal size (the last may be short),
-    in `ids` order.
+    in `ids` order. A batch holds as many graphs as _EVAL_MACS allows, and
+    at least one.
     """
     if len(ids) == 0:
         raise ContractError("cannot evaluate on an empty id list")
     enc, pred = model.encoder_e.frozen(), model.predictor.frozen()
-    size = max(1, min(_EVAL_CHUNK, _EVAL_ROWS // max(graphs[i].n for i in ids)))
+    widest = max(w.size for w in enc.layer_params[0].values())
+    size = max(1, _EVAL_MACS // (widest * max(graphs[i].n for i in ids)))
     hits = 0
     for start in range(0, len(ids), size):
         chunk = [graphs[i] for i in ids[start:start + size]]
@@ -337,10 +340,6 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
             sums += (m.total, m.supervised, m.contrastive)
         trace[epoch] = sums / len(order)
     return evaluate_accuracy(model, graphs, split.test), trace
-
-
-def _fold_worker(args):
-    return _train_fold(*args)
 
 
 def openblas_function(name):
@@ -403,7 +402,7 @@ def run_experiment(cfg, dataset=None, data_dir=None, pool=None):
         (cfg, ds.graphs, ds.num_classes, split, fold)
         for fold, split in enumerate(split_folds(ds, cfg))
     ]
-    results = list((map if pool is None else pool.map)(_fold_worker, jobs))
+    results = list((map if pool is None else pool.map)(_train_fold, *zip(*jobs)))
     return MetricsRecord.from_folds(
         [acc for acc, _ in results], [trace for _, trace in results]
     )

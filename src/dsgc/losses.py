@@ -93,17 +93,17 @@ def to_hyperbolic(h, ball):
     return GraphEmbedding(ball.expmap0(h.tensor), HYPERBOLIC)
 
 
-def _nce(s_pos, s_negs, temperature):
+def _nce(s_pos, s_neg, temperature):
     """Per row, -log softmax of the positive score via a shifted logsumexp.
 
-    s_pos is a column of positive scores; s_negs lists blocks of negative
+    s_pos is a column of positive scores; s_neg is a block of negative
     scores with the same rows. Returns a column, one loss per row. Grouping
     it as log(sum exp(s/t - m)) + (m - s+/t) makes the equal-scores case
     exact: m equals s+/t, the second term is exactly 0.
     """
     inv_t = 1.0 / temperature
     sp = ad.mul(s_pos, inv_t)
-    row = ad.concat_cols([sp, ad.mul(ad.concat_cols(s_negs), inv_t)])
+    row = ad.concat_cols([sp, ad.mul(s_neg, inv_t)])
     m = ad.amax(row, axis=1)
     lse = ad.log(ad.asum(ad.exp(ad.sub(row, m)), axis=1))
     return ad.add(lse, ad.sub(m, sp))
@@ -121,7 +121,7 @@ def info_nce_labeled(h_l_hyp, h_l_e2h, h_u_hyps, ball, cfg):
     negs = ad.concat_rows([h.tensor for h in h_u_hyps])
     s_pos = ball.geodesic_similarity(h_l_hyp.tensor, h_l_e2h.tensor)
     s_negs = ball.geodesic_similarity(h_l_e2h.tensor, negs)
-    return _nce(s_pos, [ad.transpose(s_negs)], cfg.temperature)
+    return _nce(s_pos, ad.transpose(s_negs), cfg.temperature)
 
 
 def info_nce_unlabeled(h_u_hyp, h_u_e2h, h_l_hyp, ball, cfg):
@@ -133,7 +133,7 @@ def info_nce_unlabeled(h_u_hyp, h_u_e2h, h_l_hyp, ball, cfg):
         raise ContractError("info_nce_unlabeled: the two unlabeled views differ in rows")
     s_pos = ball.geodesic_similarity(h_u_hyp.tensor, h_u_e2h.tensor)
     s_neg = ball.geodesic_similarity(h_l_hyp.tensor, h_u_e2h.tensor)
-    return _nce(s_pos, [s_neg], cfg.temperature)
+    return _nce(s_pos, s_neg, cfg.temperature)
 
 
 def supervised_loss(p, label):

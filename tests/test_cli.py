@@ -13,7 +13,7 @@ from dsgc.data import write_tu_dataset
 from dsgc.samplers import diffusion_sample, induced_subgraph
 
 
-def _die(job):
+def _die(*args):
     """A fold worker that ends its process without a result."""
     os._exit(1)
 
@@ -203,7 +203,7 @@ class TestTrain:
     def test_dead_fold_worker_exits_4(self, tmp_path, data_root, monkeypatch, capsys):
         from dsgc import experiment
 
-        monkeypatch.setattr(experiment, "_fold_worker", _die)
+        monkeypatch.setattr(experiment, "_train_fold", _die)
         cfg_path = write_config(tmp_path, epochs=1, folds=2)
         out = tmp_path / "run"
         rc = main(["train", cfg_path, "--data-dir", data_root, "--out", str(out),

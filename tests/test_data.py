@@ -270,8 +270,6 @@ class TestPrepare:
         ds = prepare_dataset(d, degree_cap=3)
         assert len(ds) == 1
         assert ds.graphs[0].features.shape == (2, 4)
-        keep = prepare_dataset(d, degree_cap=3, keep_disconnected=True)
-        assert len(keep) == 2
 
     def test_prepared_graphs_keep_the_filter_cache(self, tmp_path):
         d = write_tu(tmp_path, "C", [(1, 2), (2, 1)], [1, 1], [0])

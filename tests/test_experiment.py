@@ -12,7 +12,7 @@ import pytest
 import per_graph_reference as ref
 from conftest import synthetic_dataset
 from dsgc import experiment
-from dsgc.data import synthesize_features
+from dsgc.data import Graph, canonical_edges, synthesize_features
 from dsgc.encoders import EUCLIDEAN, GraphEmbedding, predict
 from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
@@ -308,6 +308,36 @@ def reference_accuracy(model, graphs, ids):
     return hits / len(ids)
 
 
+def split_model(kind, hidden, graphs):
+    """A model with random parameters whose class-0 logit is moved so the
+    margins over `graphs` split between two distinct values: both classes
+    get predicted, and no graph sits on a tie."""
+    cfg = ExperimentConfig(**{**FAST, "euclidean_encoder": kind, "hidden_dim": hidden})
+    model = _build_model(cfg, graphs[0].features.shape[1], 2, 0)
+    rng = np.random.default_rng(3)
+    for t in model.encoder_e.params + model.predictor.params:
+        t.values[...] = rng.uniform(-1.0, 1.0, t.values.shape)
+    margins = np.array([np.subtract(*reference_logits(model, g)) for g in graphs])
+    distinct = np.unique(np.round(margins, 6))
+    assert len(distinct) > 1
+    mid = len(distinct) // 2
+    model.predictor.b2.values[0, 0] -= (distinct[mid - 1] + distinct[mid]) / 2
+    return model
+
+
+def sparse_graphs(sizes, seed=0):
+    """Connected graphs of the given sizes, each a cycle plus n // 4 random
+    chords, labels alternating, with 65 degree features (cap 64)."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, n in enumerate(sizes):
+        pairs = [(j, (j + 1) % n) for j in range(n)]
+        pairs += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(n // 4)]
+        g = Graph(n=n, edges=canonical_edges(pairs, n), label=i % 2)
+        graphs.append(synthesize_features(g, cap=64))
+    return graphs
+
+
 class TestBatchedEvaluation:
     @pytest.fixture
     def rings(self):
@@ -317,26 +347,51 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("rows", [None, 16])
     @pytest.mark.parametrize("kind", ["gat", "gcn", "gin", "graphsage"])
     def test_matches_the_per_graph_loop(self, rings, kind, rows, monkeypatch):
-        if rows is not None:  # big-graph rule: 16 rows make chunks of 2 RINGS graphs
-            monkeypatch.setattr(experiment, "_EVAL_ROWS", rows)
+        model = split_model(kind, FAST["hidden_dim"], rings.graphs)
+        if rows is not None:  # a budget of 16 rows makes chunks of 2 RINGS graphs
+            widest = max(t.values.size for t in model.encoder_e.layer_params[0].values())
+            monkeypatch.setattr(experiment, "_EVAL_MACS", rows * widest)
         cfg = ExperimentConfig(**{**FAST, "euclidean_encoder": kind})
-        model = _build_model(cfg, rings.graphs[0].features.shape[1], 2, 0)
-        rng = np.random.default_rng(3)
-        for t in model.encoder_e.params + model.predictor.params:
-            t.values[...] = rng.uniform(-1.0, 1.0, t.values.shape)
-        # move the class-0 logit so the margins split between two distinct
-        # values: both classes get predicted, and no graph sits on a tie
-        margins = np.array([np.subtract(*reference_logits(model, g)) for g in rings.graphs])
-        distinct = np.unique(np.round(margins, 6))
-        assert len(distinct) > 1
-        mid = len(distinct) // 2
-        model.predictor.b2.values[0, 0] -= (distinct[mid - 1] + distinct[mid]) / 2
         every = np.arange(len(rings.graphs))
         id_sets = [split.test for split in split_folds(rings, cfg)]
-        id_sets += [every[:11], every[5:6], every[::-1]]  # 11 = 8 + 3, one id, reversed
+        id_sets += [every[:11], every[5:6], every[::-1]]  # 11 crosses a chunk of 2, one id, reversed
         for ids in id_sets:
             assert evaluate_accuracy(model, rings.graphs, ids) == \
                 reference_accuracy(model, rings.graphs, ids)
+
+    # rows of the largest first-layer weight for 65 input features: gat's W,
+    # gcn's W, gin's W1, graphsage's W over concat(H, mean of neighbours)
+    FIRST_ROWS = {"gat": 65, "gcn": 65, "gin": 65, "graphsage": 130}
+
+    @pytest.mark.parametrize("hidden", [16, 64])
+    @pytest.mark.parametrize("kind", ["gat", "gcn", "gin", "graphsage"])
+    def test_chunks_stay_within_the_budget(self, kind, hidden, monkeypatch):
+        graphs = sparse_graphs((100, 140, 110, 130, 120, 105, 135, 115, 125, 170))
+        widest = self.FIRST_ROWS[kind] * hidden
+        budget = experiment._EVAL_MACS
+        # at hidden 64 the 170-node graph alone is over the budget
+        assert (170 * widest > budget) == (hidden == 64)
+        model = split_model(kind, hidden, graphs)
+        chunks = []
+
+        def recording(chunk, batch=experiment.GraphBatch):
+            chunks.append(chunk)
+            return batch(chunk)
+
+        monkeypatch.setattr(experiment, "GraphBatch", recording)
+        every = np.arange(len(graphs))
+        for ids in (every, every[:-1], every[::-1]):  # with and without the 170-node graph
+            chunks.clear()
+            accuracy = evaluate_accuracy(model, graphs, ids)
+            assert [id(g) for chunk in chunks for g in chunk] == [id(graphs[i]) for i in ids]
+            size = max(1, budget // (widest * max(graphs[i].n for i in ids)))
+            assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+            for chunk in chunks:
+                if len(chunk) > 1:
+                    assert sum(g.n for g in chunk) * widest <= budget
+                if any(g.n * widest > budget for g in chunk):
+                    assert len(chunk) == 1
+            assert accuracy == reference_accuracy(model, graphs, ids)
 
 
 class TestSweeps:

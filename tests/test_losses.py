@@ -109,11 +109,11 @@ class TestInfoNce:
 
     def test_score_level_worked_values(self):
         # s+ = 10, s- = 0, t = 1  ->  log(1 + e^-10)
-        loss = _nce(Tensor([[10.0]]), [Tensor([[0.0]])], 1.0)
+        loss = _nce(Tensor([[10.0]]), Tensor([[0.0]]), 1.0)
         assert abs(loss.item() - np.log1p(np.exp(-10.0))) < 1e-12
         assert abs(loss.item() - 4.5398899216870535e-05) < 1e-12
         # s+ = 0, s- = 10, t = 100  ->  log(1 + e^0.1)
-        loss = _nce(Tensor([[0.0]]), [Tensor([[10.0]])], 100.0)
+        loss = _nce(Tensor([[0.0]]), Tensor([[10.0]]), 100.0)
         assert abs(loss.item() - np.log1p(np.exp(0.1))) < 1e-12
 
     def test_labeled_embedding_route_worked_value(self):
