@@ -11,6 +11,11 @@ its inputs; `backward` walks the reachable tape newest first, which is a
 reverse topological order, and adds d(root)/d(leaf) into each leaf's
 `.grad`. Gradients keep accumulating across calls until `zero_grad`.
 
+`Adam` owns its parameters' storage: one flat value buffer and one flat
+gradient buffer, of which each parameter's `.values` and `.grad` are
+reshaped views. Update parameters in place and never rebind `.values` or
+`.grad` of a parameter an optimizer holds.
+
 Numerical guards (they keep gradients finite near singular points):
   * arcosh arguments are clamped to >= 1 + 1e-12
   * artanh arguments are clamped to magnitude <= 1 - 1e-7
@@ -138,7 +143,9 @@ def mul(a, b):
     return _record(a, b, v, lambda g: g * bv, lambda g: g * av)
 
 
-def _floored_divisor(bv):
+def floored_divisor(bv):
+    """bv with magnitudes floored at DIV_FLOOR, signs kept; an exact zero
+    raises DomainError."""
     small = np.abs(bv).min() if bv.size else 1.0
     if small == 0.0:
         raise DomainError("div: divisor contains an exact zero")
@@ -148,7 +155,7 @@ def _floored_divisor(bv):
 
 
 def div(a, b):
-    av, bv = values_of(a), _floored_divisor(values_of(b))
+    av, bv = values_of(a), floored_divisor(values_of(b))
     v = _broadcast("div", np.divide, av, bv)
     return _record(a, b, v, lambda g: g / bv, lambda g: -g * v / bv)
 
@@ -258,14 +265,18 @@ def amax(x, axis=None):
     return _unary(x, v, lambda g: (g * mask,))
 
 
-def _link(parts, v, vjp):
+def link(parts, v, vjp):
     """The result v of an op on several operands, linked to the parts that
-    are Tensors (vjp(g) gives one adjoint per part), else a plain array."""
+    are Tensors, else a plain array. vjp(g) gives one adjoint per part; each
+    is summed back over the axes its part was broadcast along. Fused ops
+    outside this module build their one tape node with it."""
     linked = [isinstance(p, Tensor) for p in parts]
     if not any(linked):
         return v
-    return Tensor(v, tuple(itertools.compress(parts, linked)),
-                  lambda g: tuple(itertools.compress(vjp(g), linked)))
+    kept = tuple(itertools.compress(parts, linked))
+    shapes = [p.values.shape for p in kept]
+    return Tensor(v, kept, lambda g: tuple(
+        _unbroadcast(d, sh) for d, sh in zip(itertools.compress(vjp(g), linked), shapes)))
 
 
 def _concat(name, parts, axis):
@@ -280,8 +291,8 @@ def _concat(name, parts, axis):
     if len({sh[1 - axis] for sh in shapes}) != 1:
         raise ShapeError(f"{name}: {('row', 'column')[1 - axis]} counts differ, {shapes}")
     bounds = np.cumsum([sh[axis] for sh in shapes])[:-1]
-    return _link(parts, np.concatenate(arrays, axis=axis),
-                 lambda g: np.split(g, bounds, axis=axis))
+    return link(parts, np.concatenate(arrays, axis=axis),
+                lambda g: np.split(g, bounds, axis=axis))
 
 
 def concat_cols(parts):
@@ -296,6 +307,19 @@ def concat_rows(parts):
 
 def transpose(x):
     return _unary(x, values_of(x).T.copy(), lambda g: (g.T,))
+
+
+def take_rows(x, rows):
+    """The rows of x picked by the index array rows (repeats allowed); the
+    VJP scatter-adds each row's adjoint back to where it came from."""
+    xv = values_of(x)
+
+    def vjp(g):
+        gx = np.zeros_like(xv)
+        np.add.at(gx, rows, g)
+        return (gx,)
+
+    return _unary(x, xv[rows], vjp)
 
 
 def block_aggregate(x, slots, ops, scores=None):
@@ -347,7 +371,7 @@ def block_aggregate(x, slots, ops, scores=None):
         gpre *= np.where(pre > 0.0, 1.0, ATTENTION_SLOPE)
         return gx, gather(gpre.sum(axis=2)), gather(gpre.sum(axis=1))
 
-    return _link((x, *(scores or ())), gather(w @ xb), vjp)
+    return link((x, *(scores or ())), gather(w @ xb), vjp)
 
 
 def backward(root):
@@ -384,7 +408,13 @@ def glorot_uniform(rng, rows, cols):
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay over flat buffers.
+
+    Each parameter's `.values` and `.grad` become reshaped views into the
+    optimizer's flat buffers (see the module docstring), and a later Adam
+    over the same parameters takes them over. A step is a few whole-buffer
+    operations, bit-identical to the same update looped over each
+    parameter's own arrays, since the arithmetic is elementwise.
 
     Moments start at zero and are bias-corrected; decay multiplies parameters
     by (1 - lr * wd) independently of the gradient, so a zero-gradient step
@@ -393,32 +423,41 @@ class Adam:
 
     def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam: a parameter is listed more than once")
+        if any(p.grad is None for p in self.params):
+            raise ContractError("Adam: parameters must be leaf Tensors")
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.values = np.concatenate([p.values.ravel() for p in self.params] + [np.zeros(0)])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params] + [np.zeros(0)])
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        end = 0
+        for p in self.params:
+            start, end = end, end + p.values.size
+            p.values = self.values[start:end].reshape(p.values.shape)
+            p.grad = self.grad[start:end].reshape(p.grad.shape)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if self.weight_decay:
-                p.values -= self.lr * self.weight_decay * p.values
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g = self.grad
+        if self.weight_decay:
+            self.values -= self.lr * self.weight_decay * self.values
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (g * g)
+        self.values -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 def finite_difference_gradcheck(fn, params, h=1e-5, floor=1e-4):

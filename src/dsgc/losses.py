@@ -17,11 +17,14 @@ The N unlabeled graphs travel row-stacked, one row each, so each kind of
 score is one similarity call: s-_i fill one row and unlabeled_i is row i
 of one (N, 1) column, four similarity calls per step whatever N. Each
 space encodes all N + 1 views of a step in one encoder call (labeled view
-first), and constant selector matmuls pick the labeled and unlabeled rows.
+first), and row gathers (`autodiff.take_rows`) pick the labeled and
+unlabeled rows.
 
 Similarities are capped near 7.07e5 (coincident points), so every term is
 evaluated as a max-shifted logsumexp along its row of scores; the shift is
-grouped so that the all-equal-scores case yields ln(N+1) exactly. The
+grouped so that the all-equal-scores case yields ln(N+1) exactly. Each
+block of terms is one tape node with a closed-form VJP (`_nce`), and each
+similarity call and exp0 map is one node too (see `poincare`). The
 supervised loss is binary cross-entropy summed over classes, matching the
 predictor's elementwise-sigmoid output.
 """
@@ -43,7 +46,7 @@ from .encoders import (
     encode_hyperbolic,
     predict,
 )
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 BCE_PROB_FLOOR = 1e-15  # keeps log finite when sigmoid saturates
 
@@ -94,7 +97,8 @@ def to_hyperbolic(h, ball):
 
 
 def _nce(s_pos, s_neg, temperature):
-    """Per row, -log softmax of the positive score via a shifted logsumexp.
+    """Per row, -log softmax of the positive score via a shifted logsumexp,
+    as one tape node.
 
     s_pos is a column of positive scores; s_neg is a block of negative
     scores with the same rows. Returns a column, one loss per row. Grouping
@@ -102,11 +106,26 @@ def _nce(s_pos, s_neg, temperature):
     exact: m equals s+/t, the second term is exactly 0.
     """
     inv_t = 1.0 / temperature
-    sp = ad.mul(s_pos, inv_t)
-    row = ad.concat_cols([sp, ad.mul(s_neg, inv_t)])
-    m = ad.amax(row, axis=1)
-    lse = ad.log(ad.asum(ad.exp(ad.sub(row, m)), axis=1))
-    return ad.add(lse, ad.sub(m, sp))
+    sp = ad.values_of(s_pos) * inv_t
+    try:
+        row = np.concatenate([sp, ad.values_of(s_neg) * inv_t], axis=1)
+    except ValueError:
+        raise ShapeError(f"_nce: {sp.shape[0]} positive rows, negatives {s_neg.shape}") from None
+    top = row.argmax(axis=1)
+    rows = np.arange(row.shape[0])
+    m = row[rows, top][:, None]
+    e = np.exp(row - m)
+    total = e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        # the adjoints add up in the order of the chain of primitives: the
+        # softmax part, then g minus its sum routed to the row's maximum,
+        # then -g on the positive; a softmax - 1 form cancels differently
+        grow = g / total * e
+        grow[rows, top] += (g - grow.sum(axis=1, keepdims=True))[:, 0]
+        return (grow[:, :1] - g) * inv_t, grow[:, 1:] * inv_t
+
+    return ad.link((s_pos, s_neg), np.log(total) + (m - sp), vjp)
 
 
 def info_nce_labeled(h_l_hyp, h_l_e2h, h_u_hyps, ball, cfg):
@@ -193,8 +212,8 @@ class DsgcModel:
 
 
 def _rows(emb, rows):
-    """The chosen rows of an embedding, by one constant selector matmul."""
-    return GraphEmbedding(ad.matmul(np.eye(emb.tensor.shape[0])[rows], emb.tensor), emb.space)
+    """The chosen rows of an embedding, by one row gather."""
+    return GraphEmbedding(ad.take_rows(emb.tensor, rows), emb.space)
 
 
 def train_step(batch, model, views, cfg, optimizer):

@@ -16,10 +16,23 @@ Core formulas (origin-anchored, curvature magnitude c):
     u (+) b = exp0(log0(u) + b)           hyperbolic bias addition
     act(u)  = exp0(sigma(log0(W (x) u (+) b)))
 
-Singularities are handled by the autodiff guards (arcosh clamp at 1 + 1e-12
-caps the similarity at ~1/sqrt(2e-12); norm floors give the exact series
-limit at the origin) plus a radial projection that keeps floating-point
-drift strictly inside the ball.
+expmap0, logmap0 and geodesic_similarity are one tape node each: the
+forward runs in numpy and a closed-form VJP (Ganea et al., arXiv
+1805.09112) carries the adjoint back. Their guards are computed inline, as
+the chain of autodiff primitives would compute them:
+  * norms are floored at NORM_FLOOR (the exact series limit at the
+    origin; no gradient flows through the floor) and divisors at
+    autodiff.DIV_FLOOR;
+  * artanh arguments are clamped at autodiff.ARTANH_MAX and arcosh
+    arguments at autodiff.ARCOSH_MIN, which caps the similarity of
+    coincident points at ~1/sqrt(2e-12); the adjoint passes through both
+    clamps, as g / (1 - x^2) and g / sqrt(x^2 - 1) at the clamped x;
+  * expmap0 pulls its result back with the same radial projection as
+    `project`, which keeps floating-point drift strictly inside the ball;
+  * a row that is not finite, or not strictly inside the ball where a
+    point is expected, raises one DomainError naming the op and the row,
+    before any arithmetic that could warn.
+The Mobius operations are compositions of these nodes.
 """
 
 from __future__ import annotations
@@ -35,6 +48,13 @@ BOUNDARY_EPS = 1e-5   # radial projection margin
 NORM_FLOOR = 1e-15    # series-limit floor for ||t|| -> 0
 
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
+
+
+def _reject(ok, message):
+    """Raise DomainError for the first row where the (n, 1) mask ok is False;
+    message(i) words it for row i."""
+    if not ok.all():
+        raise DomainError(message(int(np.flatnonzero(~ok)[0])))
 
 
 class PoincareBall:
@@ -55,13 +75,26 @@ class PoincareBall:
         v = ad.values_of(x)
         return bool((self.c * (v * v).sum(axis=-1) < 1.0).all())
 
-    def _check_inside(self, x, what):
-        v = ad.values_of(x)
-        sq = self.c * (v * v).sum(axis=-1)
-        if (sq >= 1.0).any():
-            raise DomainError(
-                f"{what}: point on/outside the ball, c*||x||^2 max = {sq.max():.6g}"
-            )
+    @staticmethod
+    def _check_inside(csq, op, operand=""):
+        """Reject rows whose c * ||x||^2, the (n, 1) column csq, is not below 1
+        (NaN included)."""
+        _reject(csq < 1.0, lambda i: f"{op}: row {i}{operand} is not strictly inside "
+                                     f"the ball, c*||x||^2 = {csq[i, 0]:.6g}")
+
+    def _pull_back(self, xv, op):
+        """The (n, 1) factors that pull rows with norm > max_norm back onto
+        that radius, or None when every row is within it. A row whose norm
+        is not finite (inf, NaN, overflow) raises DomainError."""
+        norms = np.linalg.norm(xv, axis=1, keepdims=True)
+        if (norms <= self.max_norm).all():
+            return None
+        _reject(np.isfinite(norms), lambda i: f"{op}: row {i} has a non-finite norm {norms[i, 0]}")
+        factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
+        # rounding can leave a rescaled row an ulp or two past the radius
+        while (over := np.linalg.norm(xv * factors, axis=1) > self.max_norm).any():
+            factors[over] = np.nextafter(factors[over], 0.0)
+        return factors
 
     def project(self, x):
         """Radially pull rows with norm > (1 - 1e-5)/sqrt(c) back onto that radius.
@@ -71,57 +104,91 @@ class PoincareBall:
         Pulled rows read back at or inside the radius, so a second call is a no-op.
         A row whose norm is not finite (inf, NaN, overflow) raises DomainError.
         """
-        xv = ad.values_of(x)
-        norms = np.linalg.norm(xv, axis=1, keepdims=True)
-        if (norms <= self.max_norm).all():
-            return x
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise DomainError(f"project: row {bad[0]} has a non-finite norm {norms[bad[0], 0]}")
-        factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
-        # rounding can leave a rescaled row an ulp or two past the radius
-        while (over := np.linalg.norm(xv * factors, axis=1) > self.max_norm).any():
-            factors[over] = np.nextafter(factors[over], 0.0)
-        return ad.mul(x, factors)
+        factors = self._pull_back(ad.values_of(x), "project")
+        return x if factors is None else ad.mul(x, factors)
 
     def geodesic_similarity(self, u, v):
-        """Reciprocal geodesic length between corresponding rows of u and v.
+        """Reciprocal geodesic length between corresponding rows of u and v
+        (a (1, d) operand is broadcast against the other's rows).
 
         Coincident rows hit the arcosh clamp and return the cap value
         1/arcosh(1 + 1e-12) ~= 1/sqrt(2e-12).
         """
-        self._check_inside(u, "geodesic_similarity")
-        self._check_inside(v, "geodesic_similarity")
+        uv, vv = ad.values_of(u), ad.values_of(v)
         if self.c != 1.0:
-            u = ad.mul(u, self.sqrt_c)
-            v = ad.mul(v, self.sqrt_c)
-        du = ad.sub(u, v)
-        sq_dist = ad.asum(ad.mul(du, du), axis=1)
-        den = ad.mul(
-            ad.sub(1.0, ad.asum(ad.mul(u, u), axis=1)),
-            ad.sub(1.0, ad.asum(ad.mul(v, v), axis=1)),
-        )
-        arg = ad.add(1.0, ad.div(ad.mul(2.0, sq_dist), den))
-        length = ad.arcosh(arg)
+            uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
+        su = (uv * uv).sum(axis=1, keepdims=True)
+        sv = (vv * vv).sum(axis=1, keepdims=True)
+        self._check_inside(su, "geodesic_similarity", " of u")
+        self._check_inside(sv, "geodesic_similarity", " of v")
+        try:
+            du = uv - vv
+        except ValueError:
+            raise ShapeError(f"geodesic_similarity: cannot broadcast {uv.shape} with {vv.shape}") from None
+        a, b = 1.0 - su, 1.0 - sv
+        den = ad.floored_divisor(a * b)
+        q = 2.0 * (du * du).sum(axis=1, keepdims=True) / den
+        xc = np.maximum(1.0 + q, ad.ARCOSH_MIN)
+        length = np.arccosh(xc)
         if self.c != 1.0:
-            length = ad.mul(length, 1.0 / self.sqrt_c)
-        return ad.div(1.0, length)
+            length = length * (1.0 / self.sqrt_c)
+        length = ad.floored_divisor(length)
+        sim = 1.0 / length
+
+        def vjp(g):
+            gq = -g * sim / length
+            if self.c != 1.0:
+                gq = gq * (1.0 / self.sqrt_c)
+            gq = gq / np.sqrt(xc * xc - 1.0)
+            gdu = (gq / den * 2.0) * du * 2.0
+            gden = -gq * q / den
+            gu = gdu - 2.0 * (gden * b) * uv
+            gv = -gdu - 2.0 * (gden * a) * vv
+            if self.c != 1.0:
+                gu, gv = gu * self.sqrt_c, gv * self.sqrt_c
+            return gu, gv
+
+        return ad.link((u, v), sim, vjp)
+
+    def _rescale_rows(self, x, r, scale, slope, op=None):
+        """Row i of x times scale(n_i) / n_i as one tape node, where
+        n = sqrt(c) * max(r, NORM_FLOOR) and r holds the row norms;
+        slope(n, s) is the derivative of scale at n, s = scale(n). With op
+        given, rows are pulled back onto the projection radius as `project`
+        does, in the same node."""
+        xv = ad.values_of(x)
+        n = np.maximum(r, NORM_FLOOR) * self.sqrt_c
+        s = scale(n)
+        nd = ad.floored_divisor(n)
+        y = s * xv / nd
+        factors = None if op is None else self._pull_back(y, op)
+
+        def vjp(g):
+            if factors is not None:
+                g = g * factors
+            gq = g / nd
+            gn = (gq * xv).sum(axis=1, keepdims=True) * slope(n, s)
+            gn -= (g * y / nd).sum(axis=1, keepdims=True)
+            gr = gn * self.sqrt_c * (r >= NORM_FLOOR)
+            return (gq * s + gr * xv / np.maximum(r, ad.DIV_FLOOR),)
+
+        return ad.link((x,), y if factors is None else y * factors, vjp)
 
     def expmap0(self, t):
         """Map a tangent vector at the origin into the ball (rows independently)."""
-        n = ad.clip_min(ad.rownorm(t), NORM_FLOOR)
-        if self.sqrt_c != 1.0:
-            n = ad.mul(n, self.sqrt_c)
-        out = ad.div(ad.mul(ad.tanh(n), t), n)
-        return self.project(out)
+        tv = ad.values_of(t)
+        r = np.sqrt((tv * tv).sum(axis=1, keepdims=True))
+        _reject(np.isfinite(r), lambda i: f"expmap0: row {i} has a non-finite norm {r[i, 0]}")
+        return self._rescale_rows(t, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
 
     def logmap0(self, u):
         """Map a ball point back to the origin tangent space (inverse of expmap0)."""
-        self._check_inside(u, "logmap0")
-        n = ad.clip_min(ad.rownorm(u), NORM_FLOOR)
-        if self.sqrt_c != 1.0:
-            n = ad.mul(n, self.sqrt_c)
-        return ad.div(ad.mul(ad.artanh(n), u), n)
+        uv = ad.values_of(u)
+        sq = (uv * uv).sum(axis=1, keepdims=True)
+        self._check_inside(self.c * sq, "logmap0")
+        return self._rescale_rows(
+            u, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
+            lambda n, s: 1.0 / (1.0 - np.minimum(n, ad.ARTANH_MAX) ** 2))
 
     def mobius_matvec(self, W, u):
         """Hyperbolic matrix multiply: exp0(log0(u) @ W^T) for W of shape (out, in)."""

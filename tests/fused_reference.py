@@ -1,0 +1,98 @@
+"""The Poincare maps, the geodesic similarity, the InfoNCE row and Adam as
+they were written before they were fused, kept as the test reference.
+
+Each map is a chain of autodiff primitives, one tape node per primitive,
+and Adam loops over its parameters' own arrays. The fused versions in
+`dsgc.poincare`, `dsgc.losses._nce` and `dsgc.autodiff.Adam` must match
+these: the ops to 1e-12, Adam bit for bit.
+"""
+
+import numpy as np
+
+from dsgc import autodiff as ad
+from dsgc.errors import DomainError
+from dsgc.poincare import NORM_FLOOR
+
+
+def check_inside(ball, x, what):
+    v = ad.values_of(x)
+    sq = ball.c * (v * v).sum(axis=-1)
+    if (sq >= 1.0).any():
+        raise DomainError(f"{what}: point on/outside the ball, c*||x||^2 max = {sq.max():.6g}")
+
+
+def geodesic_similarity(ball, u, v):
+    check_inside(ball, u, "geodesic_similarity")
+    check_inside(ball, v, "geodesic_similarity")
+    if ball.c != 1.0:
+        u = ad.mul(u, ball.sqrt_c)
+        v = ad.mul(v, ball.sqrt_c)
+    du = ad.sub(u, v)
+    sq_dist = ad.asum(ad.mul(du, du), axis=1)
+    den = ad.mul(
+        ad.sub(1.0, ad.asum(ad.mul(u, u), axis=1)),
+        ad.sub(1.0, ad.asum(ad.mul(v, v), axis=1)),
+    )
+    arg = ad.add(1.0, ad.div(ad.mul(2.0, sq_dist), den))
+    length = ad.arcosh(arg)
+    if ball.c != 1.0:
+        length = ad.mul(length, 1.0 / ball.sqrt_c)
+    return ad.div(1.0, length)
+
+
+def expmap0(ball, t):
+    n = ad.clip_min(ad.rownorm(t), NORM_FLOOR)
+    if ball.sqrt_c != 1.0:
+        n = ad.mul(n, ball.sqrt_c)
+    out = ad.div(ad.mul(ad.tanh(n), t), n)
+    return ball.project(out)
+
+
+def logmap0(ball, u):
+    check_inside(ball, u, "logmap0")
+    n = ad.clip_min(ad.rownorm(u), NORM_FLOOR)
+    if ball.sqrt_c != 1.0:
+        n = ad.mul(n, ball.sqrt_c)
+    return ad.div(ad.mul(ad.artanh(n), u), n)
+
+
+def nce(s_pos, s_neg, temperature):
+    inv_t = 1.0 / temperature
+    sp = ad.mul(s_pos, inv_t)
+    row = ad.concat_cols([sp, ad.mul(s_neg, inv_t)])
+    m = ad.amax(row, axis=1)
+    lse = ad.log(ad.asum(ad.exp(ad.sub(row, m)), axis=1))
+    return ad.add(lse, ad.sub(m, sp))
+
+
+class LoopAdam:
+    """Adam with decoupled weight decay, one parameter array at a time."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p.values) for p in self.params]
+        self.v = [np.zeros_like(p.values) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if self.weight_decay:
+                p.values -= self.lr * self.weight_decay * p.values
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

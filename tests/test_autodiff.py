@@ -163,6 +163,21 @@ class TestBackwardSemantics:
         for node in (h, y, root):
             assert node.grad is None
 
+    def test_take_rows_equals_the_selector_matmul(self):
+        # a 0/1 selector matmul is exact, so the gather and its scatter-add
+        # VJP match it bit for bit, a repeated row included
+        rng = np.random.default_rng(0)
+        xv, rows = rng.standard_normal((5, 3)), np.array([4, 0, 2, 0])
+        x, y = ad.Tensor(xv.copy()), ad.Tensor(xv.copy())
+        got, want = ad.take_rows(x, rows), ad.matmul(np.eye(5)[rows], y)
+        assert np.array_equal(got.values, want.values)
+        g = rng.standard_normal((4, 3))
+        ad.backward(ad.asum(ad.mul(got, g)))
+        ad.backward(ad.asum(ad.mul(want, g)))
+        assert np.array_equal(x.grad, y.grad)
+        assert not x.grad[1].any() and not x.grad[3].any()
+        assert isinstance(ad.take_rows(xv, rows), np.ndarray)
+
 
 class TestGuardsAndErrors:
     def test_matmul_shape_error(self):

@@ -22,6 +22,7 @@ from dsgc import autodiff as ad
 from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
+TENSORS_PER_STEP = 66  # the traced child's autodiff.tensors_per_step on the tiny set
 
 WRAPPED = [
     "experiment.train_step",
@@ -95,3 +96,5 @@ def test_traced_benchmark_child_runs_on_a_tiny_set(tmp_path):
     assert out["error"] is None, out["error"]
     assert out["steps"] > 0 and out["nonfinite_steps"] == 0
     assert out["layers"]["encoders.view_nodes_per_step"] > 0
+    # every step builds the same tape, so the count repeats exactly
+    assert out["layers"]["autodiff.tensors_per_step"] <= TENSORS_PER_STEP

@@ -195,7 +195,7 @@ class TestTrain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "fold 0" in err and "epoch" in err
-        assert "project: row" in err  # the DomainError that ended the fold
+        assert "expmap0: row" in err  # the DomainError that ended the fold
         # manifest precedes training; no result files exist
         assert (out / "manifest.json").exists()
         assert not (out / "folds.csv").exists()

@@ -252,10 +252,10 @@ class TestRunExperiment:
         ds = synthetic_dataset()
         ds = dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
         cfg = ExperimentConfig(**{**FAST, "learning_rate": 1e200, "folds": 2})
-        with pytest.raises(TrainingDivergedError, match="project: row") as err, \
+        with pytest.raises(TrainingDivergedError, match="expmap0: row") as err, \
                 fold_pool(2) as pool:
             run_experiment(cfg, dataset=ds, pool=pool)
-        assert err.value.detail.startswith("project: row")
+        assert err.value.detail.startswith("expmap0: row")
 
     def test_divergence_message_names_its_cause(self):
         plain = TrainingDivergedError(2, 5)
