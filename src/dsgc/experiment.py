@@ -6,10 +6,12 @@ capped at the pool) is labeled; every other graph — test graphs included —
 participates unlabeled in the contrastive terms. One epoch gives each
 labeled graph one batch as anchor, with batch_size - 1 unlabeled graphs
 drawn round-robin from a seeded ordering of the unlabeled pool. Views are
-resampled once per epoch per graph (cached within the epoch), with seeds
-derived from (base seed, fold, epoch, graph index, space), so reruns are
-bit-identical. Test accuracy is the argmax rule over the predictor's
-sigmoid vector, evaluated on the full graph rather than a sampled view.
+resampled once per epoch per graph: the epoch's batches are built before
+its first step, and each space's first view request samples every graph
+they touch in one batched sampler call. Seeds are derived from (base seed,
+fold, epoch, graph index, space), so reruns are bit-identical. Test
+accuracy is the argmax rule over the predictor's sigmoid vector, evaluated
+on the full graph rather than a sampled view.
 
 Folds are independent; given a `fold_pool`, they train in its worker
 processes, one BLAS thread each.
@@ -232,32 +234,45 @@ class MetricsRecord:
 
 
 class _EpochViews:
-    """Two views per graph per epoch, cached; seeds derived per
-    (base seed, fold, epoch, graph, space) so every rerun resamples
-    identically."""
+    """Two views per graph per epoch, seeded per (base seed, fold, epoch,
+    graph, space) so every rerun resamples identically.
 
-    def __init__(self, cfg, gid_of, fold):
+    `plan` names the graphs the epoch's batches touch. Nothing is sampled
+    until a space's first view request of the epoch; that request samples
+    every planned graph of the space in one batched sampler call, and the
+    views are cached for the rest of the epoch. A graph outside the plan is
+    sampled as a batch of one when it is first asked for.
+    """
+
+    def __init__(self, cfg, graphs, fold):
         self._cfg = cfg
-        self._gid_of = gid_of
+        self._graphs = graphs
+        self._gid_of = {id(g): i for i, g in enumerate(graphs)}
         self._fold = fold
         self._epoch = 0
-        self._cache = {}
+        self._plan = set()
+        self._cache = ({}, {})
 
     def set_epoch(self, epoch):
         self._epoch = epoch
-        self._cache.clear()
+        self._plan = set()
+        self._cache = ({}, {})
+
+    def plan(self, gids):
+        """The graph ids this epoch's batches touch, sampled together."""
+        self._plan = set(gids)
 
     def _view(self, g, space, rate, sampler):
-        key = (id(g), space)
-        view = self._cache.get(key)
-        if view is None:
-            seed = derive_seed(
-                "view", self._cfg.seed, self._fold, self._epoch,
-                self._gid_of[id(g)], space,
-            )
-            view = sampler(g, SamplerConfig(rate=rate, seed=seed))
-            self._cache[key] = view
-        return view
+        cache, gid = self._cache[space], self._gid_of[id(g)]
+        if gid not in cache:
+            ids = [gid] if cache else sorted(self._plan | {gid})
+            cfgs = [
+                SamplerConfig(rate, derive_seed(
+                    "view", self._cfg.seed, self._fold, self._epoch, i, space))
+                for i in ids
+            ]
+            cache.update(zip(ids, sampler([self._graphs[i] for i in ids], cfgs)))
+        return cache[gid]
 
     def euclidean_view(self, g):
         return self._view(g, 0, self._cfg.alpha_e, diffusion_sample)
@@ -312,10 +327,10 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
     loss_cfg = LossConfig(
         temperature=cfg.temperature, lambda_u=cfg.lambda_u, omega=cfg.omega
     )
-    views = _EpochViews(cfg, {id(g): i for i, g in enumerate(graphs)}, fold)
+    views = _EpochViews(cfg, graphs, fold)
     pool = np.random.default_rng(derive_seed("pool", cfg.seed, fold)).permutation(
         split.unlabeled
-    )
+    ).tolist()
     negatives = cfg.batch_size - 1
     pos = 0
     trace = np.zeros((cfg.epochs, 3))
@@ -323,10 +338,14 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
         views.set_epoch(epoch)
         order = split.labeled.copy()
         np.random.default_rng(derive_seed("sched", cfg.seed, fold, epoch)).shuffle(order)
-        sums = np.zeros(3)
-        for anchor in order:
-            chosen = [int(pool[(pos + j) % len(pool)]) for j in range(negatives)]
+        batches = []
+        for anchor in order.tolist():
+            batches.append([anchor] + [pool[(pos + j) % len(pool)] for j in range(negatives)])
             pos += negatives
+        # with omega == 0 a step views only its labeled anchor
+        views.plan(i for batch in batches for i in (batch if cfg.omega else batch[:1]))
+        sums = np.zeros(3)
+        for anchor, *chosen in batches:
             batch = Batch(
                 labeled=graphs[anchor],
                 unlabeled=[graphs[i] for i in chosen],

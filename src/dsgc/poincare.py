@@ -31,7 +31,9 @@ the chain of autodiff primitives would compute them:
     `project`, which keeps floating-point drift strictly inside the ball;
   * a row that is not finite, or not strictly inside the ball where a
     point is expected, raises one DomainError naming the op and the row,
-    before any arithmetic that could warn.
+    before any arithmetic that could warn; a finite row whose squared norm
+    overflows is squared with numpy's overflow warning off, so it reaches
+    that check as an infinite norm.
 The Mobius operations are compositions of these nodes.
 """
 
@@ -86,7 +88,8 @@ class PoincareBall:
         """The (n, 1) factors that pull rows with norm > max_norm back onto
         that radius, or None when every row is within it. A row whose norm
         is not finite (inf, NaN, overflow) raises DomainError."""
-        norms = np.linalg.norm(xv, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+            norms = np.linalg.norm(xv, axis=1, keepdims=True)
         if (norms <= self.max_norm).all():
             return None
         _reject(np.isfinite(norms), lambda i: f"{op}: row {i} has a non-finite norm {norms[i, 0]}")
@@ -115,10 +118,11 @@ class PoincareBall:
         1/arcosh(1 + 1e-12) ~= 1/sqrt(2e-12).
         """
         uv, vv = ad.values_of(u), ad.values_of(v)
-        if self.c != 1.0:
-            uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
-        su = (uv * uv).sum(axis=1, keepdims=True)
-        sv = (vv * vv).sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowed row is rejected below
+            if self.c != 1.0:
+                uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
+            su = (uv * uv).sum(axis=1, keepdims=True)
+            sv = (vv * vv).sum(axis=1, keepdims=True)
         self._check_inside(su, "geodesic_similarity", " of u")
         self._check_inside(sv, "geodesic_similarity", " of v")
         try:
@@ -177,15 +181,18 @@ class PoincareBall:
     def expmap0(self, t):
         """Map a tangent vector at the origin into the ball (rows independently)."""
         tv = ad.values_of(t)
-        r = np.sqrt((tv * tv).sum(axis=1, keepdims=True))
+        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+            r = np.sqrt((tv * tv).sum(axis=1, keepdims=True))
         _reject(np.isfinite(r), lambda i: f"expmap0: row {i} has a non-finite norm {r[i, 0]}")
         return self._rescale_rows(t, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
 
     def logmap0(self, u):
         """Map a ball point back to the origin tangent space (inverse of expmap0)."""
         uv = ad.values_of(u)
-        sq = (uv * uv).sum(axis=1, keepdims=True)
-        self._check_inside(self.c * sq, "logmap0")
+        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+            sq = (uv * uv).sum(axis=1, keepdims=True)
+            csq = self.c * sq
+        self._check_inside(csq, "logmap0")
         return self._rescale_rows(
             u, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
             lambda n, s: 1.0 / (1.0 - np.minimum(n, ad.ARTANH_MAX) ** 2))

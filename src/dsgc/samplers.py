@@ -6,22 +6,34 @@ with ids remapped to 0..|S|-1 (insertion order; `orig_ids` keeps the map
 back into the parent graph). Growth is via adjacency, so outputs are
 always connected.
 
+Each sampler takes a list of graphs and a matching list of SamplerConfigs
+and returns the list of views; a single Graph with a single config is a
+batch of one and returns one view. A call builds one CSR adjacency over
+the batch's disjoint union and grows every graph's S in lockstep, one node
+per graph per pass while any graph is below its target size, with all
+bookkeeping in arrays over the union. Every view is then cut from the
+union in one pass. Each graph draws from its own generator, seeded by its
+config, so a view does not depend on the batch it is drawn in.
+
   * diffusion_sample: frontier diffusion — repeatedly pick a uniform-random
     member of S that still has an outside neighbor, then a uniform-random
     such neighbor. Produces an unbiased "skeleton" view. It keeps, per
-    node, the count of its neighbors outside S (degree at the start, one
-    less for each neighbor that joins S), so the eligible members are one
-    mask over the first k entries of the insertion order: O(k + deg) per
-    growth step.
+    node, the count of its neighbors outside S, so the eligible members of
+    the graphs still growing are one mask over their (graphs, k) member
+    matrix, and the drawn one is found by a cumulative count. The two
+    draws of a growth step stay per graph, since each bound depends on
+    that graph's state; a draw with bound 1 is skipped, because it
+    consumes no generator state.
   * community_expansion_sample: greedy structure expansion — among the
     candidate neighbors of S, add the one with the most neighbors outside
     S and the candidate set. Only the start node is random; the growth
     itself is deterministic. Produces a hierarchy-flavored view. It keeps
     a candidate mask, a mask of the nodes not yet counted (neither in S
     nor candidates) and, per node, the count of its uncounted neighbors
-    (one less for each neighbor that becomes counted), and picks with one
-    argmax over the candidates' counts: O(n + deg) per step. Ties go to
-    argmax's first index, the smallest original id.
+    (one less for each neighbor that becomes counted). Each graph's pick
+    is a segmented argmax over its candidates' counts: the maximum per
+    graph by np.maximum.reduceat, then the first node at it by
+    np.minimum.reduceat, so ties go to the smallest original id.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Graph, canonical_edges
+from .data import Graph
 from .errors import ContractError
 
 
@@ -47,68 +59,155 @@ class SamplerConfig:
         return max(1, int(round(self.rate * n)))
 
 
-def _require_connected(g, who):
+def _require_connected(g, who, index=None):
     if not g.is_connected():
-        raise ContractError(f"{who}: graph must be connected (filter the dataset first)")
+        where = "" if index is None else f" (batch index {index})"
+        raise ContractError(f"{who}: graph must be connected (filter the dataset first){where}")
+
+
+class _Union:
+    """The disjoint union of a batch of graphs: graph i's nodes are
+    starts[i] .. starts[i] + n_i - 1, `edges` its canonical edge rows graph
+    after graph, and a CSR adjacency with each node's neighbors sorted."""
+
+    def __init__(self, graphs):
+        self.graphs = graphs
+        self.sizes = np.array([g.n for g in graphs], dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.n = n = int(self.sizes.sum())
+        self.edge_counts = [g.num_edges for g in graphs]
+        self.edges = (np.concatenate([g.edges for g in graphs])
+                      + np.repeat(self.starts, self.edge_counts)[:, None])
+        a, b = self.edges.T
+        keys = np.sort(np.concatenate([a * n + b, b * n + a]))
+        self.nbr = keys % n
+        self.degrees = np.bincount(keys // n, minlength=n)
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+
+    def neighbors(self, nodes):
+        """The neighbors of `nodes`, node after node, and for each the
+        position of its node in `nodes`."""
+        lo = self.indptr[nodes]
+        lens = self.indptr[nodes + 1] - lo
+        pos = np.repeat(np.arange(len(nodes)), lens)
+        return self.nbr[np.arange(len(pos)) + (lo - (np.cumsum(lens) - lens))[pos]], pos
+
+    def cut(self, order, sizes):
+        """Each graph's node-induced view on its slice of `order` (union
+        ids, view after view, sizes[i] for graph i), numbered in that order."""
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        sub = local[self.edges]
+        keep = (sub >= 0).all(axis=1)
+        view = np.repeat(np.arange(len(sizes)), self.edge_counts)[keep]
+        lo, hi = sub[keep].min(axis=1), sub[keep].max(axis=1)
+        width = int(sizes.max())
+        rows = np.argsort((view * width + lo) * width + hi)
+        edges = np.split(np.stack([lo[rows], hi[rows]], axis=1),
+                         np.cumsum(np.bincount(view, minlength=len(sizes)))[:-1])
+        ids = np.split(order - np.repeat(self.starts, sizes), np.cumsum(sizes)[:-1])
+        return [
+            Graph(n=len(o), edges=e, label=g.label, orig_ids=o,
+                  features=g.features[o] if g.features is not None else None)
+            for g, o, e in zip(self.graphs, ids, edges)
+        ]
 
 
 def induced_subgraph(g, order):
     """Node-induced sub-graph on `order` (kept as the new node numbering)."""
     order = np.asarray(order, dtype=np.int64)
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    sub = remap[g.edges]
-    edges = canonical_edges(sub[(sub >= 0).all(axis=1)], len(order))
-    feats = g.features[order] if g.features is not None else None
-    return Graph(n=len(order), edges=edges, features=feats, label=g.label, orig_ids=order)
+    return _Union([g]).cut(order, np.array([len(order)]))[0]
 
 
-def diffusion_sample(g, cfg):
-    _require_connected(g, "diffusion_sample")
-    rng = np.random.default_rng(cfg.seed)
-    target = cfg.target_size(g.n)
-    adj = g.neighbors()
-    free = np.ones(g.n, dtype=bool)        # outside S
-    outside = g.degrees()                  # neighbors outside S, per node
-    order = np.empty(target, dtype=np.int64)
-    v = rng.integers(g.n)
-    for k in range(target):
+def _sample(graphs, cfgs, who, grow):
+    """The views of one sampler call; a lone Graph and config are a batch of
+    one. `grow(union, targets, rngs)` returns the (graphs, largest target)
+    matrix of insertion orders."""
+    single = isinstance(graphs, Graph)
+    graphs, cfgs = ([graphs], [cfgs]) if single else (list(graphs), list(cfgs))
+    if len(graphs) != len(cfgs):
+        raise ContractError(f"{who}: {len(graphs)} graphs but {len(cfgs)} sampler configs")
+    for i, g in enumerate(graphs):
+        _require_connected(g, who, None if single else i)
+    if not graphs:
+        return []
+    union = _Union(graphs)
+    targets = np.array([c.target_size(g.n) for g, c in zip(graphs, cfgs)], dtype=np.int64)
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    order = grow(union, targets, rngs)
+    views = union.cut(order[np.arange(order.shape[1]) < targets[:, None]], targets)
+    return views[0] if single else views
+
+
+def _draws(rngs, graphs, bounds):
+    """One draw below each bound from each graph's generator; a bound of 1
+    gives 0 without a call, as numpy consumes no state for it."""
+    return np.array([rngs[i].integers(b) if b > 1 else 0
+                     for i, b in zip(graphs.tolist(), bounds.tolist())], dtype=np.int64)
+
+
+def _start_nodes(union, rngs):
+    return union.starts + [rng.integers(g.n) for rng, g in zip(rngs, union.graphs)]
+
+
+def _grow_diffusion(union, targets, rngs):
+    free = np.ones(union.n, dtype=bool)    # outside S
+    outside = union.degrees.copy()         # neighbors outside S, per node
+    order = np.empty((len(targets), targets.max()), dtype=np.int64)
+    active = np.arange(len(targets))
+    v = _start_nodes(union, rngs)
+    for k in range(order.shape[1]):
         if k:
-            members = order[:k]
-            eligible = members[outside[members] > 0]
-            nb = adj[eligible[rng.integers(len(eligible))]]
-            out = nb[free[nb]]
-            v = out[rng.integers(len(out))]
-        order[k] = v
+            active = np.flatnonzero(targets > k)
+            members = order[active, :k]
+            eligible = outside[members] > 0
+            r = _draws(rngs, active, eligible.sum(axis=1))
+            # the r-th eligible member is the one with r eligible before it
+            at = (eligible.cumsum(axis=1) <= r[:, None]).sum(axis=1)
+            nb, pos = union.neighbors(members[np.arange(len(active)), at])
+            out = free[nb]
+            nb, counts = nb[out], np.bincount(pos[out], minlength=len(active))
+            v = nb[np.cumsum(counts) - counts + _draws(rngs, active, counts)]
+        order[active, k] = v
         free[v] = False
-        outside[adj[v]] -= 1
-    return induced_subgraph(g, order)
+        outside[union.neighbors(v)[0]] -= 1  # one node per graph: no repeats
+    return order
 
 
-def community_expansion_sample(g, cfg):
-    _require_connected(g, "community_expansion_sample")
-    rng = np.random.default_rng(cfg.seed)
-    target = cfg.target_size(g.n)
-    adj = g.neighbors()
-    uncounted = np.ones(g.n, dtype=bool)   # neither a member nor a candidate
-    candidate = np.zeros(g.n, dtype=bool)
-    gain = g.degrees()                     # uncounted neighbors, per node
-    order = np.empty(target, dtype=np.int64)
-    best = rng.integers(g.n)
+def _grow_community(union, targets, rngs):
+    uncounted = np.ones(union.n, dtype=bool)   # neither a member nor a candidate
+    candidate = np.zeros(union.n, dtype=bool)
+    gain = union.degrees.copy()                # uncounted neighbors, per node
+    order = np.empty((len(targets), targets.max()), dtype=np.int64)
+    node = np.arange(union.n)
+    graph_of = np.repeat(np.arange(len(targets)), union.sizes)
+    best = _start_nodes(union, rngs)
     uncounted[best] = False
-    gain[adj[best]] -= 1
-    for k in range(target):
+    gain[union.neighbors(best)[0]] -= 1
+    for k in range(order.shape[1]):
+        active = np.flatnonzero(targets > k)
         if k:
-            best = np.where(candidate, gain, -1).argmax()
-        order[k] = best
+            score = np.where(candidate, gain, -1)
+            top = np.maximum.reduceat(score, union.starts)
+            first = np.minimum.reduceat(np.where(score == top[graph_of], node, union.n),
+                                        union.starts)
+            best = first[active]
+        order[active, k] = best
         candidate[best] = False
-        nb = adj[best]
+        nb = union.neighbors(best)[0]
         fresh = nb[uncounted[nb]]
         candidate[fresh] = True
         uncounted[fresh] = False
-        for w in fresh.tolist():
-            gain[adj[w]] -= 1
-    return induced_subgraph(g, order)
+        gain -= np.bincount(union.neighbors(fresh)[0], minlength=union.n)
+    return order
+
+
+def diffusion_sample(graphs, cfgs):
+    return _sample(graphs, cfgs, "diffusion_sample", _grow_diffusion)
+
+
+def community_expansion_sample(graphs, cfgs):
+    return _sample(graphs, cfgs, "community_expansion_sample", _grow_community)
 
 
 def check_view(g, view, cfg):

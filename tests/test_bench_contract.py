@@ -96,5 +96,10 @@ def test_traced_benchmark_child_runs_on_a_tiny_set(tmp_path):
     assert out["error"] is None, out["error"]
     assert out["steps"] > 0 and out["nonfinite_steps"] == 0
     assert out["layers"]["encoders.view_nodes_per_step"] > 0
+    # the provider samples each space once per fold-epoch through the wrapped
+    # globals; sampling around them would leave these spans reading 0
+    passes = spec["config"]["folds"] * spec["config"]["epochs"]
+    assert out["layers"]["samplers.diffusion.calls"] == passes
+    assert out["layers"]["samplers.community.calls"] == passes
     # every step builds the same tape, so the count repeats exactly
     assert out["layers"]["autodiff.tensors_per_step"] <= TENSORS_PER_STEP

@@ -17,6 +17,7 @@ from dsgc.encoders import EUCLIDEAN, GraphEmbedding, predict
 from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
     DEFAULT_SWEEP_DIMS,
+    _EpochViews,
     ExperimentConfig,
     MetricsRecord,
     _build_model,
@@ -32,6 +33,7 @@ from dsgc.experiment import (
     write_results,
     write_sweep_csv,
 )
+from dsgc.samplers import SamplerConfig, community_expansion_sample, diffusion_sample
 
 FAST = dict(
     dataset="RINGS", epochs=2, hidden_dim=4, num_layers=2, batch_size=3,
@@ -289,6 +291,94 @@ class TestRunExperiment:
         assert counts == [1, 1, 1, 1]
 
 
+def featured_rings():
+    ds = synthetic_dataset()
+    return dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
+
+
+def same_view(a, b):
+    return a.n == b.n and a.label == b.label and all(
+        np.array_equal(x, y)
+        for x, y in ((a.orig_ids, b.orig_ids), (a.edges, b.edges), (a.features, b.features))
+    )
+
+
+class TestEpochViews:
+    CFG = ExperimentConfig(**FAST)
+    SPACES = [("euclidean_view", 0, "alpha_e", diffusion_sample),
+              ("hyperbolic_view", 1, "alpha_h", community_expansion_sample)]
+
+    def seeded(self, ds, gid, fold, epoch, space, cfg=CFG):
+        _, _, rate, sampler = self.SPACES[space]
+        seed = derive_seed("view", cfg.seed, fold, epoch, gid, space)
+        return sampler(ds.graphs[gid], SamplerConfig(getattr(cfg, rate), seed))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Batch sizes of every sampler call the provider makes, by sampler."""
+        calls = {"diffusion_sample": [], "community_expansion_sample": []}
+        for name, sizes in calls.items():
+            def counted(graphs, cfgs, real=getattr(experiment, name), sizes=sizes):
+                sizes.append(len(graphs))
+                return real(graphs, cfgs)
+            monkeypatch.setattr(experiment, name, counted)
+        return calls
+
+    def test_served_views_are_the_seeded_samples(self, monkeypatch):
+        ds, cfg, fold = featured_rings(), self.CFG.replace(epochs=1), 1
+        gid_of = {id(g): i for i, g in enumerate(ds.graphs)}
+        served = []
+        for name, space, _, _ in self.SPACES:
+            def serve(views, g, real=getattr(_EpochViews, name), space=space):
+                view = real(views, g)
+                served.append((gid_of[id(g)], space, view))
+                return view
+            monkeypatch.setattr(_EpochViews, name, serve)
+        _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[fold], fold)
+        assert {space for _, space, _ in served} == {0, 1}
+        for gid, space, view in served:
+            assert same_view(view, self.seeded(ds, gid, fold, 0, space, cfg))
+
+    def test_set_epoch_and_plan_sample_nothing(self, monkeypatch):
+        ds, calls = featured_rings(), self.count_calls(monkeypatch)
+        views = _EpochViews(self.CFG, ds.graphs, 0)
+        views.set_epoch(3)
+        views.plan(range(len(ds.graphs)))
+        assert calls == {"diffusion_sample": [], "community_expansion_sample": []}
+        views.euclidean_view(ds.graphs[2])
+        views.euclidean_view(ds.graphs[5])
+        assert calls == {"diffusion_sample": [len(ds.graphs)], "community_expansion_sample": []}
+
+    @pytest.mark.parametrize("omega", [0.01, 0.0])
+    def test_a_fold_epoch_makes_one_call_per_space(self, monkeypatch, omega):
+        ds, calls = featured_rings(), self.count_calls(monkeypatch)
+        cfg = self.CFG.replace(omega=omega)
+        split = split_folds(ds, cfg)[0]
+        _train_fold(cfg, ds.graphs, ds.num_classes, split, 0)
+        assert len(calls["diffusion_sample"]) == cfg.epochs
+        # with omega == 0 a step views only its labeled anchor, in one space
+        if omega:
+            assert len(calls["community_expansion_sample"]) == cfg.epochs
+        else:
+            assert calls["community_expansion_sample"] == []
+            assert calls["diffusion_sample"] == [len(split.labeled)] * cfg.epochs
+
+    def test_a_graph_outside_the_plan_gets_its_seeded_view(self, monkeypatch):
+        ds, calls = featured_rings(), self.count_calls(monkeypatch)
+        views = _EpochViews(self.CFG, ds.graphs, 2)
+        views.set_epoch(1)
+        views.plan([0, 1, 2])
+        views.hyperbolic_view(ds.graphs[1])
+        outside = views.hyperbolic_view(ds.graphs[7])
+        assert calls["community_expansion_sample"] == [3, 1]
+        assert same_view(outside, self.seeded(ds, 7, 2, 1, 1))
+        # an outsider asked for first joins the space's one pass
+        first = views.euclidean_view(ds.graphs[9])
+        views.euclidean_view(ds.graphs[0])
+        assert calls["diffusion_sample"] == [4]
+        assert same_view(first, self.seeded(ds, 9, 2, 1, 0))
+
+
 def _blas_threads():
     fn = openblas_function("get_num_threads")
     fn.argtypes, fn.restype = [], ctypes.c_int
@@ -341,8 +431,7 @@ def sparse_graphs(sizes, seed=0):
 class TestBatchedEvaluation:
     @pytest.fixture
     def rings(self):
-        ds = synthetic_dataset()
-        return dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
+        return featured_rings()
 
     @pytest.mark.parametrize("rows", [None, 16])
     @pytest.mark.parametrize("kind", ["gat", "gcn", "gin", "graphsage"])

@@ -1,6 +1,7 @@
 """Ball geometry tests: worked values, inverses, containment, gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ class TestProjection:
             ball.project(Tensor([[0.1, 0.2], row]))
         with pytest.raises(DomainError, match="project: row 0 "):
             ball.project(np.array([row]))
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("op", ["expmap0", "logmap0", "project", "geodesic_similarity"])
+def test_overflowing_finite_row_raises_domain_error_before_numpy_warns(op, c):
+    # squaring 1e200 overflows; the op must name the row, not warn first
+    ball, row = PoincareBall(c), Tensor([[1e200, 0.0]])
+    call = {
+        "expmap0": lambda: ball.expmap0(row),
+        "logmap0": lambda: ball.logmap0(row),
+        "project": lambda: ball.project(row),
+        "geodesic_similarity": lambda: ball.geodesic_similarity(row, Tensor([[0.0, 0.0]])),
+    }[op]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{op}: row 0 "):
+            call()
 
 
 class TestBallDomain:

@@ -1,7 +1,8 @@
 """Property tests: the row-stacked contrastive terms against per-graph
 references, ball identities across curvatures and widths, and the sampler
-invariants on random connected graphs, where the incremental samplers must
-draw exactly the views of the quadratic ones kept here as the reference."""
+invariants on random connected graphs, where the batched samplers must
+draw exactly the views of the quadratic ones kept here as the reference,
+for single graphs and for every graph of a mixed batch."""
 
 import numpy as np
 import pytest
@@ -255,13 +256,16 @@ SAMPLER_PAIRS = [
 ]
 
 
+def assert_same_view(got, want):
+    assert got.n == want.n and got.label == want.label
+    for a, b in ((got.orig_ids, want.orig_ids), (got.edges, want.edges),
+                 (got.features, want.features)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def assert_same_views(g, cfg):
     for sample, reference in SAMPLER_PAIRS:
-        got, want = sample(g, cfg), reference(g, cfg)
-        assert got.n == want.n
-        for a, b in ((got.orig_ids, want.orig_ids), (got.edges, want.edges),
-                     (got.features, want.features)):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_view(sample(g, cfg), reference(g, cfg))
 
 
 def star(leaves, hub):
@@ -299,3 +303,27 @@ class TestIncrementalSamplers:
             assert ids.tolist() == ([start] + leaves if start == 4 else [start, 4] + leaves)[:6]
             starts.add(start)
         assert 4 in starts and len(starts) > 2
+
+
+rates = st.floats(0.0, 1.0, exclude_min=True)
+ONE_NODE = Graph(n=1, edges=np.empty((0, 2)))
+
+
+class TestBatchedSamplers:
+    # every view of a lockstep batch must be the quadratic reference's view of
+    # its graph alone; draws of bound 1 that the batch skips must not shift
+    # any later draw
+    @PROPERTY
+    @given(batch=st.lists(st.tuples(connected_graphs(), rates, seeds), min_size=1, max_size=6))
+    @example(batch=[(ONE_NODE, 0.5, 3), (star(7, hub=4), 0.75, 1), (ONE_NODE, 1.0, 0),
+                    (Graph(n=9, edges=[(i, i + 1) for i in range(8)]), 1.0, 5)])
+    def test_batch_views_equal_the_quadratic_reference(self, batch):
+        graphs = [synthesize_features(g, cap=4) for g, _, _ in batch]
+        cfgs = [SamplerConfig(rate=rate, seed=seed) for _, rate, seed in batch]
+        for sample, reference in SAMPLER_PAIRS:
+            views = sample(graphs, cfgs)
+            assert len(views) == len(graphs)
+            for g, cfg, view in zip(graphs, cfgs, views):
+                want = reference(g, cfg)
+                assert_same_view(view, want)
+                assert_same_view(sample([g], [cfg])[0], want)

@@ -1,4 +1,5 @@
-"""Sampler behavior: size, connectivity, induced completeness, determinism."""
+"""Sampler behavior: size, connectivity, induced completeness, determinism,
+and the batch contract (errors, lengths, views independent of the batch)."""
 
 import numpy as np
 import pytest
@@ -105,6 +106,44 @@ class TestSamplerContracts:
             g = random_connected_graph(rng)
             cfg = SamplerConfig(rate=float(rng.uniform(0.1, 1.0)), seed=trial)
             check_view(g, sample(g, cfg), cfg)
+
+
+class TestBatchContract:
+    PATH = Graph(n=3, edges=[(0, 1), (1, 2)])
+    SPLIT = Graph(n=4, edges=[(0, 1), (2, 3)])
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_disconnected_graph_is_named_by_its_batch_index(self, sample):
+        cfg = SamplerConfig(rate=0.5, seed=0)
+        with pytest.raises(ContractError) as one:
+            sample(self.SPLIT, cfg)
+        assert str(one.value) == (f"{sample.__name__}: graph must be connected "
+                                  f"(filter the dataset first)")
+        with pytest.raises(ContractError) as batch:
+            sample([self.PATH, self.SPLIT, self.PATH, self.SPLIT], [cfg] * 4)
+        assert str(batch.value) == f"{one.value} (batch index 1)"
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_lengths_must_match(self, sample):
+        with pytest.raises(ContractError, match="2 graphs but 1 sampler configs"):
+            sample([self.PATH, self.PATH], [SamplerConfig(rate=0.5)])
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_empty_batch_gives_no_views(self, sample):
+        assert sample([], []) == []
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_a_view_does_not_depend_on_its_batch(self, sample):
+        rng = np.random.default_rng(9)
+        graphs = [synthesize_features(random_connected_graph(rng), cap=6) for _ in range(12)]
+        cfgs = [SamplerConfig(rate=float(rng.uniform(0.1, 1.0)), seed=s) for s in range(12)]
+        for g, cfg, view in zip(graphs, cfgs, sample(graphs, cfgs)):
+            alone = sample(g, cfg)
+            check_view(g, view, cfg)
+            assert view.label == alone.label
+            for a, b in ((view.orig_ids, alone.orig_ids), (view.edges, alone.edges),
+                         (view.features, alone.features)):
+                assert np.array_equal(a, b)
 
 
 class TestInducedSubgraph:
