@@ -26,7 +26,7 @@ grouped so that the all-equal-scores case yields ln(N+1) exactly. Each
 block of terms is one tape node with a closed-form VJP (`_nce`), and each
 similarity call and exp0 map is one node too (see `poincare`). The
 supervised loss is binary cross-entropy summed over classes, matching the
-predictor's elementwise-sigmoid output.
+predictor's elementwise-sigmoid output; it and the total are one node each.
 """
 
 from __future__ import annotations
@@ -156,27 +156,51 @@ def info_nce_unlabeled(h_u_hyp, h_u_e2h, h_l_hyp, ball, cfg):
 
 
 def supervised_loss(p, label):
-    """Binary cross-entropy summed over classes against the one-hot target."""
-    k = p.shape[1]
+    """Binary cross-entropy summed over classes against the one-hot target,
+    as one tape node.
+
+    The label's probability and every other class's complement 1 - p are
+    floored at BCE_PROB_FLOOR before the log; no gradient passes a floored
+    entry.
+    """
+    pv = ad.values_of(p)
+    k = pv.shape[1]
     if not (0 <= label < k):
         raise ContractError(f"label {label} outside [0, {k})")
-    y = np.zeros((1, k))
-    y[0, label] = 1.0
-    pos = ad.mul(y, ad.log(ad.clip_min(p, BCE_PROB_FLOOR)))
-    neg = ad.mul(1.0 - y, ad.log(ad.clip_min(ad.sub(1.0, p), BCE_PROB_FLOOR)))
-    return ad.neg(ad.asum(ad.add(pos, neg)))
+    hit = np.arange(k) == label
+    q = np.where(hit, pv, 1.0 - pv)
+    kept = np.maximum(q, BCE_PROB_FLOOR)
+
+    def vjp(g):
+        return (np.where(hit, -g, g) / kept * (q >= BCE_PROB_FLOOR),)
+
+    return ad.link((p,), -np.log(kept).sum(keepdims=True), vjp)
 
 
 def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
-    """sup + omega * (labeled + (lambda_u / N) * sum of unlabeled terms), where
-    unlabeled_nces lists columns of terms and N is their total row count."""
+    """sup + omega * (labeled + (lambda_u / N) * sum of unlabeled terms), as
+    one tape node, where unlabeled_nces lists columns of terms and N is
+    their total row count."""
     if not unlabeled_nces:
         raise ContractError("total_objective: need at least one unlabeled term")
     if cfg.omega == 0.0:
         return sup
-    terms = ad.concat_rows(unlabeled_nces)
-    contra = ad.add(labeled_nce, ad.mul(ad.asum(terms), cfg.lambda_u / terms.shape[0]))
-    return ad.add(sup, ad.mul(contra, cfg.omega))
+    parts = [ad.values_of(u) for u in unlabeled_nces]
+    try:
+        terms = np.concatenate(parts)
+    except ValueError:
+        shapes = [u.shape for u in parts]
+        raise ShapeError(f"total_objective: unlabeled term shapes {shapes}") from None
+    scale = cfg.lambda_u / terms.shape[0]
+    contra = ad.values_of(labeled_nce) + terms.sum(keepdims=True) * scale
+    v = ad.values_of(sup) + contra * cfg.omega
+
+    def vjp(g):
+        g_contra = g * cfg.omega
+        g_terms = g_contra * scale
+        return (g, g_contra, *(np.broadcast_to(g_terms, u.shape) for u in parts))
+
+    return ad.link((sup, labeled_nce, *unlabeled_nces), v, vjp)
 
 
 class ViewSampler:

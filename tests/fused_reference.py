@@ -1,16 +1,18 @@
-"""The Poincare maps, the geodesic similarity, the InfoNCE row and Adam as
-they were written before they were fused, kept as the test reference.
+"""The Poincare maps, the geodesic similarity, the InfoNCE row, the
+supervised loss, the total objective and Adam as they were written before
+they were fused, kept as the test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
-`dsgc.poincare`, `dsgc.losses._nce` and `dsgc.autodiff.Adam` must match
-these: the ops to 1e-12, Adam bit for bit.
+`dsgc.poincare`, `dsgc.losses` and `dsgc.autodiff.Adam` must match these:
+the ops to 1e-12, Adam bit for bit.
 """
 
 import numpy as np
 
 from dsgc import autodiff as ad
 from dsgc.errors import DomainError
+from dsgc.losses import BCE_PROB_FLOOR
 from dsgc.poincare import NORM_FLOOR
 
 
@@ -63,6 +65,22 @@ def nce(s_pos, s_neg, temperature):
     m = ad.amax(row, axis=1)
     lse = ad.log(ad.asum(ad.exp(ad.sub(row, m)), axis=1))
     return ad.add(lse, ad.sub(m, sp))
+
+
+def supervised_loss(p, label):
+    y = np.zeros((1, p.shape[1]))
+    y[0, label] = 1.0
+    pos = ad.mul(y, ad.log(ad.clip_min(p, BCE_PROB_FLOOR)))
+    neg = ad.mul(1.0 - y, ad.log(ad.clip_min(ad.sub(1.0, p), BCE_PROB_FLOOR)))
+    return ad.neg(ad.asum(ad.add(pos, neg)))
+
+
+def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
+    if cfg.omega == 0.0:
+        return sup
+    terms = ad.concat_rows(unlabeled_nces)
+    contra = ad.add(labeled_nce, ad.mul(ad.asum(terms), cfg.lambda_u / terms.shape[0]))
+    return ad.add(sup, ad.mul(contra, cfg.omega))
 
 
 class LoopAdam:

@@ -5,6 +5,10 @@ import dataclasses
 import json
 import os
 import pickle
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from dsgc.experiment import (
     derive_seed,
     evaluate_accuracy,
     fold_pool,
+    keep_freed_heap,
+    mallopt_function,
     openblas_function,
     run_experiment,
     split_folds,
@@ -39,6 +45,7 @@ FAST = dict(
     dataset="RINGS", epochs=2, hidden_dim=4, num_layers=2, batch_size=3,
     label_ratio=0.3, folds=4, learning_rate=1e-3, degree_cap=8,
 )
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfig:
@@ -289,6 +296,108 @@ class TestRunExperiment:
         with fold_pool(2) as pool:
             counts = [pool.submit(_blas_threads).result(timeout=60) for _ in range(4)]
         assert counts == [1, 1, 1, 1]
+
+
+needs_mallopt = pytest.mark.skipif(mallopt_function() is None,
+                                   reason="no mallopt resolves in this process")
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def heap_probe(rounds=5):
+    """Minor faults of each round of allocating eight 1 MiB arrays and
+    freeing them. Where glibc trims the freed top of the heap, every round
+    faults the 2048 pages in again."""
+    faults = []
+    for _ in range(rounds):
+        before = minor_faults()
+        arrays = [np.ones(1 << 17) for _ in range(8)]
+        del arrays
+        faults.append(minor_faults() - before)
+    return faults
+
+
+def train_then_probe():
+    """Train fold 0 of a tiny run in this process, then run the heap probe."""
+    ds = featured_rings()
+    cfg = ExperimentConfig(**{**FAST, "epochs": 1})
+    _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[0], 0)
+    return heap_probe()
+
+
+def steady_step_faults():
+    """Minor faults of each training step in the second epoch of fold 0
+    over ten cycle-plus-chord graphs of 100-140 nodes, the first step of
+    the epoch (which samples its views) left out."""
+    graphs = sparse_graphs((100, 140, 110, 130, 120, 105, 135, 115, 125, 128))
+    ds = dataclasses.replace(synthetic_dataset(), graphs=graphs)
+    cfg = ExperimentConfig(dataset="SPARSE", epochs=2, folds=5, label_ratio=0.8)
+    faults, real = [], experiment.train_step
+
+    def counted(*args):
+        before = minor_faults()
+        out = real(*args)
+        faults.append(minor_faults() - before)
+        return out
+
+    experiment.train_step = counted
+    try:
+        split = split_folds(ds, cfg)[0]
+        _train_fold(cfg, graphs, 2, split, 0)
+    finally:
+        experiment.train_step = real
+    return faults[len(split.labeled) + 1:]
+
+
+def in_fresh_interpreter(name):
+    """The JSON result of this module's function `name`, called in a new
+    Python process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+               OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    code = f"import json, test_experiment as t; print(json.dumps(t.{name}()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=str(ROOT),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@needs_mallopt
+class TestFreedHeap:
+    """Training pins glibc's trim and mmap thresholds, so memory a step
+    frees stays in the heap for the next step instead of being faulted in
+    again. The fault counts come from processes whose heap no other test
+    touched."""
+
+    def test_serial_training_keeps_freed_memory(self):
+        faults = in_fresh_interpreter("train_then_probe")
+        assert faults[-3:] == [0, 0, 0], faults
+
+    def test_fold_workers_keep_freed_memory(self):
+        with fold_pool(2) as pool:
+            faults = pool.submit(train_then_probe).result(timeout=120)
+        assert faults[-3:] == [0, 0, 0], faults
+
+    def test_steady_training_steps_fault_in_no_memory(self):
+        # Re-faulting a step's freed working memory (its operator stacks are
+        # about 1.2 MB) costs hundreds of faults in every step. What is left
+        # is at most one fault in a typical step, from memory glibc's
+        # malloc does not manage (CPython maps its frame-stack chunks
+        # itself), and now and then a step whose batch needs more heap than
+        # any before it, which faults in fresh pages once.
+        faults = in_fresh_interpreter("steady_step_faults")
+        assert len(faults) == 7
+        assert np.median(faults) <= 1, faults
+
+    def test_setting_is_a_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(experiment, "mallopt_function", lambda: None)
+        assert keep_freed_heap.__wrapped__() is False
+
+    def test_both_thresholds_are_accepted_once(self):
+        assert keep_freed_heap() is True
+        assert keep_freed_heap() is True
+        assert keep_freed_heap.cache_info().currsize == 1
 
 
 def featured_rings():

@@ -2,8 +2,9 @@
 (kept in fused_reference.py): expmap0, logmap0 and geodesic_similarity
 values and gradients to 1e-12 over interior rows, rows at the projection
 radius and past the artanh clamp, coincident rows and near-zero rows; the
-InfoNCE row likewise; finite differences for each; and the flat-buffer
-Adam bit for bit against the per-parameter loop."""
+InfoNCE row, the supervised loss and the total objective likewise; finite
+differences for each; and the flat-buffer Adam bit for bit against the
+per-parameter loop."""
 
 import warnings
 
@@ -13,8 +14,8 @@ import pytest
 import fused_reference as ref
 from dsgc import autodiff as ad
 from dsgc.autodiff import Adam, Tensor
-from dsgc.errors import ContractError, DomainError
-from dsgc.losses import _nce
+from dsgc.errors import ContractError, DomainError, ShapeError
+from dsgc.losses import BCE_PROB_FLOOR, LossConfig, _nce, supervised_loss, total_objective
 from dsgc.poincare import SIMILARITY_CAP, PoincareBall
 
 CURVATURES = [0.25, 1.0, 2.0]
@@ -147,6 +148,55 @@ class TestNce:
             assert (out.values == np.log(4.0)).all()
 
 
+# The label's probability above, at and below the floor, and the other
+# classes' complements 1 - p above, next to and below it from both sides:
+# 1 - p is a multiple of 2**-53 near 1, so no p puts it exactly at 1e-15.
+LABEL_P = [0.3, 1e-12, BCE_PROB_FLOOR, 1e-16, 0.0]
+OTHER_P = [0.6, 1.0 - 1e-12, 1.0 - 10 * 2.0 ** -53, 1.0 - 9 * 2.0 ** -53, 1.0]
+
+
+class TestSupervisedLoss:
+    @pytest.mark.parametrize("label", [0, 2])
+    @pytest.mark.parametrize("i", range(len(LABEL_P)))
+    def test_against_the_composite(self, label, i):
+        p = np.array([[OTHER_P[(i + j) % len(OTHER_P)] for j in range(4)]])
+        p[0, label] = LABEL_P[i]
+        compare(lambda x: supervised_loss(x, label), lambda x: ref.supervised_loss(x, label),
+                [p])
+
+    def test_floored_entries_pass_no_gradient(self):
+        p = Tensor([[1e-16, 1.0, BCE_PROB_FLOOR, 0.5]])
+        ad.backward(supervised_loss(p, 0))
+        assert p.grad[0, 0] == 0.0 and p.grad[0, 1] == 0.0
+        assert p.grad[0, 2] == 1.0 / (1.0 - BCE_PROB_FLOOR) and p.grad[0, 3] == 2.0
+
+
+class TestTotalObjective:
+    CONFIGS = [LossConfig(), LossConfig(lambda_u=0.5, omega=1.0),
+               LossConfig(lambda_u=0.0, omega=0.5), LossConfig(omega=0.0)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_against_the_composite(self, cfg):
+        rng = np.random.default_rng(8)
+        parts = [rng.uniform(0.5, 2.0, (1, 1)), rng.uniform(0.0, 3.0, (1, 1)),
+                 rng.uniform(0.0, 3.0, (3, 1)), rng.uniform(0.0, 3.0, (2, 1))]
+        out = compare(lambda s, l, *u: total_objective(s, l, list(u), cfg),
+                      lambda s, l, *u: ref.total_objective(s, l, list(u), cfg), parts)
+        assert (out._parents == ()) == (cfg.omega == 0.0)
+
+    def test_one_column_of_terms(self):
+        rng = np.random.default_rng(9)
+        cfg = LossConfig(omega=0.3)
+        compare(lambda s, l, u: total_objective(s, l, [u], cfg),
+                lambda s, l, u: ref.total_objective(s, l, [u], cfg),
+                [rng.uniform(0, 1, (1, 1)), rng.uniform(0, 1, (1, 1)), rng.uniform(0, 1, (7, 1))])
+
+    def test_terms_of_different_widths_are_rejected(self):
+        with pytest.raises(ShapeError, match="^total_objective: "):
+            total_objective(Tensor([[1.0]]), Tensor([[0.5]]),
+                            [Tensor(np.ones((2, 1))), Tensor(np.ones((2, 2)))], LossConfig())
+
+
 class TestFiniteDifferences:
     @pytest.mark.parametrize("c", CURVATURES)
     def test_ball_ops(self, c):
@@ -172,6 +222,19 @@ class TestFiniteDifferences:
         w = rng.standard_normal((3, 1))
         err = ad.finite_difference_gradcheck(
             lambda: ad.asum(ad.mul(_nce(s_pos, s_neg, 0.7), w)), [s_pos, s_neg], h=1e-6)
+        assert err < 1e-4
+
+
+    def test_supervised_loss(self):
+        p = Tensor([[0.2, 0.7, 0.4]])
+        assert ad.finite_difference_gradcheck(lambda: supervised_loss(p, 1), [p], h=1e-6) < 1e-4
+
+    def test_total_objective(self):
+        rng = np.random.default_rng(10)
+        leaves = [Tensor(rng.uniform(0, 2, shape)) for shape in [(1, 1), (1, 1), (3, 1), (2, 1)]]
+        cfg = LossConfig(lambda_u=0.7, omega=0.2)
+        err = ad.finite_difference_gradcheck(
+            lambda: total_objective(leaves[0], leaves[1], leaves[2:], cfg), leaves, h=1e-6)
         assert err < 1e-4
 
 
