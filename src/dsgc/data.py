@@ -24,8 +24,8 @@ class Graph:
     """An undirected graph with canonical (i < j, sorted, unique) edge rows.
 
     `orig_ids` maps local node ids back to the parent graph for sampled
-    sub-graphs; `cache` memoizes derived structure (adjacency lists,
-    connectivity) and never affects equality.
+    sub-graphs; `cache` memoizes derived structure (connectivity) and never
+    affects equality.
     """
 
     n: int
@@ -59,22 +59,7 @@ class Graph:
     def num_edges(self):
         return len(self.edges)
 
-    def neighbors(self):
-        """Adjacency list as a tuple of sorted int64 arrays (cached)."""
-        adj = self.cache.get("adj")
-        if adj is None:
-            a, b = self.edges.T
-            rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-            by_row = np.lexsort((cols, rows))
-            cuts = np.searchsorted(rows[by_row], np.arange(self.n + 1)).tolist()
-            cols = cols[by_row]
-            adj = tuple(cols[i:j] for i, j in zip(cuts, cuts[1:]))
-            self.cache["adj"] = adj
-        return adj
-
     def degrees(self):
-        if self.num_edges == 0:
-            return np.zeros(self.n, dtype=np.int64)
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_connected(self):

@@ -27,8 +27,9 @@ per layer whatever B is. The per-graph aggregation is one
 with one 3-D matmul and gathers the real rows back. Padding lives only
 inside that op, so GIN's bias never reaches a pad row and GAT's softmax
 never divides by a pad row's empty mask. The readout is one matmul with the
-constant (B, sum n_b) averaging matrix, giving one row per graph. A single
-Graph is a batch of one. The padded operator stack is built from the edges
+constant (B, sum n_b) averaging matrix, giving one row per graph. Only the
+entry points `encode_euclidean` and `encode_hyperbolic` also take a single
+Graph, as a batch of one. The padded operator stack is built from the edges
 once per batch and dies with it; nothing is cached across calls. Training
 encodes each space's views of a step as one batch, labeled view first.
 `experiment.evaluate_accuracy` sizes the evaluation batches.
@@ -203,11 +204,10 @@ class GraphEncoder:
             return ad.block_aggregate(X, batch.slots, ops, scores)
         return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
-    def layer_forward(self, H, graphs, layer):
+    def layer_forward(self, H, batch, layer):
         """One pre-activation layer pass of this encoder's kind over the
-        node rows H of `graphs` (a GraphBatch or one Graph)."""
+        node rows H of a GraphBatch."""
         self._check_width(H.shape[1], layer)
-        batch = _as_batch(graphs)
         p = self.layer_params[layer]
         k = self.kind
         if k in (EncoderKind.GCN, EncoderKind.GAT):
@@ -218,9 +218,8 @@ class GraphEncoder:
         h1 = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
         return ad.add(ad.matmul(h1, p["W2"]), p["b2"])
 
-    def node_embeddings(self, graphs):
+    def node_embeddings(self, batch):
         """relu-activated stack over the batch's row-stacked features."""
-        batch = _as_batch(graphs)
         H = batch.features
         for layer in range(self.num_layers):
             H = ad.relu(self.layer_forward(H, batch, layer))
@@ -228,10 +227,9 @@ class GraphEncoder:
 
     # --- optional fully-hyperbolic path -----------------------------------
 
-    def mobius_node_points(self, graphs, ball):
+    def mobius_node_points(self, batch, ball):
         """Ball-valued node states: aggregate in tangent space, then the
         Mobius linear/bias/activation composition per layer."""
-        batch = _as_batch(graphs)
         U = ball.expmap0(batch.features)
         for layer in range(self.num_layers):
             p = self.layer_params[layer]
@@ -244,15 +242,10 @@ class GraphEncoder:
         return U
 
 
-def readout_mean(node_embeddings, batch=None):
+def readout_mean(node_embeddings, batch):
     """Euclidean graph embeddings (B, d): row b is the mean of graph b's
-    node rows, one matmul with `batch.readout`; without a batch all rows
-    belong to one graph."""
-    n = node_embeddings.shape[0]
-    if n < 1:
-        raise ContractError("readout over zero rows")
-    avg = np.full((1, n), 1.0 / n) if batch is None else batch.readout
-    return GraphEmbedding(ad.matmul(avg, node_embeddings), EUCLIDEAN)
+    node rows, one matmul with `batch.readout`."""
+    return GraphEmbedding(ad.matmul(batch.readout, node_embeddings), EUCLIDEAN)
 
 
 def encode_euclidean(graphs, enc):

@@ -251,8 +251,8 @@ class _EpochViews:
     `plan` names the graphs the epoch's batches touch. Nothing is sampled
     until a space's first view request of the epoch; that request samples
     every planned graph of the space in one batched sampler call, and the
-    views are cached for the rest of the epoch. A graph outside the plan is
-    sampled as a batch of one when it is first asked for.
+    views are cached for the rest of the epoch. Asking for a graph outside
+    the plan is a ContractError.
     """
 
     def __init__(self, cfg, graphs, fold):
@@ -275,8 +275,12 @@ class _EpochViews:
 
     def _view(self, g, space, rate, sampler):
         cache, gid = self._cache[space], self._gid_of[id(g)]
-        if gid not in cache:
-            ids = [gid] if cache else sorted(self._plan | {gid})
+        if gid not in self._plan:
+            raise ContractError(
+                f"graph {gid} is outside the view plan of fold {self._fold}, "
+                f"epoch {self._epoch}")
+        if not cache:
+            ids = sorted(self._plan)
             cfgs = [
                 SamplerConfig(rate, derive_seed(
                     "view", self._cfg.seed, self._fold, self._epoch, i, space))
@@ -342,22 +346,20 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
     views = _EpochViews(cfg, graphs, fold)
     pool = np.random.default_rng(derive_seed("pool", cfg.seed, fold)).permutation(
         split.unlabeled
-    ).tolist()
-    negatives = cfg.batch_size - 1
-    pos = 0
+    )
+    # each epoch's negatives continue the round robin over the pool
+    picks = np.arange(len(split.labeled) * (cfg.batch_size - 1))
     trace = np.zeros((cfg.epochs, 3))
     for epoch in range(cfg.epochs):
         views.set_epoch(epoch)
         order = split.labeled.copy()
         np.random.default_rng(derive_seed("sched", cfg.seed, fold, epoch)).shuffle(order)
-        batches = []
-        for anchor in order.tolist():
-            batches.append([anchor] + [pool[(pos + j) % len(pool)] for j in range(negatives)])
-            pos += negatives
+        negatives = pool[(epoch * len(picks) + picks) % len(pool)]
+        batches = np.column_stack([order, negatives.reshape(len(order), -1)])
         # with omega == 0 a step views only its labeled anchor
-        views.plan(i for batch in batches for i in (batch if cfg.omega else batch[:1]))
+        views.plan((batches if cfg.omega else batches[:, :1]).ravel().tolist())
         sums = np.zeros(3)
-        for anchor, *chosen in batches:
+        for anchor, *chosen in batches.tolist():
             batch = Batch(
                 labeled=graphs[anchor],
                 unlabeled=[graphs[i] for i in chosen],

@@ -119,8 +119,7 @@ class PoincareBall:
         """
         uv, vv = ad.values_of(u), ad.values_of(v)
         with np.errstate(over="ignore"):  # an overflowed row is rejected below
-            if self.c != 1.0:
-                uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
+            uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
             su = (uv * uv).sum(axis=1, keepdims=True)
             sv = (vv * vv).sum(axis=1, keepdims=True)
         self._check_inside(su, "geodesic_similarity", " of u")
@@ -133,24 +132,16 @@ class PoincareBall:
         den = ad.floored_divisor(a * b)
         q = 2.0 * (du * du).sum(axis=1, keepdims=True) / den
         xc = np.maximum(1.0 + q, ad.ARCOSH_MIN)
-        length = np.arccosh(xc)
-        if self.c != 1.0:
-            length = length * (1.0 / self.sqrt_c)
-        length = ad.floored_divisor(length)
+        length = ad.floored_divisor(np.arccosh(xc) * (1.0 / self.sqrt_c))
         sim = 1.0 / length
 
         def vjp(g):
-            gq = -g * sim / length
-            if self.c != 1.0:
-                gq = gq * (1.0 / self.sqrt_c)
-            gq = gq / np.sqrt(xc * xc - 1.0)
+            gq = -g * sim / length * (1.0 / self.sqrt_c) / np.sqrt(xc * xc - 1.0)
             gdu = (gq / den * 2.0) * du * 2.0
             gden = -gq * q / den
             gu = gdu - 2.0 * (gden * b) * uv
             gv = -gdu - 2.0 * (gden * a) * vv
-            if self.c != 1.0:
-                gu, gv = gu * self.sqrt_c, gv * self.sqrt_c
-            return gu, gv
+            return gu * self.sqrt_c, gv * self.sqrt_c
 
         return ad.link((u, v), sim, vjp)
 

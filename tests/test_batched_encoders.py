@@ -190,7 +190,7 @@ class TestPadRows:
         batch = GraphBatch(graphs)
         nodes = ad.values_of(enc.node_embeddings(batch))
         assert np.isfinite(nodes).all()
-        alone = np.concatenate([ad.values_of(enc.node_embeddings(g)) for g in graphs])
+        alone = np.concatenate([ad.values_of(enc.node_embeddings(GraphBatch([g]))) for g in graphs])
         per_graph = np.concatenate([ad.values_of(ref.node_embeddings(enc, g)) for g in graphs])
         assert_close(nodes, alone)
         assert_close(nodes, per_graph)

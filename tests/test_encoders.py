@@ -10,6 +10,8 @@ from dsgc.encoders import (
     EUCLIDEAN,
     HYPERBOLIC,
     EncoderKind,
+    GraphBatch,
+    GraphEmbedding,
     GraphEncoder,
     Predictor,
     encode_euclidean,
@@ -25,6 +27,15 @@ ALL_KINDS = list(EncoderKind)
 
 def two_node_graph():
     return Graph(n=2, edges=[(0, 1)], features=np.array([[1.0], [0.0]]))
+
+
+def edgeless_batch(n):
+    """A batch of one n-node graph, for reading out n rows."""
+    return GraphBatch([Graph(n=n, edges=[], features=np.zeros((n, 1)))])
+
+
+def euc(rows):
+    return GraphEmbedding(Tensor(rows), EUCLIDEAN)
 
 
 def random_featurized_graph(rng, n_lo=4, n_hi=9, cap=3):
@@ -47,7 +58,7 @@ class TestLayerOracles:
         enc = GraphEncoder("gcn", in_dim=1, hidden_dim=1, num_layers=1,
                            rng=np.random.default_rng(0))
         enc.layer_params[0]["W"].values[...] = [[1.0]]
-        out = enc.layer_forward(Tensor(g.features), g, 0)
+        out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
         assert np.allclose(out.values, [[0.5], [0.5]])
 
     def test_gin_identity_mlp(self):
@@ -57,7 +68,7 @@ class TestLayerOracles:
         p = enc.layer_params[0]
         p["W1"].values[...] = [[1.0]]
         p["W2"].values[...] = [[1.0]]
-        out = enc.layer_forward(Tensor(g.features), g, 0)
+        out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
         assert np.allclose(out.values, [[1.0], [1.0]])
 
     def test_gat_uniform_attention_on_identical_features(self):
@@ -66,7 +77,7 @@ class TestLayerOracles:
                   features=np.tile([[0.7, -0.3]], (4, 1)))
         enc = GraphEncoder("gat", in_dim=2, hidden_dim=3, num_layers=1,
                            rng=np.random.default_rng(1))
-        out = enc.layer_forward(Tensor(g.features), g, 0)
+        out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
         z = g.features @ enc.layer_params[0]["W"].values
         a = np.zeros((4, 4))
         for i, j in g.edges:
@@ -80,7 +91,7 @@ class TestLayerOracles:
         enc = GraphEncoder("graphsage", in_dim=1, hidden_dim=1, num_layers=1,
                            rng=np.random.default_rng(2))
         enc.layer_params[0]["W"].values[...] = [[1.0], [10.0]]
-        out = enc.layer_forward(Tensor(g.features), g, 0)
+        out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
         # rows: concat(h_i, mean of neighbors) @ [1, 10]^T
         assert np.allclose(out.values, [[1.0 + 0.0], [0.0 + 10.0]])
 
@@ -89,7 +100,7 @@ class TestLayerOracles:
         enc = GraphEncoder("gcn", in_dim=3, hidden_dim=2, num_layers=1,
                            rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            enc.layer_forward(Tensor(g.features), g, 0)
+            enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
@@ -104,19 +115,19 @@ class TestLayerOracles:
 
 class TestReadout:
     def test_single_node(self):
-        out = readout_mean(Tensor([[3.0, -1.0]]))
+        out = readout_mean(Tensor([[3.0, -1.0]]), edgeless_batch(1))
         assert out.space == EUCLIDEAN
         assert np.array_equal(out.values, [[3.0, -1.0]])
 
     def test_mean_of_two(self):
-        out = readout_mean(Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        out = readout_mean(Tensor([[1.0, 0.0], [0.0, 1.0]]), edgeless_batch(2))
         assert np.array_equal(out.values, [[0.5, 0.5]])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((6, 4))
-        a = readout_mean(Tensor(h)).values
-        b = readout_mean(Tensor(h[rng.permutation(6)])).values
+        a = readout_mean(Tensor(h), edgeless_batch(6)).values
+        b = readout_mean(Tensor(h[rng.permutation(6)]), edgeless_batch(6)).values
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -183,7 +194,7 @@ class TestPredictor:
         pred = Predictor(dim=3, num_classes=2, rng=np.random.default_rng(0))
         for t in pred.params:
             t.values[...] = 0.0
-        emb = readout_mean(Tensor([[0.2, -0.1, 0.4]]))
+        emb = euc([[0.2, -0.1, 0.4]])
         p = predict(emb, pred)
         assert np.allclose(p.values, [[0.5, 0.5]])
 
@@ -192,13 +203,13 @@ class TestPredictor:
         for t in pred.params:
             t.values[...] = 0.0
         pred.b2.values[...] = [[100.0, -100.0]]
-        p = predict(readout_mean(Tensor([[0.0, 0.0]])), pred)
+        p = predict(euc([[0.0, 0.0]]), pred)
         assert p.values[0, 0] > 1 - 1e-12
         assert p.values[0, 1] < 1e-12
 
     def test_three_classes_shape(self):
         pred = Predictor(dim=4, num_classes=3, rng=np.random.default_rng(1))
-        p = predict(readout_mean(Tensor(np.zeros((1, 4)))), pred)
+        p = predict(euc(np.zeros((1, 4))), pred)
         assert p.shape == (1, 3)
         assert ((p.values > 0) & (p.values < 1)).all()
 

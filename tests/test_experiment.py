@@ -472,20 +472,66 @@ class TestEpochViews:
             assert calls["community_expansion_sample"] == []
             assert calls["diffusion_sample"] == [len(split.labeled)] * cfg.epochs
 
-    def test_a_graph_outside_the_plan_gets_its_seeded_view(self, monkeypatch):
+    def test_a_view_outside_the_plan_is_a_contract_error(self, monkeypatch):
         ds, calls = featured_rings(), self.count_calls(monkeypatch)
         views = _EpochViews(self.CFG, ds.graphs, 2)
         views.set_epoch(1)
         views.plan([0, 1, 2])
-        views.hyperbolic_view(ds.graphs[1])
-        outside = views.hyperbolic_view(ds.graphs[7])
-        assert calls["community_expansion_sample"] == [3, 1]
-        assert same_view(outside, self.seeded(ds, 7, 2, 1, 1))
-        # an outsider asked for first joins the space's one pass
-        first = views.euclidean_view(ds.graphs[9])
-        views.euclidean_view(ds.graphs[0])
-        assert calls["diffusion_sample"] == [4]
-        assert same_view(first, self.seeded(ds, 9, 2, 1, 0))
+        with pytest.raises(ContractError, match="graph 7 .* fold 2, epoch 1"):
+            views.euclidean_view(ds.graphs[7])
+        assert calls == {"diffusion_sample": [], "community_expansion_sample": []}
+        served = views.hyperbolic_view(ds.graphs[1])
+        assert same_view(served, self.seeded(ds, 1, 2, 1, 1))
+        with pytest.raises(ContractError, match="graph 7 .* fold 2, epoch 1"):
+            views.hyperbolic_view(ds.graphs[7])
+        assert calls["community_expansion_sample"] == [3]
+
+
+class TestEpochSchedule:
+    CFG = ExperimentConfig(**{**FAST, "epochs": 3})
+
+    def record(self, monkeypatch, cfg, fold=1):
+        """Each epoch's (anchor, negatives) batches and plan of one fold."""
+        ds = featured_rings()
+        gid_of = {id(g): i for i, g in enumerate(ds.graphs)}
+        batches, plans = [], []
+        step = experiment.train_step
+
+        def recording_step(batch, *args):
+            batches[-1].append((gid_of[id(batch.labeled)], [gid_of[id(g)] for g in batch.unlabeled]))
+            return step(batch, *args)
+
+        def recording_plan(views, gids, real=_EpochViews.plan):
+            gids = list(gids)
+            batches.append([])
+            plans.append(gids)
+            return real(views, gids)
+
+        monkeypatch.setattr(experiment, "train_step", recording_step)
+        monkeypatch.setattr(_EpochViews, "plan", recording_plan)
+        split = split_folds(ds, cfg)[fold]
+        _train_fold(cfg, ds.graphs, ds.num_classes, split, fold)
+        return split, batches, plans
+
+    @pytest.mark.parametrize("omega", [0.01, 0.0])
+    def test_anchors_shuffle_and_negatives_run_round_robin(self, monkeypatch, omega):
+        cfg, fold = self.CFG.replace(omega=omega), 1
+        split, batches, plans = self.record(monkeypatch, cfg, fold)
+        pool = np.random.default_rng(derive_seed("pool", cfg.seed, fold)).permutation(
+            split.unlabeled).tolist()
+        assert len(batches) == cfg.epochs
+        pos = 0
+        for epoch, (steps, plan) in enumerate(zip(batches, plans)):
+            order = split.labeled.copy()
+            np.random.default_rng(derive_seed("sched", cfg.seed, fold, epoch)).shuffle(order)
+            assert [anchor for anchor, _ in steps] == order.tolist()
+            for _, negatives in steps:
+                assert negatives == [pool[(pos + j) % len(pool)]
+                                     for j in range(cfg.batch_size - 1)]
+                pos += cfg.batch_size - 1
+            want = [i for anchor, negs in steps for i in [anchor] + (negs if omega else [])]
+            assert plan == want
+        assert pos > len(pool)  # the round robin wrapped within the fold
 
 
 def _blas_threads():

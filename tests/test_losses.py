@@ -9,6 +9,7 @@ from dsgc import autodiff as ad
 from dsgc.autodiff import Adam, Tensor
 from dsgc.data import Graph, synthesize_features
 from dsgc.encoders import (
+    EUCLIDEAN,
     HYPERBOLIC,
     GraphEmbedding,
     GraphEncoder,
@@ -16,7 +17,6 @@ from dsgc.encoders import (
     encode_euclidean,
     encode_hyperbolic,
     predict,
-    readout_mean,
 )
 from dsgc.errors import ContractError
 from dsgc.losses import (
@@ -37,6 +37,10 @@ from dsgc.poincare import PoincareBall
 
 def hyp(point):
     return GraphEmbedding(Tensor(np.atleast_2d(point)), HYPERBOLIC)
+
+
+def euc(point):
+    return GraphEmbedding(Tensor(np.atleast_2d(point)), EUCLIDEAN)
 
 
 def toy_graphs():
@@ -77,13 +81,13 @@ class TestConfigAndBatch:
 class TestToHyperbolic:
     def test_zero_maps_to_origin(self):
         ball = PoincareBall()
-        out = to_hyperbolic(readout_mean(Tensor(np.zeros((2, 3)))), ball)
+        out = to_hyperbolic(euc(np.zeros((2, 3))), ball)
         assert out.space == HYPERBOLIC
         assert np.allclose(out.values, 0.0)
 
     def test_radial_worked_value(self):
         ball = PoincareBall()
-        emb = readout_mean(Tensor([[0.5, 0.0]]))
+        emb = euc([0.5, 0.0])
         out = to_hyperbolic(emb, ball)
         assert abs(out.values[0, 0] - np.tanh(0.5)) < 1e-12
 
@@ -189,7 +193,7 @@ class TestInfoNce:
     def test_space_and_arity_contracts(self):
         ball = PoincareBall()
         cfg = LossConfig()
-        e = readout_mean(Tensor([[0.1, 0.1]]))
+        e = euc([0.1, 0.1])
         h = hyp([0.1, 0.1])
         with pytest.raises(ContractError):
             info_nce_labeled(e, h, [h], ball, cfg)

@@ -18,6 +18,7 @@ from dsgc.losses import LossConfig, info_nce_labeled, info_nce_unlabeled  # noqa
 from dsgc.poincare import PoincareBall  # noqa: E402
 from dsgc.samplers import (  # noqa: E402
     SamplerConfig,
+    _Union,
     _require_connected,
     check_view,
     community_expansion_sample,
@@ -164,7 +165,7 @@ def any_graphs(draw, max_nodes=24):
 
 
 def reference_neighbors(g):
-    """The per-edge loop the array-built adjacency replaced."""
+    """Each node's sorted neighbors, by a per-edge loop."""
     lists = [[] for _ in range(g.n)]
     for a, b in g.edges:
         lists[a].append(b)
@@ -188,11 +189,12 @@ class TestAdjacency:
     @example(g=Graph(n=4, edges=np.empty((0, 2))))
     @example(g=Graph(n=5, edges=[(0, 1), (1, 2)]))            # isolated nodes
     @example(g=Graph(n=6, edges=[(0, 1), (1, 2), (3, 4), (4, 5)]))
-    def test_neighbors_and_connectivity_match_the_loops(self, g):
-        got, want = g.neighbors(), reference_neighbors(g)
-        assert type(got) is tuple and len(got) == len(want) == g.n
-        for a, b in zip(got, want):
-            assert a.dtype == np.int64 and np.array_equal(a, b)
+    def test_union_adjacency_and_connectivity_match_the_loops(self, g):
+        union, want = _Union([g]), reference_neighbors(g)
+        assert len(union.indptr) == g.n + 1
+        for v, b in enumerate(want):
+            assert np.array_equal(union.nbr[union.indptr[v]:union.indptr[v + 1]], b)
+            assert np.array_equal(union.neighbors(np.array([v]))[0], b)
         assert g.is_connected() == reference_is_connected(g)
 
 
@@ -212,7 +214,7 @@ def reference_diffusion_sample(g, cfg):
     _require_connected(g, "diffusion_sample")
     rng = np.random.default_rng(cfg.seed)
     target = cfg.target_size(g.n)
-    adj = g.neighbors()
+    adj = reference_neighbors(g)
     in_s = np.zeros(g.n, dtype=bool)
     start = int(rng.integers(g.n))
     order = [start]
@@ -231,7 +233,7 @@ def reference_community_expansion_sample(g, cfg):
     _require_connected(g, "community_expansion_sample")
     rng = np.random.default_rng(cfg.seed)
     target = cfg.target_size(g.n)
-    adj = g.neighbors()
+    adj = reference_neighbors(g)
     start = int(rng.integers(g.n))
     order = [start]
     members = {start}
