@@ -84,10 +84,7 @@ class Graph:
 def canonical_edges(pairs, n):
     """Normalize (i, j) pairs (an array or a list) to unique, sorted i < j rows."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(arr) == 0:
-        return arr
-    keys = np.sort(arr.min(axis=1) * n + arr.max(axis=1))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
     return np.stack([keys // n, keys % n], axis=1)
 
 

@@ -135,7 +135,35 @@ def _as_batch(graphs):
     return graphs if isinstance(graphs, GraphBatch) else GraphBatch([graphs])
 
 
-class GraphEncoder:
+def _mlp_params(rng, w_in, w_hidden, w_out):
+    """Glorot weights (W1 drawn first) and zero biases for `_mlp`."""
+    return {"W1": glorot_uniform(rng, w_in, w_hidden), "b1": Tensor(np.zeros((1, w_hidden))),
+            "W2": glorot_uniform(rng, w_hidden, w_out), "b2": Tensor(np.zeros((1, w_out)))}
+
+
+def _mlp(x, p):
+    """relu(x W1 + b1) W2 + b2, GIN's layer MLP and the predictor."""
+    h = ad.relu(ad.add(ad.matmul(x, p["W1"]), p["b1"]))
+    return ad.add(ad.matmul(h, p["W2"]), p["b2"])
+
+
+class _Module:
+    """Parameters as one name -> Tensor dict per layer in `layer_params`;
+    `params` lists them in layer order, which is Adam's flat layout."""
+
+    @property
+    def params(self):
+        return [t for layer in self.layer_params for t in layer.values()]
+
+    def frozen(self):
+        """A copy on plain arrays of the current parameter values: same
+        outputs, but no tape is built (evaluation needs no gradients)."""
+        out = copy.copy(self)
+        out.layer_params = [{k: t.values for k, t in layer.items()} for layer in self.layer_params]
+        return out
+
+
+class GraphEncoder(_Module):
     """A stack of same-kind layers mapping (n, F) features to (n, d) embeddings."""
 
     def __init__(self, kind, in_dim, hidden_dim, num_layers, rng, mobius=False):
@@ -146,10 +174,8 @@ class GraphEncoder:
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
         self.mobius = mobius
-        self.layer_params = []
-        for layer in range(num_layers):
-            w_in = in_dim if layer == 0 else hidden_dim
-            self.layer_params.append(self._init_layer(w_in, hidden_dim, rng))
+        widths = [in_dim] + [hidden_dim] * (num_layers - 1)
+        self.layer_params = [self._init_layer(w_in, hidden_dim, rng) for w_in in widths]
 
     def _init_layer(self, w_in, w_out, rng):
         k = self.kind
@@ -166,30 +192,7 @@ class GraphEncoder:
             }
         if self.mobius:  # Mobius GIN: single hyperbolic linear layer
             return {"W1": glorot_uniform(rng, w_in, w_out), "b1": Tensor(np.zeros((1, w_out)))}
-        return {
-            "W1": glorot_uniform(rng, w_in, w_out),
-            "b1": Tensor(np.zeros((1, w_out))),
-            "W2": glorot_uniform(rng, w_out, w_out),
-            "b2": Tensor(np.zeros((1, w_out))),
-        }
-
-    @property
-    def params(self):
-        return [t for layer in self.layer_params for t in layer.values()]
-
-    def frozen(self):
-        """A copy on plain arrays of the current parameter values: same
-        outputs, but no tape is built (evaluation needs no gradients)."""
-        out = copy.copy(self)
-        out.layer_params = [{k: t.values for k, t in layer.items()} for layer in self.layer_params]
-        return out
-
-    def _check_width(self, h_cols, layer):
-        expect = self.in_dim if layer == 0 else self.hidden_dim
-        if h_cols != expect:
-            raise ShapeError(
-                f"layer {layer} of {self.kind.value} expects width {expect}, got {h_cols}"
-            )
+        return _mlp_params(rng, w_in, w_out, w_out)
 
     def _aggregate(self, X, batch, layer):
         """Kind-specific neighborhood aggregation of the node rows X, one
@@ -207,7 +210,11 @@ class GraphEncoder:
     def layer_forward(self, H, batch, layer):
         """One pre-activation layer pass of this encoder's kind over the
         node rows H of a GraphBatch."""
-        self._check_width(H.shape[1], layer)
+        expect = self.in_dim if layer == 0 else self.hidden_dim
+        if H.shape[1] != expect:
+            raise ShapeError(
+                f"layer {layer} of {self.kind.value} expects width {expect}, got {H.shape[1]}"
+            )
         p = self.layer_params[layer]
         k = self.kind
         if k in (EncoderKind.GCN, EncoderKind.GAT):
@@ -215,8 +222,7 @@ class GraphEncoder:
         agg = self._aggregate(H, batch, layer)
         if k is EncoderKind.GRAPHSAGE:
             return ad.matmul(agg, p["W"])
-        h1 = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
-        return ad.add(ad.matmul(h1, p["W2"]), p["b2"])
+        return _mlp(agg, p)
 
     def node_embeddings(self, batch):
         """relu-activated stack over the batch's row-stacked features."""
@@ -235,10 +241,7 @@ class GraphEncoder:
             p = self.layer_params[layer]
             agg = ball.expmap0(self._aggregate(ball.logmap0(U), batch, layer))
             W = p["W"] if "W" in p else p["W1"]
-            b = p.get("b1")
-            if b is None:
-                b = np.zeros((1, W.shape[1]))
-            U = ball.hyperbolic_activation(agg, ad.transpose(W), b, "relu")
+            U = ball.hyperbolic_activation(agg, ad.transpose(W), p.get("b1", 0.0), "relu")
         return U
 
 
@@ -258,36 +261,20 @@ def encode_hyperbolic(graphs, enc, ball):
     """Same architecture on its own parameters; readout mapped into the ball."""
     batch = _as_batch(graphs)
     if enc.mobius:
-        points = enc.mobius_node_points(batch, ball)
-        mean_tangent = readout_mean(ball.logmap0(points), batch).tensor
-        return GraphEmbedding(ball.expmap0(mean_tangent), HYPERBOLIC)
-    emb = readout_mean(enc.node_embeddings(batch), batch)
-    return GraphEmbedding(ball.expmap0(emb.tensor), HYPERBOLIC)
+        tangent = ball.logmap0(enc.mobius_node_points(batch, ball))
+    else:
+        tangent = enc.node_embeddings(batch)
+    return GraphEmbedding(ball.expmap0(readout_mean(tangent, batch).tensor), HYPERBOLIC)
 
 
-class Predictor:
-    """Two-layer MLP d -> d -> K with an elementwise-sigmoid output."""
+class Predictor(_Module):
+    """Two-layer MLP d -> d -> K (one layer_params entry), sigmoid output."""
 
     def __init__(self, dim, num_classes, rng):
-        self.num_classes = num_classes
-        self.W1 = glorot_uniform(rng, dim, dim)
-        self.b1 = Tensor(np.zeros((1, dim)))
-        self.W2 = glorot_uniform(rng, dim, num_classes)
-        self.b2 = Tensor(np.zeros((1, num_classes)))
-
-    @property
-    def params(self):
-        return [self.W1, self.b1, self.W2, self.b2]
-
-    def frozen(self):
-        """A copy on plain arrays of the current parameter values (no tape)."""
-        out = copy.copy(self)
-        out.W1, out.b1, out.W2, out.b2 = (t.values for t in self.params)
-        return out
+        self.layer_params = [_mlp_params(rng, dim, dim, num_classes)]
 
     def logits(self, h):
-        z = ad.relu(ad.add(ad.matmul(h, self.W1), self.b1))
-        return ad.add(ad.matmul(z, self.W2), self.b2)
+        return _mlp(h, self.layer_params[0])
 
 
 def predict(h, pred):

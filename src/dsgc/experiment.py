@@ -96,6 +96,9 @@ class ExperimentConfig:
     mobius_layers: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in ("float", float) and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not (0.0 < self.label_ratio < 1.0):
             raise ConfigError(f"label_ratio must lie in (0, 1), got {self.label_ratio}")
         if not (0.0 < self.test_fraction < 1.0):

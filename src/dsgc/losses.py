@@ -207,7 +207,9 @@ class ViewSampler:
     """Provides the two per-graph views used by the training step.
 
     The Euclidean path sees the diffusion view; the hyperbolic path sees
-    the community-expansion view. Subclasses may cache or reseed.
+    the community-expansion view. Each call samples the graph afresh from
+    the fixed seed. `train_step` only calls the two methods; training
+    passes `experiment._EpochViews`, which reseeds per epoch and caches.
     """
 
     def __init__(self, rate_euclidean, rate_hyperbolic, seed):

@@ -200,6 +200,20 @@ class TestGuardsAndErrors:
         with pytest.raises(ContractError, match="concat_rows: empty"):
             ad.concat_rows([])
 
+    def test_tensor_of_a_3d_array_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="ndim=3"):
+            ad.Tensor(np.zeros((2, 2, 2)))
+
+    def test_item_needs_a_1x1_tensor(self):
+        assert ad.Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ContractError, match="item\\(\\) needs a 1x1 tensor"):
+            ad.Tensor(np.ones((1, 2))).item()
+
+    def test_powc_negative_base_with_fractional_exponent(self):
+        assert ad.powc(ad.Tensor([[-2.0]]), 3.0).values[0, 0] == -8.0
+        with pytest.raises(DomainError, match="powc: negative base"):
+            ad.powc(ad.Tensor([[-2.0, 1.0]]), 0.5)
+
     def test_block_aggregate_rows_must_fill_the_slots(self):
         with pytest.raises(ShapeError, match="block_aggregate: 3 rows for 2 slots"):
             ad.block_aggregate(ad.Tensor(np.ones((3, 2))), np.array([0, 1]), np.zeros((1, 2, 2)))

@@ -178,6 +178,32 @@ class TestTrain:
         assert "leraning_rate" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_value_exits_2_without_outputs(self, tmp_path, data_root, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "x"
+        rc = main(["train", cfg_path, "--data-dir", data_root, "--out", str(out),
+                   "--set", "learning_rate=nan"])
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_a_json_list_exits_2(self, tmp_path, data_root, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        out = tmp_path / "x"
+        rc = main(["train", str(path), "--data-dir", data_root, "--out", str(out)])
+        assert rc == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_without_equals_exits_2(self, tmp_path, data_root, capsys):
+        out = tmp_path / "x"
+        rc = main(["train", write_config(tmp_path), "--data-dir", data_root,
+                   "--out", str(out), "--set", "foo"])
+        assert rc == 2
+        assert "override 'foo' is not KEY=VALUE" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_exits_2_without_outputs(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "never"

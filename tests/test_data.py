@@ -33,6 +33,15 @@ class TestGraphInvariants:
         assert g.num_edges == 2
         assert list(g.degrees()) == [1, 2, 1]
 
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ContractError, match="at least one node"):
+            Graph(n=0, edges=np.empty((0, 2)))
+
+    def test_dataset_rejects_label_outside_its_classes(self):
+        for label in (-1, 2):
+            with pytest.raises(ContractError, match="outside"):
+                Dataset(name="L", graphs=[Graph(n=1, edges=[], label=label)], num_classes=2)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
             Graph(n=2, edges=[(0, 2)])
@@ -87,6 +96,12 @@ class TestParse:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_tu_dataset(tmp_path / "nope")
+
+    def test_two_edge_files_in_one_directory(self, tmp_path):
+        d = write_tu(tmp_path, "TOY", [(1, 2)], [1, 1], [1])
+        (d / "OTHER_A.txt").write_text("1, 2\n")
+        with pytest.raises(TUParseError, match="multiple edge files"):
+            parse_tu_dataset(d)
 
     def test_node_id_out_of_range_reports_line(self, tmp_path):
         d = write_tu(tmp_path, "TOY", [(1, 2), (1, 9)], [1, 1], [1])
@@ -222,6 +237,10 @@ class TestFilterAndFeatures:
     def test_single_edge_cap_one(self):
         g = synthesize_features(Graph(n=2, edges=[(0, 1)]), cap=1)
         assert np.array_equal(g.features, [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ContractError, match="degree cap must be positive, got 0"):
+            synthesize_features(Graph(n=2, edges=[(0, 1)]), cap=0)
 
     def test_star_center_clamped(self):
         edges = [(0, i) for i in range(1, 11)]

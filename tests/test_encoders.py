@@ -202,7 +202,7 @@ class TestPredictor:
         pred = Predictor(dim=2, num_classes=2, rng=np.random.default_rng(0))
         for t in pred.params:
             t.values[...] = 0.0
-        pred.b2.values[...] = [[100.0, -100.0]]
+        pred.layer_params[0]["b2"].values[...] = [[100.0, -100.0]]
         p = predict(euc([[0.0, 0.0]]), pred)
         assert p.values[0, 0] > 1 - 1e-12
         assert p.values[0, 1] < 1e-12
@@ -222,6 +222,57 @@ class TestPredictor:
         emb = encode_hyperbolic(g, enc, ball)
         with pytest.raises(ContractError):
             predict(emb, pred)
+
+
+def mlp_layout(rng, w_in, w_hidden, w_out):
+    """[W1, b1, W2, b2] as `rng` draws them: Glorot W1 before W2, zero biases."""
+    W1 = ad.glorot_uniform(rng, w_in, w_hidden).values
+    W2 = ad.glorot_uniform(rng, w_hidden, w_out).values
+    return [W1, np.zeros((1, w_hidden)), W2, np.zeros((1, w_out))]
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestParameterLayout:
+    """The predictor and GIN's layers are the same MLP: their parameters
+    come in one order from one sequence of draws, and `frozen()` gives
+    each module plain arrays without building a Tensor."""
+
+    def test_predictor_params_are_one_mlp(self):
+        pred = Predictor(5, 3, np.random.default_rng(7))
+        want = mlp_layout(np.random.default_rng(7), 5, 5, 3)
+        assert_same_arrays([t.values for t in pred.params], want)
+
+    def test_gin_layer_params_are_mlps(self):
+        enc = GraphEncoder("gin", in_dim=3, hidden_dim=4, num_layers=2,
+                           rng=np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want = mlp_layout(rng, 3, 4, 4) + mlp_layout(rng, 4, 4, 4)
+        assert_same_arrays([t.values for t in enc.params], want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Predictor(4, 2, np.random.default_rng(1)),
+        lambda: GraphEncoder("gin", 3, 4, 2, np.random.default_rng(2)),
+        lambda: GraphEncoder("gat", 3, 4, 2, np.random.default_rng(3), mobius=True),
+    ], ids=["predictor", "gin", "mobius-gat"])
+    def test_frozen_holds_plain_arrays_and_builds_no_tensor(self, make, monkeypatch):
+        module = make()
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        frozen = module.frozen()
+        assert built == []
+        assert all(type(v) is np.ndarray for v in frozen.params)
+        assert_same_arrays(frozen.params, [t.values for t in module.params])
 
 
 class TestEncoderGradients:

@@ -39,6 +39,7 @@ from dsgc.experiment import (
     write_results,
     write_sweep_csv,
 )
+from dsgc.losses import StepMetrics
 from dsgc.samplers import SamplerConfig, community_expansion_sample, diffusion_sample
 
 FAST = dict(
@@ -85,7 +86,10 @@ class TestConfig:
          ("alpha_e", 0.0), ("alpha_h", 1.2), ("num_layers", 0),
          ("euclidean_encoder", "mlp"), ("epochs", 2.7), ("epochs", "2.7"),
          ("hidden_dim", 16.9), ("epochs", float("inf")), ("epochs", True),
-         ("independent_draws", 2), ("mobius_layers", -1), ("mobius_layers", 0.5)],
+         ("independent_draws", 2), ("mobius_layers", -1), ("mobius_layers", 0.5),
+         ("learning_rate", "nan"), ("weight_decay", "nan"), ("omega", float("nan")),
+         ("lambda_u", "inf"), ("temperature", float("inf")), ("curvature", "inf"),
+         ("learning_rate", "inf"), ("omega", "inf")],
     )
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -253,6 +257,17 @@ class TestRunExperiment:
         assert isinstance(err.value.__cause__, DomainError)
         assert "project: row 0" in str(err.value.__cause__)
         assert "project: row 0" in str(err.value)
+
+    def test_non_finite_loss_in_step_becomes_divergence(self, monkeypatch):
+        from dsgc import experiment
+
+        def nan_step(*args):
+            return StepMetrics(float("nan"), 0.0, 0.0, np.zeros(2))
+
+        monkeypatch.setattr(experiment, "train_step", nan_step)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss") as err:
+            run_experiment(ExperimentConfig(**FAST), dataset=featured_rings())
+        assert (err.value.fold, err.value.epoch) == (0, 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_parallel_divergence_keeps_the_domain_error_text(self):
@@ -566,7 +581,7 @@ def split_model(kind, hidden, graphs):
     distinct = np.unique(np.round(margins, 6))
     assert len(distinct) > 1
     mid = len(distinct) // 2
-    model.predictor.b2.values[0, 0] -= (distinct[mid - 1] + distinct[mid]) / 2
+    model.predictor.layer_params[0]["b2"].values[0, 0] -= (distinct[mid - 1] + distinct[mid]) / 2
     return model
 
 
@@ -587,6 +602,11 @@ class TestBatchedEvaluation:
     @pytest.fixture
     def rings(self):
         return featured_rings()
+
+    def test_empty_id_list_is_a_contract_error(self, rings):
+        model = _build_model(ExperimentConfig(**FAST), rings.graphs[0].features.shape[1], 2, 0)
+        with pytest.raises(ContractError, match="empty id list"):
+            evaluate_accuracy(model, rings.graphs, np.array([], dtype=np.int64))
 
     @pytest.mark.parametrize("rows", [None, 16])
     @pytest.mark.parametrize("kind", ["gat", "gcn", "gin", "graphsage"])

@@ -140,6 +140,10 @@ class TestNce:
         compare(lambda a, b: _nce(a, b, 0.0625), lambda a, b: ref.nce(a, b, 0.0625),
                 [np.full((1, 1), s_neg.max() + 1.0), s_neg])
 
+    def test_row_mismatch_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="_nce: 2 positive rows, negatives \\(3, 4\\)"):
+            _nce(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 4))), 1.0)
+
     def test_equal_scores_and_the_cap(self):
         for score in (0.0, 3.0, SIMILARITY_CAP):
             s = np.full((2, 1), score)

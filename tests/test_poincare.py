@@ -26,6 +26,11 @@ class TestSimilarity:
         sim = ball.geodesic_similarity(Tensor([[0.5, 0.0]]), Tensor([[0.0, 0.0]]))
         assert abs(sim.values[0, 0] - 1.0 / math.log(3.0)) < 1e-12
 
+    def test_unbroadcastable_rows_are_a_shape_error(self):
+        u, v = Tensor(np.full((2, 2), 0.1)), Tensor(np.full((3, 2), 0.1))
+        with pytest.raises(ShapeError, match="geodesic_similarity: cannot broadcast"):
+            PoincareBall().geodesic_similarity(u, v)
+
     def test_coincident_points_hit_cap(self):
         ball = PoincareBall()
         p = Tensor([[0.3, 0.4]])
