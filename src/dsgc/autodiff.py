@@ -102,12 +102,16 @@ def _record(a, b, v, da, db):
 
     da(g) and db(g) give each operand's adjoint from the result's adjoint g;
     it is then summed back over the axes that broadcasting added.
+
+    Here and in `link`, tape tuples are built from lists: CPython allocates
+    tuple(generator) outside its tuple free lists but frees it into them, so
+    those lists would grow a little with every step up to their cap.
     """
     links = [(x, d, x.values.shape) for x, d in ((a, da), (b, db)) if isinstance(x, Tensor)]
     if not links:
         return v
-    parents = tuple(x for x, _, _ in links)
-    return Tensor(v, parents, lambda g: tuple(_unbroadcast(d(g), sh) for _, d, sh in links))
+    parents = tuple([x for x, _, _ in links])
+    return Tensor(v, parents, lambda g: tuple([_unbroadcast(d(g), sh) for _, d, sh in links]))
 
 
 def _unary(x, v, vjp):
@@ -273,10 +277,10 @@ def link(parts, v, vjp):
     linked = [isinstance(p, Tensor) for p in parts]
     if not any(linked):
         return v
-    kept = tuple(itertools.compress(parts, linked))
+    kept = tuple([p for p, keep in zip(parts, linked) if keep])
     shapes = [p.values.shape for p in kept]
-    return Tensor(v, kept, lambda g: tuple(
-        _unbroadcast(d, sh) for d, sh in zip(itertools.compress(vjp(g), linked), shapes)))
+    return Tensor(v, kept, lambda g: tuple([
+        _unbroadcast(d, sh) for d, sh in zip(itertools.compress(vjp(g), linked), shapes)]))
 
 
 def _concat(name, parts, axis):
@@ -337,7 +341,16 @@ def block_aggregate(x, slots, ops, scores=None):
     over the entries row i's mask keeps. A pad row keeps no entry; its
     weights stay zero instead of being divided by an empty sum.
     """
-    xv = values_of(x)
+    v, vjp = block_product(values_of(x), slots, ops,
+                           scores and tuple([values_of(c) for c in scores]))
+    need_x = isinstance(x, Tensor)
+    return link((x, *(scores or ())), v, lambda g: vjp(g, need_x))
+
+
+def block_product(xv, slots, ops, scores=None):
+    """`block_aggregate` on arrays, for fused ops that build their own node:
+    the product and vjp(g, need_x), which gives x's adjoint (None unless
+    need_x) followed, with scores, by the adjoints of s and t."""
     count, n_max, _ = ops.shape
     if xv.shape[0] != len(slots):
         raise ShapeError(f"block_aggregate: {xv.shape[0]} rows for {len(slots)} slots")
@@ -354,16 +367,16 @@ def block_aggregate(x, slots, ops, scores=None):
     if scores is None:
         w = ops
     else:
-        s, t = (scatter(values_of(c)) for c in scores)
+        s, t = (scatter(c) for c in scores)
         pre = s + t.transpose(0, 2, 1)
         masked = np.where(pre > 0.0, pre, ATTENTION_SLOPE * pre) * ops - _MASK_OFFSET * (1.0 - ops)
         kept = np.exp(masked - masked.max(axis=2, keepdims=True)) * ops
         total = kept.sum(axis=2, keepdims=True)
         w = kept / np.where(total > 0.0, total, 1.0)
 
-    def vjp(g):
+    def vjp(g, need_x=True):
         gb = scatter(g)
-        gx = gather(w.transpose(0, 2, 1) @ gb)
+        gx = gather(w.transpose(0, 2, 1) @ gb) if need_x else None
         if scores is None:
             return (gx,)
         gw = gb @ xb.transpose(0, 2, 1)
@@ -371,7 +384,7 @@ def block_aggregate(x, slots, ops, scores=None):
         gpre *= np.where(pre > 0.0, 1.0, ATTENTION_SLOPE)
         return gx, gather(gpre.sum(axis=2)), gather(gpre.sum(axis=1))
 
-    return link((x, *(scores or ())), gather(w @ xb), vjp)
+    return gather(w @ xb), vjp
 
 
 def backward(root):

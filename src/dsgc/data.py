@@ -82,8 +82,14 @@ class Graph:
 
 
 def canonical_edges(pairs, n):
-    """Normalize (i, j) pairs (an array or a list) to unique, sorted i < j rows."""
+    """Normalize (i, j) pairs (an array or a list) over nodes 0..n-1 to
+    unique, sorted i < j rows; a pair with an endpoint outside that range
+    is a ContractError naming the first such pair."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
+    if len(bad):
+        i, j = arr[bad[0]].tolist()
+        raise ContractError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
     keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
     return np.stack([keys // n, keys % n], axis=1)
 

@@ -19,20 +19,26 @@ linear/bias/activation composition; the GIN MLP degenerates to that single
 Mobius linear layer there.
 
 Every encoder call takes a GraphBatch: the node rows of B graphs stacked
-graph after graph, (sum of n_b, width), with no padding. Weight matmuls,
-biases and activations act on all rows at once, so each is one tape node
-per layer whatever B is. The per-graph aggregation is one
-`autodiff.block_aggregate` node: it scatters the rows into a zero-padded
-(B, n_max, width) block, applies the stacked (B, n_max, n_max) operators
-with one 3-D matmul and gathers the real rows back. Padding lives only
-inside that op, so GIN's bias never reaches a pad row and GAT's softmax
-never divides by a pad row's empty mask. The readout is one matmul with the
-constant (B, sum n_b) averaging matrix, giving one row per graph. Only the
-entry points `encode_euclidean` and `encode_hyperbolic` also take a single
-Graph, as a batch of one. The padded operator stack is built from the edges
-once per batch and dies with it; nothing is cached across calls. Training
-encodes each space's views of a step as one batch, labeled view first.
-`experiment.evaluate_accuracy` sizes the evaluation batches.
+graph after graph, (sum of n_b, width), with no padding. Each layer of
+the four kinds, relu included, is one tape node whatever B is. Its
+closed-form VJP repeats the adjoints of the chain of primitives it
+replaced, in that chain's order, so values and gradients equal the chain's
+bit for bit (tests/fused_reference.py keeps the chains). A layer never
+computes the adjoint of a constant input: layer 0's features get none.
+Inside a layer the per-graph aggregation is `autodiff.block_product`: it
+scatters the rows into a zero-padded (B, n_max, width) block, applies the
+stacked (B, n_max, n_max) operators with one 3-D matmul and gathers the
+real rows back. Padding lives only inside that op, so GIN's bias never
+reaches a pad row and GAT's softmax never divides by a pad row's empty
+mask. The Mobius path stays composite: each of its layers chains a
+`block_aggregate` node, the ball maps and the Mobius ops. The readout is
+one matmul with the constant (B, sum n_b) averaging matrix, giving one row
+per graph. Only the entry points `encode_euclidean` and `encode_hyperbolic`
+also take a single Graph, as a batch of one. The padded operator stack is
+built from the edges once per batch and dies with it; nothing is cached
+across calls. Training encodes each space's views of a step as one batch,
+labeled view first. `experiment.evaluate_accuracy` sizes the evaluation
+batches.
 """
 
 from __future__ import annotations
@@ -136,15 +142,10 @@ def _as_batch(graphs):
 
 
 def _mlp_params(rng, w_in, w_hidden, w_out):
-    """Glorot weights (W1 drawn first) and zero biases for `_mlp`."""
+    """Glorot weights (W1 drawn first) and zero biases of the MLP
+    relu(x W1 + b1) W2 + b2, GIN's layer MLP and the predictor."""
     return {"W1": glorot_uniform(rng, w_in, w_hidden), "b1": Tensor(np.zeros((1, w_hidden))),
             "W2": glorot_uniform(rng, w_hidden, w_out), "b2": Tensor(np.zeros((1, w_out)))}
-
-
-def _mlp(x, p):
-    """relu(x W1 + b1) W2 + b2, GIN's layer MLP and the predictor."""
-    h = ad.relu(ad.add(ad.matmul(x, p["W1"]), p["b1"]))
-    return ad.add(ad.matmul(h, p["W2"]), p["b2"])
 
 
 class _Module:
@@ -196,7 +197,7 @@ class GraphEncoder(_Module):
 
     def _aggregate(self, X, batch, layer):
         """Kind-specific neighborhood aggregation of the node rows X, one
-        block_aggregate node for every graph of the batch."""
+        block_aggregate node for every graph of the batch (Mobius path)."""
         k = self.kind
         ops = batch.operators(k)
         if k is EncoderKind.GRAPHSAGE:
@@ -208,27 +209,20 @@ class GraphEncoder(_Module):
         return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
     def layer_forward(self, H, batch, layer):
-        """One pre-activation layer pass of this encoder's kind over the
-        node rows H of a GraphBatch."""
+        """One relu-activated layer of this encoder's kind over the node
+        rows H of a GraphBatch, as one tape node."""
         expect = self.in_dim if layer == 0 else self.hidden_dim
         if H.shape[1] != expect:
             raise ShapeError(
                 f"layer {layer} of {self.kind.value} expects width {expect}, got {H.shape[1]}"
             )
-        p = self.layer_params[layer]
-        k = self.kind
-        if k in (EncoderKind.GCN, EncoderKind.GAT):
-            return self._aggregate(ad.matmul(H, p["W"]), batch, layer)
-        agg = self._aggregate(H, batch, layer)
-        if k is EncoderKind.GRAPHSAGE:
-            return ad.matmul(agg, p["W"])
-        return _mlp(agg, p)
+        return _LAYERS[self.kind](H, batch, self.kind, self.layer_params[layer])
 
     def node_embeddings(self, batch):
-        """relu-activated stack over the batch's row-stacked features."""
+        """The layer stack over the batch's row-stacked features."""
         H = batch.features
         for layer in range(self.num_layers):
-            H = ad.relu(self.layer_forward(H, batch, layer))
+            H = self.layer_forward(H, batch, layer)
         return H
 
     # --- optional fully-hyperbolic path -----------------------------------
@@ -243,6 +237,83 @@ class GraphEncoder(_Module):
             W = p["W"] if "W" in p else p["W1"]
             U = ball.hyperbolic_activation(agg, ad.transpose(W), p.get("b1", 0.0), "relu")
         return U
+
+
+# --- fused layers (see the module docstring) ------------------------------
+# Only H may be a constant (the features, at layer 0). The parameters are
+# all Tensors, or all arrays in a frozen() copy, which builds no node.
+
+
+def _linear_then_aggregate(H, batch, kind, p):
+    """gcn and gat: relu(P (H W)), P the normalized adjacency, or the
+    attention over H W with scores (H W) a_src and (H W) a_dst."""
+    hv, W = ad.values_of(H), ad.values_of(p["W"])
+    z = hv @ W
+    parts = (H, p["W"])
+    scores = None
+    if kind is EncoderKind.GAT:
+        parts += (p["a_src"], p["a_dst"])
+        a_src, a_dst = ad.values_of(p["a_src"]), ad.values_of(p["a_dst"])
+        scores = (z @ a_src, z @ a_dst)
+    agg, agg_vjp = ad.block_product(z, batch.slots, batch.operators(kind), scores)
+    need_h = isinstance(H, Tensor)
+
+    def vjp(g):
+        gz, *g_scores = agg_vjp(g * (agg > 0.0))
+        if scores is not None:  # the chain added the a_dst term before the a_src one
+            gs, gt = g_scores
+            gz = gz + gt @ a_dst.T
+            gz = gz + gs @ a_src.T
+            g_scores = (z.T @ gs, z.T @ gt)
+        return (gz @ W.T if need_h else None, hv.T @ gz, *g_scores)
+
+    return ad.link(parts, np.maximum(agg, 0.0), vjp)
+
+
+def _sage_layer(H, batch, kind, p):
+    """relu([H, P H] W), P the neighbor mean."""
+    hv, W = ad.values_of(H), ad.values_of(p["W"])
+    agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
+    cat = np.concatenate([hv, agg], axis=1)
+    y = cat @ W
+    need_h = isinstance(H, Tensor)
+
+    def vjp(g):
+        gy = g * (y > 0.0)
+        gh = None
+        if need_h:
+            g_self, g_agg = np.split(gy @ W.T, [hv.shape[1]], axis=1)
+            gh = g_self + agg_vjp(g_agg)[0]
+        return gh, cat.T @ gy
+
+    return ad.link((H, p["W"]), np.maximum(y, 0.0), vjp)
+
+
+def _gin_layer(H, batch, kind, p):
+    """relu(relu((A + I) H W1 + b1) W2 + b2)."""
+    hv = ad.values_of(H)
+    W1, b1, W2, b2 = (ad.values_of(p[k]) for k in ("W1", "b1", "W2", "b2"))
+    need_h = isinstance(H, Tensor)
+    agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
+    a1 = agg @ W1 + b1
+    h = np.maximum(a1, 0.0)
+    a2 = h @ W2 + b2
+
+    def vjp(g):  # link sums the bias adjoints over the rows
+        g2 = g * (a2 > 0.0)
+        g1 = (g2 @ W2.T) * (a1 > 0.0)
+        gh = agg_vjp(g1 @ W1.T)[0] if need_h else None
+        return gh, agg.T @ g1, g1, h.T @ g2, g2
+
+    return ad.link((H, p["W1"], p["b1"], p["W2"], p["b2"]), np.maximum(a2, 0.0), vjp)
+
+
+_LAYERS = {
+    EncoderKind.GCN: _linear_then_aggregate,
+    EncoderKind.GAT: _linear_then_aggregate,
+    EncoderKind.GRAPHSAGE: _sage_layer,
+    EncoderKind.GIN: _gin_layer,
+}
 
 
 def readout_mean(node_embeddings, batch):
@@ -274,7 +345,9 @@ class Predictor(_Module):
         self.layer_params = [_mlp_params(rng, dim, dim, num_classes)]
 
     def logits(self, h):
-        return _mlp(h, self.layer_params[0])
+        p = self.layer_params[0]
+        hidden = ad.relu(ad.add(ad.matmul(h, p["W1"]), p["b1"]))
+        return ad.add(ad.matmul(hidden, p["W2"]), p["b2"])
 
 
 def predict(h, pred):

@@ -1,16 +1,18 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
-supervised loss, the total objective and Adam as they were written before
-they were fused, kept as the test reference.
+supervised loss, the total objective, Adam and the four encoder layers as
+they were written before they were fused, kept as the test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
 `dsgc.poincare`, `dsgc.losses` and `dsgc.autodiff.Adam` must match these:
-the ops to 1e-12, Adam bit for bit.
+the ops to 1e-12, Adam bit for bit. The layers of `dsgc.encoders` must
+match theirs bit for bit, values and gradients.
 """
 
 import numpy as np
 
 from dsgc import autodiff as ad
+from dsgc.encoders import EncoderKind
 from dsgc.errors import DomainError
 from dsgc.losses import BCE_PROB_FLOOR
 from dsgc.poincare import NORM_FLOOR
@@ -114,3 +116,24 @@ class LoopAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def layer_forward(enc, H, batch, layer):
+    """One relu-activated layer of enc's kind over the node rows H of a
+    GraphBatch, as a chain of primitives."""
+    p = enc.layer_params[layer]
+    ops = batch.operators(enc.kind)
+    if enc.kind is EncoderKind.GCN:
+        pre = ad.block_aggregate(ad.matmul(H, p["W"]), batch.slots, ops)
+    elif enc.kind is EncoderKind.GAT:
+        Z = ad.matmul(H, p["W"])
+        scores = (ad.matmul(Z, p["a_src"]), ad.matmul(Z, p["a_dst"]))
+        pre = ad.block_aggregate(Z, batch.slots, ops, scores)
+    elif enc.kind is EncoderKind.GRAPHSAGE:
+        cat = ad.concat_cols([H, ad.block_aggregate(H, batch.slots, ops)])
+        pre = ad.matmul(cat, p["W"])
+    else:  # gin: (A + I) H through the two-layer MLP
+        agg = ad.block_aggregate(H, batch.slots, ops)
+        hidden = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
+        pre = ad.add(ad.matmul(hidden, p["W2"]), p["b2"])
+    return ad.relu(pre)

@@ -59,7 +59,7 @@ class TestLayerOracles:
                            rng=np.random.default_rng(0))
         enc.layer_params[0]["W"].values[...] = [[1.0]]
         out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
-        assert np.allclose(out.values, [[0.5], [0.5]])
+        assert np.allclose(out.values, np.maximum([[0.5], [0.5]], 0.0))
 
     def test_gin_identity_mlp(self):
         g = two_node_graph()
@@ -69,7 +69,7 @@ class TestLayerOracles:
         p["W1"].values[...] = [[1.0]]
         p["W2"].values[...] = [[1.0]]
         out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
-        assert np.allclose(out.values, [[1.0], [1.0]])
+        assert np.allclose(out.values, np.maximum([[1.0], [1.0]], 0.0))
 
     def test_gat_uniform_attention_on_identical_features(self):
         # identical rows -> equal scores -> uniform weights -> neighborhood mean
@@ -84,7 +84,32 @@ class TestLayerOracles:
             a[i, j] = a[j, i] = 1.0
         a += np.eye(4)
         mean_agg = (a / a.sum(axis=1, keepdims=True)) @ z
-        assert np.allclose(out.values, mean_agg, atol=1e-12)
+        # the layer's relu keeps the positive column and zeroes the others
+        assert (mean_agg < 0.0).any() and (mean_agg > 0.0).any()
+        assert np.allclose(out.values, np.maximum(mean_agg, 0.0), atol=1e-12)
+
+    def test_gat_attention_worked_value(self):
+        # distinct rows, so the output depends on every attention weight;
+        # the weights are written out from the formula, not from the code
+        g = Graph(n=3, edges=[(0, 1), (1, 2)],
+                  features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -2.0]]))
+        enc = GraphEncoder("gat", in_dim=2, hidden_dim=2, num_layers=1,
+                           rng=np.random.default_rng(0))
+        p = enc.layer_params[0]
+        p["W"].values[...] = [[1.0, -0.5], [0.5, 1.0]]
+        p["a_src"].values[...] = [[0.3], [-0.7]]
+        p["a_dst"].values[...] = [[1.1], [0.4]]
+        out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
+        z = g.features @ np.array([[1.0, -0.5], [0.5, 1.0]])
+        s, t = z @ [0.3, -0.7], z @ [1.1, 0.4]
+        want = np.zeros((3, 2))
+        for i, nbrs in enumerate([[0, 1], [0, 1, 2], [1, 2]]):
+            e = np.array([s[i] + t[j] for j in nbrs])
+            e = np.where(e > 0.0, e, 0.2 * e)
+            alpha = np.exp(e) / np.exp(e).sum()
+            want[i] = alpha @ z[nbrs]
+        assert (want < 0.0).any() and (want > 0.0).any()
+        assert np.allclose(out.values, np.maximum(want, 0.0), atol=1e-12)
 
     def test_sage_concat_form(self):
         g = two_node_graph()
@@ -92,8 +117,8 @@ class TestLayerOracles:
                            rng=np.random.default_rng(2))
         enc.layer_params[0]["W"].values[...] = [[1.0], [10.0]]
         out = enc.layer_forward(Tensor(g.features), GraphBatch([g]), 0)
-        # rows: concat(h_i, mean of neighbors) @ [1, 10]^T
-        assert np.allclose(out.values, [[1.0 + 0.0], [0.0 + 10.0]])
+        # rows: relu(concat(h_i, mean of neighbors) @ [1, 10]^T)
+        assert np.allclose(out.values, np.maximum([[1.0 + 0.0], [0.0 + 10.0]], 0.0))
 
     def test_width_mismatch_rejected(self):
         g = two_node_graph()

@@ -24,7 +24,7 @@ from dsgc.data import (  # noqa: E402
     canonical_edges,
     parse_tu_dataset,
 )
-from dsgc.errors import TUParseError  # noqa: E402
+from dsgc.errors import ContractError, TUParseError  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,33 @@ def test_canonical_edges_matches_the_unique_form(case, as_array):
     want = reference_canonical_edges(pairs, n)
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+BAD_ENDS = {  # endpoints outside 0..n-1, by the node count n
+    "out-of-range": lambda n: st.integers(n, n + 10**6),
+    "negative": lambda n: st.integers(-10**6, -1),
+}
+
+
+@st.composite
+def edge_pairs_with_bad_ends(draw, kind):
+    """(pairs, n, first): edge_pairs with pairs spliced in that have one
+    or two endpoints of the kind, and the first such pair."""
+    pairs, n = draw(edge_pairs())
+    bad, node = BAD_ENDS[kind](n), st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        pair = draw(st.tuples(bad, st.one_of(bad, node)))
+        pairs.insert(draw(st.integers(0, len(pairs))), pair[::draw(st.sampled_from([1, -1]))])
+    first = next(p for p in pairs if not (0 <= p[0] < n and 0 <= p[1] < n))
+    return pairs, n, first
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(BAD_ENDS)), st.booleans())
+def test_canonical_edges_names_the_first_pair_with_a_bad_endpoint(data, kind, as_array):
+    pairs, n, (i, j) = data.draw(edge_pairs_with_bad_ends(kind))
+    with pytest.raises(ContractError, match=rf"^edge \({i}, {j}\) has an endpoint outside"):
+        canonical_edges(np.array(pairs, dtype=np.int64) if as_array else pairs, n)
 
 
 @pytest.mark.parametrize("empty", [[], np.zeros((0, 2), dtype=np.int64)])
