@@ -9,7 +9,9 @@ drawn round-robin from a seeded ordering of the unlabeled pool. Views are
 resampled once per epoch per graph: the epoch's batches are built before
 its first step, and each space's first view request samples every graph
 they touch in one batched sampler call. Seeds are derived from (base seed,
-fold, epoch, graph index, space), so reruns are bit-identical. Test
+fold, epoch, graph index, space), so reruns are bit-identical; the view
+seeds of a space's pass come from one array pass of the hash that
+`derive_seed` runs one seed at a time (`streams.generate_state`). Test
 accuracy is the argmax rule over the predictor's sigmoid vector, evaluated
 on the full graph rather than a sampled view.
 
@@ -50,6 +52,7 @@ from .errors import ConfigError, ContractError, DomainError, TrainingDivergedErr
 from .losses import Batch, DsgcModel, LossConfig, train_step
 from .poincare import PoincareBall
 from .samplers import SamplerConfig, community_expansion_sample, diffusion_sample
+from .streams import generate_state
 
 DEFAULT_SWEEP_DIMS = (8, 16, 32, 64)
 # An evaluation chunk's first product, its node rows (graphs x the largest
@@ -170,13 +173,14 @@ class ExperimentConfig:
         return dataclasses.replace(self, **changes)
 
 
+def _entropy(parts):
+    return [zlib.crc32(p.encode()) if isinstance(p, str) else int(p) % (2 ** 32)
+            for p in parts]
+
+
 def derive_seed(*parts):
     """Fold strings and integers into one 32-bit stream seed, order-sensitive."""
-    entropy = [
-        zlib.crc32(p.encode()) if isinstance(p, str) else int(p) % (2 ** 32)
-        for p in parts
-    ]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return int(np.random.SeedSequence(_entropy(parts)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -283,12 +287,12 @@ class _EpochViews:
                 f"graph {gid} is outside the view plan of fold {self._fold}, "
                 f"epoch {self._epoch}")
         if not cache:
+            # derive_seed("view", seed, fold, epoch, i, space) for every i at once
             ids = sorted(self._plan)
-            cfgs = [
-                SamplerConfig(rate, derive_seed(
-                    "view", self._cfg.seed, self._fold, self._epoch, i, space))
-                for i in ids
-            ]
+            entropy = np.empty((len(ids), 6), dtype=np.uint32)
+            entropy[:, :4] = _entropy(("view", self._cfg.seed, self._fold, self._epoch))
+            entropy[:, 4], entropy[:, 5] = ids, space
+            cfgs = [SamplerConfig(rate, s) for s in generate_state(entropy, 1)[:, 0].tolist()]
             cache.update(zip(ids, sampler([self._graphs[i] for i in ids], cfgs)))
         return cache[gid]
 

@@ -12,18 +12,21 @@ batch of one and returns one view. A call builds one CSR adjacency over
 the batch's disjoint union and grows every graph's S in lockstep, one node
 per graph per pass while any graph is below its target size, with all
 bookkeeping in arrays over the union. Every view is then cut from the
-union in one pass. Each graph draws from its own generator, seeded by its
-config, so a view does not depend on the batch it is drawn in.
+union in one pass. Each graph draws from its own stream, the one numpy's
+default generator seeded with its config's seed gives, so a view does not
+depend on the batch it is drawn in. The streams are replayed with array
+ops (`streams.Streams`): a call seeds all of them at once, and each round
+of draws is one bounded-draw step over the graphs still growing, with a
+cursor per graph; a bound of 1 reads no word, as in numpy.
 
   * diffusion_sample: frontier diffusion — repeatedly pick a uniform-random
     member of S that still has an outside neighbor, then a uniform-random
     such neighbor. Produces an unbiased "skeleton" view. It keeps, per
     node, the count of its neighbors outside S, so the eligible members of
     the graphs still growing are one mask over their (graphs, k) member
-    matrix, and the drawn one is found by a cumulative count. The two
-    draws of a growth step stay per graph, since each bound depends on
-    that graph's state; a draw with bound 1 is skipped, because it
-    consumes no generator state.
+    matrix, and the drawn one is found by a cumulative count. Each growth
+    step makes two draws per graph, both bounded by that graph's state:
+    the member, then its outside neighbor.
   * community_expansion_sample: greedy structure expansion — among the
     candidate neighbors of S, add the one with the most neighbors outside
     S and the candidate set. Only the start node is random; the growth
@@ -44,6 +47,7 @@ import numpy as np
 
 from .data import Graph
 from .errors import ContractError
+from .streams import Streams
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0.0 < self.rate <= 1.0):
             raise ContractError(f"sampling rate must be in (0, 1], got {self.rate}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ContractError(f"sampler seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))   # streams split Python ints
 
     def target_size(self, n):
         return max(1, int(round(self.rate * n)))
@@ -121,7 +129,7 @@ def induced_subgraph(g, order):
 
 def _sample(graphs, cfgs, who, grow):
     """The views of one sampler call; a lone Graph and config are a batch of
-    one. `grow(union, targets, rngs)` returns the (graphs, largest target)
+    one. `grow(union, targets, seeds)` returns the (graphs, largest target)
     matrix of insertion orders."""
     single = isinstance(graphs, Graph)
     graphs, cfgs = ([graphs], [cfgs]) if single else (list(graphs), list(cfgs))
@@ -133,55 +141,49 @@ def _sample(graphs, cfgs, who, grow):
         return []
     union = _Union(graphs)
     targets = np.array([c.target_size(g.n) for g, c in zip(graphs, cfgs)], dtype=np.int64)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    order = grow(union, targets, rngs)
+    order = grow(union, targets, [c.seed for c in cfgs])
     views = union.cut(order[np.arange(order.shape[1]) < targets[:, None]], targets)
     return views[0] if single else views
 
 
-def _draws(rngs, graphs, bounds):
-    """One draw below each bound from each graph's generator; a bound of 1
-    gives 0 without a call, as numpy consumes no state for it."""
-    return np.array([rngs[i].integers(b) if b > 1 else 0
-                     for i, b in zip(graphs.tolist(), bounds.tolist())], dtype=np.int64)
+def _start_nodes(union, streams):
+    return union.starts + streams.draw(np.arange(len(union.sizes)), union.sizes)
 
 
-def _start_nodes(union, rngs):
-    return union.starts + [rng.integers(g.n) for rng, g in zip(rngs, union.graphs)]
-
-
-def _grow_diffusion(union, targets, rngs):
+def _grow_diffusion(union, targets, seeds):
+    # a start draw and two draws per growth step, when none is rejected
+    streams = Streams(seeds, 2 * int(targets.max()) - 1)
     free = np.ones(union.n, dtype=bool)    # outside S
     outside = union.degrees.copy()         # neighbors outside S, per node
     order = np.empty((len(targets), targets.max()), dtype=np.int64)
     active = np.arange(len(targets))
-    v = _start_nodes(union, rngs)
+    v = _start_nodes(union, streams)
     for k in range(order.shape[1]):
         if k:
             active = np.flatnonzero(targets > k)
             members = order[active, :k]
             eligible = outside[members] > 0
-            r = _draws(rngs, active, eligible.sum(axis=1))
+            r = streams.draw(active, eligible.sum(axis=1))
             # the r-th eligible member is the one with r eligible before it
             at = (eligible.cumsum(axis=1) <= r[:, None]).sum(axis=1)
             nb, pos = union.neighbors(members[np.arange(len(active)), at])
             out = free[nb]
             nb, counts = nb[out], np.bincount(pos[out], minlength=len(active))
-            v = nb[np.cumsum(counts) - counts + _draws(rngs, active, counts)]
+            v = nb[np.cumsum(counts) - counts + streams.draw(active, counts)]
         order[active, k] = v
         free[v] = False
         outside[union.neighbors(v)[0]] -= 1  # one node per graph: no repeats
     return order
 
 
-def _grow_community(union, targets, rngs):
+def _grow_community(union, targets, seeds):
     uncounted = np.ones(union.n, dtype=bool)   # neither a member nor a candidate
     candidate = np.zeros(union.n, dtype=bool)
     gain = union.degrees.copy()                # uncounted neighbors, per node
     order = np.empty((len(targets), targets.max()), dtype=np.int64)
     node = np.arange(union.n)
     graph_of = np.repeat(np.arange(len(targets)), union.sizes)
-    best = _start_nodes(union, rngs)
+    best = _start_nodes(union, Streams(seeds, 1))
     uncounted[best] = False
     gain[union.neighbors(best)[0]] -= 1
     for k in range(order.shape[1]):

@@ -121,6 +121,10 @@ class TestSample:
         with pytest.raises(AssertionError, match="internal bug"):
             main(["sample", synthetic_tu_dir, "3"])
 
+    def test_negative_seed_exits_2_naming_it(self, synthetic_tu_dir, capsys):
+        assert main(["sample", synthetic_tu_dir, "0", "--seed", "-1"]) == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
     def test_bad_index_exits_2(self, synthetic_tu_dir, capsys):
         assert main(["sample", synthetic_tu_dir, "999"]) == 2
         assert "999" in capsys.readouterr().err

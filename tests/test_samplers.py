@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(ContractError):
             SamplerConfig(rate=1.2)
 
+    @pytest.mark.parametrize("seed", [-1, -2**40, 1.0, 2.5, "3", None, True])
+    def test_rejects_negative_or_non_integer_seed(self, seed):
+        with pytest.raises(ContractError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            SamplerConfig(rate=0.5, seed=seed)
+
+    def test_accepts_numpy_and_multi_word_seeds(self):
+        g = Graph(n=6, edges=[(i, i + 1) for i in range(5)])
+        for seed in (np.uint32(7), np.int64(2**40), 2**40, 2**200):
+            view = diffusion_sample(g, SamplerConfig(rate=0.5, seed=seed))
+            want = diffusion_sample(g, SamplerConfig(rate=0.5, seed=int(seed)))
+            assert np.array_equal(view.orig_ids, want.orig_ids)
+
     def test_target_size(self):
         assert SamplerConfig(rate=0.5).target_size(10) == 5
         assert SamplerConfig(rate=0.1).target_size(3) == 1
