@@ -40,8 +40,13 @@ class Graph:
         if self.n < 1:
             raise ContractError(f"graph needs at least one node, got n={self.n}")
         a, b = self.edges.T
-        if len(a) and not _canonical(a, b, self.n):
-            _check_edges(a, b, self.n)
+        if not ((a >= 0) & (b < self.n)).all():
+            raise ContractError("edge endpoint out of range")
+        if not (a < b).all():
+            raise ContractError("edges must be canonical (i < j), no self-loops")
+        keys = a * self.n + b   # below n**2: both ends are in range by now
+        if not (keys[1:] > keys[:-1]).all():
+            raise ContractError("edge rows must be sorted with no duplicate edge")
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.shape[0] != self.n:
@@ -86,24 +91,6 @@ def canonical_edges(pairs, n):
         raise ContractError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
     keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
     return np.stack([keys // n, keys % n], axis=1)
-
-
-def _canonical(a, b, n):
-    """Whether every edge row has 0 <= a < b < n and the keys a * n + b
-    increase strictly: what _check_edges requires, as one all-good test."""
-    keys = a * n + b
-    return bool(((a >= 0) & (a < b) & (b < n)).all() and (keys[1:] > keys[:-1]).all())
-
-
-def _check_edges(a, b, n):
-    """Raise a ContractError naming the first edge invariant that the rows
-    (a, b) over nodes 0..n-1 break, in a fixed order."""
-    if a.min() < 0 or b.max() >= n:
-        raise ContractError("edge endpoint out of range")
-    if (a >= b).any():
-        raise ContractError("edges must be canonical (i < j), no self-loops")
-    if (np.diff(a * n + b) <= 0).any():
-        raise ContractError("edge rows must be sorted with no duplicate edge")
 
 
 @dataclass

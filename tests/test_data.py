@@ -70,6 +70,21 @@ class TestGraphInvariants:
         assert Graph(n=1, edges=np.empty((0, 2))).is_connected()
 
 
+class TestEdgeCheckOrder:
+    # rows that break several invariants name the first in this order:
+    # endpoint range, then i < j, then sorted unique keys
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(1, 0), (0, 5)], "edge endpoint out of range"),
+        (3, [(2, 1), (-1, 2)], "edge endpoint out of range"),
+        (3, [(1, 2), (1, 1), (0, 1)], "edges must be canonical"),
+        (2, [(0, -1)], "edges must be canonical"),
+        (3, [(1, 2), (0, 1), (0, 1)], "sorted with no duplicate edge"),
+    ])
+    def test_first_broken_invariant_is_named(self, n, edges, message):
+        with pytest.raises(ContractError, match=message):
+            Graph(n=n, edges=edges)
+
+
 class TestParse:
     def test_two_graph_toy(self, tmp_path):
         d = write_tu(tmp_path, "TOY", [(1, 2), (2, 1)], [1, 1, 2], [1, -1])

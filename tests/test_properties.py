@@ -1,9 +1,8 @@
 """Property tests: the row-stacked contrastive terms against per-graph
-references, ball identities across curvatures and widths, the sampler
+references, ball identities across curvatures and widths, and the sampler
 invariants on random connected graphs, where the batched samplers must
 draw exactly the views of the quadratic ones kept here as the reference,
-for single graphs and for every graph of a mixed batch, and Graph's
-all-good edge test against its ordered checks."""
+for single graphs and for every graph of a mixed batch."""
 
 import numpy as np
 import pytest
@@ -13,8 +12,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from dsgc import autodiff as ad  # noqa: E402
 from dsgc.autodiff import Tensor  # noqa: E402
-from dsgc.data import Graph, _canonical, _check_edges, synthesize_features  # noqa: E402
-from dsgc.errors import ContractError  # noqa: E402
+from dsgc.data import Graph, synthesize_features  # noqa: E402
 from dsgc.encoders import HYPERBOLIC, GraphEmbedding  # noqa: E402
 from dsgc.losses import LossConfig, info_nce_labeled, info_nce_unlabeled  # noqa: E402
 from dsgc.poincare import PoincareBall  # noqa: E402
@@ -341,57 +339,3 @@ class TestBatchedSamplers:
         for sample, reference in SAMPLER_PAIRS:
             for g, cfg, view in zip(graphs, cfgs, sample(graphs, cfgs)):
                 assert_same_view(view, reference(g, cfg))
-
-
-@st.composite
-def edge_rows(draw):
-    """(n, rows): a sorted canonical edge list over n nodes, then maybe one
-    fault: an endpoint below 0 or at n or beyond, a swapped or self-loop
-    row, a duplicate row, two rows out of order, or arbitrary values."""
-    n = draw(st.integers(1, 8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = [list(p) for p in sorted(draw(st.sets(st.sampled_from(pairs), max_size=8)))
-            ] if pairs else []
-    fault = draw(st.sampled_from(
-        ["none", "negative", "too_big", "swap", "self_loop", "duplicate", "unsorted", "random"]))
-    if fault == "random":
-        rows = draw(st.lists(st.lists(st.integers(-3, n + 2), min_size=2, max_size=2),
-                             min_size=1, max_size=8))
-    elif fault != "none" and rows:
-        k = draw(st.integers(0, len(rows) - 1))
-        if fault == "negative":
-            rows[k][0] = draw(st.integers(-2**62, -1))
-        elif fault == "too_big":
-            rows[k][1] = draw(st.integers(n, 2**62))
-        elif fault == "swap":
-            rows[k].reverse()
-        elif fault == "self_loop":
-            rows[k][1] = rows[k][0]
-        elif fault == "duplicate":
-            rows.insert(k, list(rows[k]))
-        elif len(rows) > 1:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
-    return n, np.array(rows, dtype=np.int64).reshape(-1, 2)
-
-
-class TestEdgeChecks:
-    @PROPERTY
-    @given(case=edge_rows())
-    @example(case=(2, np.array([[0, 1], [-2**63 + 1, 1]])))   # keys that would wrap
-    def test_all_good_test_agrees_with_the_ordered_checks(self, case):
-        n, edges = case
-        if not len(edges):
-            return
-        a, b = edges.T
-        try:
-            _check_edges(a, b, n)
-            fault = None
-        except ContractError as exc:
-            fault = str(exc)
-        assert _canonical(a, b, n) == (fault is None)
-        if fault is None:
-            assert Graph(n=n, edges=edges).num_edges == len(edges)
-        else:
-            with pytest.raises(ContractError) as exc:
-                Graph(n=n, edges=edges)
-            assert str(exc.value) == fault
