@@ -46,9 +46,16 @@ _SAMPLERS = {"diffusion": diffusion_sample, "community": community_expansion_sam
 
 
 def _load_config(path, overrides):
-    """The config at `path` with the KEY=VALUE `overrides` applied."""
-    with open(path) as f:
-        raw = json.load(f)
+    """The config at `path` with the KEY=VALUE `overrides` applied; a path
+    that cannot be read as UTF-8 text is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object of config keys")
     if isinstance(raw.get("config"), dict):  # a manifest re-fed as config

@@ -19,13 +19,13 @@ from .errors import ContractError, TUParseError
 DEFAULT_DEGREE_CAP = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class Graph:
     """An undirected graph with canonical (i < j, sorted, unique) edge rows.
 
     `orig_ids` maps local node ids back to the parent graph for sampled
     sub-graphs; `cache` memoizes derived structure (connectivity) and never
-    affects equality.
+    affects equality. Graphs are unhashable.
     """
 
     n: int
@@ -33,7 +33,7 @@ class Graph:
     features: np.ndarray | None = None     # (n, F) float64
     label: int | None = None
     orig_ids: np.ndarray | None = None
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -53,6 +53,17 @@ class Graph:
                 raise ContractError(
                     f"feature rows {self.features.shape[0]} != node count {self.n}"
                 )
+
+    def __eq__(self, other):
+        """Equal node count, label, edges, features and orig_ids; arrays
+        compare by shape and value, and None equals only None."""
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.label == other.label
+                and all(a is b if a is None or b is None else np.array_equal(a, b)
+                        for a, b in ((self.edges, other.edges),
+                                     (self.features, other.features),
+                                     (self.orig_ids, other.orig_ids))))
 
     @property
     def num_edges(self):

@@ -13,24 +13,29 @@ InfoNCE terms:
 
   total = supervised + omega * (labeled + (lambda_u / N) * sum_i unlabeled_i)
 
-The N unlabeled graphs travel row-stacked, one row each, so each kind of
-score is one similarity call: s-_i fill one row and unlabeled_i is row i
-of one (N, 1) column, four similarity calls per step whatever N. Each
-space encodes all N + 1 views of a step in one encoder call (labeled view
-first), and row gathers (`autodiff.take_rows`) pick the labeled and
-unlabeled rows.
+Each space encodes all N + 1 views of a step in one encoder call (labeled
+view first), one row per graph. In training, everything between the two
+readouts and the total is one tape node, `contrastive_head`: one exp0 of
+the Euclidean rows, one similarity evaluation over the 3N + 1 stacked
+(u, v) row pairs of both blocks whatever N, the two blocks of terms (the
+labeled s-_i fill one row; unlabeled_i is row i of one (N, 1) column) and
+the total, with one closed-form VJP. The public node functions
+(`to_hyperbolic`, `info_nce_labeled`, `info_nce_unlabeled`,
+`total_objective`) compute the same values from the same array forms
+(`PoincareBall.exp0_rows` and `.similarity_rows`, `_nce_rows`,
+`_total_rows`), so no formula is written twice; the head equals their
+composite over row gathers bit for bit.
 
 Similarities are capped near 7.07e5 (coincident points), so every term is
 evaluated as a max-shifted logsumexp along its row of scores; the shift is
-grouped so that the all-equal-scores case yields ln(N+1) exactly. Each
-block of terms is one tape node with a closed-form VJP (`_nce`), and each
-similarity call and exp0 map is one node too (see `poincare`). The
+grouped so that the all-equal-scores case yields ln(N+1) exactly. The
 supervised loss is binary cross-entropy summed over classes, matching the
-predictor's elementwise-sigmoid output; it and the total are one node each.
+predictor's elementwise-sigmoid output, as one node.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,21 +101,22 @@ def to_hyperbolic(h, ball):
     return GraphEmbedding(ball.expmap0(h.tensor), HYPERBOLIC)
 
 
-def _nce(s_pos, s_neg, temperature):
+def _nce_rows(sp, sn, temperature):
     """Per row, -log softmax of the positive score via a shifted logsumexp,
-    as one tape node.
+    on arrays.
 
-    s_pos is a column of positive scores; s_neg is a block of negative
-    scores with the same rows. Returns a column, one loss per row. Grouping
-    it as log(sum exp(s/t - m)) + (m - s+/t) makes the equal-scores case
-    exact: m equals s+/t, the second term is exactly 0.
+    sp is a column of positive scores; sn is a block of negative scores
+    with the same rows. Returns a column, one loss per row, and vjp(g), the
+    adjoints of sp and sn. Grouping it as log(sum exp(s/t - m)) + (m - s+/t)
+    makes the equal-scores case exact: m equals s+/t, the second term is
+    exactly 0.
     """
     inv_t = 1.0 / temperature
-    sp = ad.values_of(s_pos) * inv_t
+    sp = sp * inv_t
     try:
-        row = np.concatenate([sp, ad.values_of(s_neg) * inv_t], axis=1)
+        row = np.concatenate([sp, sn * inv_t], axis=1)
     except ValueError:
-        raise ShapeError(f"_nce: {sp.shape[0]} positive rows, negatives {s_neg.shape}") from None
+        raise ShapeError(f"_nce: {sp.shape[0]} positive rows, negatives {sn.shape}") from None
     top = row.argmax(axis=1)
     rows = np.arange(row.shape[0])
     m = row[rows, top][:, None]
@@ -125,7 +131,13 @@ def _nce(s_pos, s_neg, temperature):
         grow[rows, top] += (g - grow.sum(axis=1, keepdims=True))[:, 0]
         return (grow[:, :1] - g) * inv_t, grow[:, 1:] * inv_t
 
-    return ad.link((s_pos, s_neg), np.log(total) + (m - sp), vjp)
+    return np.log(total) + (m - sp), vjp
+
+
+def _nce(s_pos, s_neg, temperature):
+    """`_nce_rows` as one tape node."""
+    return ad.link((s_pos, s_neg), *_nce_rows(ad.values_of(s_pos), ad.values_of(s_neg),
+                                              temperature))
 
 
 def info_nce_labeled(h_l_hyp, h_l_e2h, h_u_hyps, ball, cfg):
@@ -177,6 +189,21 @@ def supervised_loss(p, label):
     return ad.link((p,), -np.log(kept).sum(keepdims=True), vjp)
 
 
+def _total_rows(sv, lv, terms, cfg):
+    """`total_objective` on arrays: sv the supervised loss, lv the labeled
+    term, terms the (N, 1) column of unlabeled terms. Returns the total, the
+    contrastive term lv + (lambda_u / N) * sum(terms), and vjp(g): the
+    adjoints of sv and lv, and the (1, 1) adjoint every term shares."""
+    scale = cfg.lambda_u / terms.shape[0]
+    contra = lv + terms.sum(keepdims=True) * scale
+
+    def vjp(g):
+        g_contra = g * cfg.omega
+        return g, g_contra, g_contra * scale
+
+    return sv + contra * cfg.omega, contra, vjp
+
+
 def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
     """sup + omega * (labeled + (lambda_u / N) * sum of unlabeled terms), as
     one tape node, where unlabeled_nces lists columns of terms and N is
@@ -191,16 +218,75 @@ def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
     except ValueError:
         shapes = [u.shape for u in parts]
         raise ShapeError(f"total_objective: unlabeled term shapes {shapes}") from None
-    scale = cfg.lambda_u / terms.shape[0]
-    contra = ad.values_of(labeled_nce) + terms.sum(keepdims=True) * scale
-    v = ad.values_of(sup) + contra * cfg.omega
+    v, _, total_vjp = _total_rows(ad.values_of(sup), ad.values_of(labeled_nce), terms, cfg)
 
     def vjp(g):
-        g_contra = g * cfg.omega
-        g_terms = g_contra * scale
-        return (g, g_contra, *(np.broadcast_to(g_terms, u.shape) for u in parts))
+        g_sup, g_l, g_terms = total_vjp(g)
+        return (g_sup, g_l, *(np.broadcast_to(g_terms, u.shape) for u in parts))
 
     return ad.link((sup, labeled_nce, *unlabeled_nces), v, vjp)
+
+
+@functools.cache
+def _head_pairs(n):
+    """Row indices of the (u, v) pairs `contrastive_head` scores, into the n
+    hyperbolic points stacked over the n mapped Euclidean rows (labeled
+    graph first in each): the unlabeled positives (h_h[i], eh[i]) and
+    negatives (h_h[0], eh[i]), then the labeled positive (h_h[0], eh[0])
+    and negatives (eh[0], h_h[i]), for i = 1..N, N = n - 1."""
+    unl = np.arange(1, n)
+    first = np.zeros(n - 1, dtype=np.int64)
+    iu = np.concatenate([unl, first, [0], first + n])
+    iv = np.concatenate([unl + n, unl + n, [n], unl])
+    return iu, iv
+
+
+def contrastive_head(sup, h_e, h_h, ball, cfg):
+    """The step's total objective from the supervised loss and the two
+    readouts, as one tape node; returns the total and the value of the
+    contrastive term.
+
+    h_e holds the Euclidean readout rows and h_h the hyperbolic points, one
+    row per graph of the batch, labeled graph first. The node maps h_e into
+    the ball (exp0), scores all 3N + 1 pairs of both InfoNCE blocks in one
+    similarity evaluation (`_head_pairs`), and adds up as `total_objective`:
+    the same values, bit for bit, as `to_hyperbolic`, `info_nce_unlabeled`,
+    `info_nce_labeled` and `total_objective` over row gathers. A point
+    outside the ball raises DomainError naming its batch row.
+    """
+    _require_space(h_e, EUCLIDEAN, "contrastive_head")
+    _require_space(h_h, HYPERBOLIC, "contrastive_head")
+    ev, hv = ad.values_of(h_e.tensor), ad.values_of(h_h.tensor)
+    n = hv.shape[0]
+    if ev.shape != hv.shape or n < 2:
+        raise ContractError(f"contrastive_head: need two views of the same n >= 2 graphs, "
+                            f"got {ev.shape} and {hv.shape}")
+    k = n - 1
+    eh, exp0_vjp = ball.exp0_rows(ev)
+    ph, sh = ball.scaled_rows(hv, " of the hyperbolic view")
+    pe, se = ball.scaled_rows(eh, " of the mapped Euclidean view")
+    pts, sq = np.concatenate([ph, pe]), np.concatenate([sh, se])
+    iu, iv = _head_pairs(n)
+    sim, sim_vjp = ball.similarity_rows(pts[iu], pts[iv], sq[iu], sq[iv])
+    u, u_vjp = _nce_rows(sim[:k], sim[k:2 * k], cfg.temperature)
+    lv, l_vjp = _nce_rows(sim[2 * k:2 * k + 1], sim[2 * k + 1:].T, cfg.temperature)
+    v, contra, total_vjp = _total_rows(ad.values_of(sup), lv, u, cfg)
+
+    def vjp(g):
+        g_sup, g_l, g_terms = total_vjp(g)
+        g_pos, g_neg = u_vjp(np.broadcast_to(g_terms, u.shape))
+        g_lpos, g_lneg = l_vjp(g_l)
+        gu, gv = sim_vjp(np.concatenate([g_pos, g_neg, g_lpos, g_lneg.T]))
+        # each row sums what the taped composite summed from its two uses;
+        # a broadcast operand sums its rows as `_unbroadcast` does
+        gh, geh = np.empty_like(hv), np.empty_like(eh)
+        gh[:1] = gu[2 * k:2 * k + 1] + gu[k:2 * k].sum(axis=0, keepdims=True)
+        gh[1:] = gv[2 * k + 1:] + gu[:k]
+        geh[:1] = gu[2 * k + 1:].sum(axis=0, keepdims=True) + gv[2 * k:2 * k + 1]
+        geh[1:] = gv[k:2 * k] + gv[:k]
+        return g_sup, exp0_vjp(geh), gh
+
+    return ad.link((sup, h_e.tensor, h_h.tensor), v, vjp), float(contra[0, 0])
 
 
 class ViewSampler:
@@ -237,42 +323,29 @@ class DsgcModel:
         return self.encoder_e.params + self.encoder_h.params + self.predictor.params
 
 
-def _rows(emb, rows):
-    """The chosen rows of an embedding, by one row gather."""
-    return GraphEmbedding(ad.take_rows(emb.tensor, rows), emb.space)
-
-
 def train_step(batch, model, views, cfg, optimizer):
     """One optimizer step on a batch; returns the step's losses and prediction.
 
     Each space encodes its views of the batch as one GraphBatch, labeled
-    view first, and the Euclidean rows go into the ball with one expmap0.
-    With omega == 0 the contrastive half (unlabeled and hyperbolic views,
-    hyperbolic encoder) is skipped entirely; the objective value is
-    identical either way.
+    view first; the predictor reads the labeled Euclidean row, and
+    `contrastive_head` takes both readouts to the total. With omega == 0
+    the contrastive half (unlabeled and hyperbolic views, hyperbolic
+    encoder, head) is skipped entirely; the objective value is identical
+    either way.
     """
     g_l = batch.labeled
     graphs = [g_l] + list(batch.unlabeled) if cfg.omega != 0.0 else [g_l]
-    first, rest = [0], list(range(1, len(graphs)))
     h_e = encode_euclidean(GraphBatch([views.euclidean_view(g) for g in graphs]),
                            model.encoder_e)
-    p = predict(_rows(h_e, first), model.predictor)
+    p = predict(GraphEmbedding(ad.take_rows(h_e.tensor, [0]), EUCLIDEAN), model.predictor)
     sup = supervised_loss(p, g_l.label)
 
     if cfg.omega != 0.0:
-        ball = model.ball
         h_h = encode_hyperbolic(GraphBatch([views.hyperbolic_view(g) for g in graphs]),
-                                model.encoder_h, ball)
-        h_eh = to_hyperbolic(h_e, ball)
-        h_h_l, h_h_u = _rows(h_h, first), _rows(h_h, rest)
-        u_terms = info_nce_unlabeled(h_h_u, _rows(h_eh, rest), h_h_l, ball, cfg)
-        l_term = info_nce_labeled(h_h_l, _rows(h_eh, first), [h_h_u], ball, cfg)
-        total = total_objective(sup, l_term, [u_terms], cfg)
-        u_sum = float(u_terms.values.sum())
-        contrastive = l_term.item() + cfg.lambda_u / len(rest) * u_sum
+                                model.encoder_h, model.ball)
+        total, contrastive = contrastive_head(sup, h_e, h_h, model.ball, cfg)
     else:
-        total = sup
-        contrastive = 0.0
+        total, contrastive = sup, 0.0
 
     optimizer.zero_grad()
     ad.backward(total)

@@ -18,8 +18,13 @@ Core formulas (origin-anchored, curvature magnitude c):
 
 expmap0, logmap0 and geodesic_similarity are one tape node each: the
 forward runs in numpy and a closed-form VJP (Ganea et al., arXiv
-1805.09112) carries the adjoint back. Their guards are computed inline, as
-the chain of autodiff primitives would compute them:
+1805.09112) carries the adjoint back. Each node is a thin `autodiff.link`
+wrapper over an array-level form that returns (value, vjp): `exp0_rows`,
+`_rescale_rows` (the radial rescale exp0 and log0 share) and, for the
+similarity, `scaled_rows` (scale and check the points) then
+`similarity_rows`. Fused nodes that build their own tape node, such as
+`losses.contrastive_head`, call these forms. The guards are computed
+inline, as the chain of autodiff primitives would compute them:
   * norms are floored at NORM_FLOOR (the exact series limit at the
     origin; no gradient flows through the floor) and divisors at
     autodiff.DIV_FLOOR;
@@ -117,17 +122,31 @@ class PoincareBall:
         Coincident rows hit the arcosh clamp and return the cap value
         1/arcosh(1 + 1e-12) ~= 1/sqrt(2e-12).
         """
-        uv, vv = ad.values_of(u), ad.values_of(v)
-        with np.errstate(over="ignore"):  # an overflowed row is rejected below
-            uv, vv = uv * self.sqrt_c, vv * self.sqrt_c
-            su = (uv * uv).sum(axis=1, keepdims=True)
-            sv = (vv * vv).sum(axis=1, keepdims=True)
-        self._check_inside(su, "geodesic_similarity", " of u")
-        self._check_inside(sv, "geodesic_similarity", " of v")
+        uv, su = self.scaled_rows(ad.values_of(u), " of u")
+        vv, sv = self.scaled_rows(ad.values_of(v), " of v")
         try:
-            du = uv - vv
+            np.broadcast_shapes(uv.shape, vv.shape)
         except ValueError:
             raise ShapeError(f"geodesic_similarity: cannot broadcast {uv.shape} with {vv.shape}") from None
+        return ad.link((u, v), *self.similarity_rows(uv, vv, su, sv))
+
+    def scaled_rows(self, xv, operand):
+        """sqrt(c) * xv and its rows' squared norms c * ||x||^2, as (n, 1),
+        for `similarity_rows`. A row that is not strictly inside the ball
+        raises DomainError naming geodesic_similarity, the row and the
+        operand."""
+        with np.errstate(over="ignore"):  # an overflowed row is rejected below
+            xv = xv * self.sqrt_c
+            sq = (xv * xv).sum(axis=1, keepdims=True)
+        self._check_inside(sq, "geodesic_similarity", operand)
+        return xv, sq
+
+    def similarity_rows(self, uv, vv, su, sv):
+        """`geodesic_similarity` on arrays: rows already scaled by
+        `scaled_rows`, su and sv their checked squared norms. Returns the
+        (n, 1) similarities and vjp(g), which gives the adjoints of the two
+        unscaled operands at their broadcast shape."""
+        du = uv - vv
         a, b = 1.0 - su, 1.0 - sv
         den = ad.floored_divisor(a * b)
         q = 2.0 * (du * du).sum(axis=1, keepdims=True) / den
@@ -143,15 +162,14 @@ class PoincareBall:
             gv = -gdu - 2.0 * (gden * a) * vv
             return gu * self.sqrt_c, gv * self.sqrt_c
 
-        return ad.link((u, v), sim, vjp)
+        return sim, vjp
 
-    def _rescale_rows(self, x, r, scale, slope, op=None):
-        """Row i of x times scale(n_i) / n_i as one tape node, where
-        n = sqrt(c) * max(r, NORM_FLOOR) and r holds the row norms;
-        slope(n, s) is the derivative of scale at n, s = scale(n). With op
-        given, rows are pulled back onto the projection radius as `project`
-        does, in the same node."""
-        xv = ad.values_of(x)
+    def _rescale_rows(self, xv, r, scale, slope, op=None):
+        """Row i of xv times scale(n_i) / n_i, where n = sqrt(c) *
+        max(r, NORM_FLOOR) and r holds the row norms; slope(n, s) is the
+        derivative of scale at n, s = scale(n). With op given, rows are
+        pulled back onto the projection radius as `project` does. Returns
+        the rows and vjp(g), the adjoint of xv."""
         n = np.maximum(r, NORM_FLOOR) * self.sqrt_c
         s = scale(n)
         nd = ad.floored_divisor(n)
@@ -165,17 +183,21 @@ class PoincareBall:
             gn = (gq * xv).sum(axis=1, keepdims=True) * slope(n, s)
             gn -= (g * y / nd).sum(axis=1, keepdims=True)
             gr = gn * self.sqrt_c * (r >= NORM_FLOOR)
-            return (gq * s + gr * xv / np.maximum(r, ad.DIV_FLOOR),)
+            return gq * s + gr * xv / np.maximum(r, ad.DIV_FLOOR)
 
-        return ad.link((x,), y if factors is None else y * factors, vjp)
+        return (y if factors is None else y * factors), vjp
 
-    def expmap0(self, t):
-        """Map a tangent vector at the origin into the ball (rows independently)."""
-        tv = ad.values_of(t)
+    def exp0_rows(self, tv):
+        """`expmap0` on an array: the mapped rows and vjp(g), the adjoint of tv."""
         with np.errstate(over="ignore"):  # an overflowed norm is rejected below
             r = np.sqrt((tv * tv).sum(axis=1, keepdims=True))
         _reject(np.isfinite(r), lambda i: f"expmap0: row {i} has a non-finite norm {r[i, 0]}")
-        return self._rescale_rows(t, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
+        return self._rescale_rows(tv, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
+
+    def expmap0(self, t):
+        """Map a tangent vector at the origin into the ball (rows independently)."""
+        y, vjp = self.exp0_rows(ad.values_of(t))
+        return ad.link((t,), y, lambda g: (vjp(g),))
 
     def logmap0(self, u):
         """Map a ball point back to the origin tangent space (inverse of expmap0)."""
@@ -184,9 +206,10 @@ class PoincareBall:
             sq = (uv * uv).sum(axis=1, keepdims=True)
             csq = self.c * sq
         self._check_inside(csq, "logmap0")
-        return self._rescale_rows(
-            u, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
+        y, vjp = self._rescale_rows(
+            uv, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
             lambda n, s: 1.0 / (1.0 - np.minimum(n, ad.ARTANH_MAX) ** 2))
+        return ad.link((u,), y, lambda g: (vjp(g),))
 
     def mobius_matvec(self, W, u):
         """Hyperbolic matrix multiply: exp0(log0(u) @ W^T) for W of shape (out, in)."""

@@ -6,15 +6,19 @@ Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
 `dsgc.poincare`, `dsgc.losses` and `dsgc.autodiff.Adam` must match these:
 the ops to 1e-12, Adam bit for bit. The layers of `dsgc.encoders` must
-match theirs bit for bit, values and gradients.
+match theirs bit for bit, values and gradients, and
+`dsgc.losses.contrastive_head` must match, bit for bit, the composite of
+node functions that `train_step` ran before it (`contrastive_head` below).
 """
 
 import numpy as np
 
 from dsgc import autodiff as ad
-from dsgc.encoders import EncoderKind
+from dsgc.encoders import EncoderKind, GraphEmbedding
 from dsgc.errors import DomainError
-from dsgc.losses import BCE_PROB_FLOOR
+from dsgc.losses import (BCE_PROB_FLOOR, info_nce_labeled, info_nce_unlabeled,
+                         to_hyperbolic)
+from dsgc.losses import total_objective as fused_total
 from dsgc.poincare import NORM_FLOOR
 
 
@@ -83,6 +87,22 @@ def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
     terms = ad.concat_rows(unlabeled_nces)
     contra = ad.add(labeled_nce, ad.mul(ad.asum(terms), cfg.lambda_u / terms.shape[0]))
     return ad.add(sup, ad.mul(contra, cfg.omega))
+
+
+def contrastive_head(sup, h_e, h_h, ball, cfg):
+    """The head as train_step composed it from node functions: exp0 of the
+    Euclidean rows, row gathers, the two InfoNCE blocks (four similarity
+    nodes) and the total; returns the total and the contrastive value."""
+    def rows(emb, picked):
+        return GraphEmbedding(ad.take_rows(emb.tensor, picked), emb.space)
+
+    first, rest = [0], list(range(1, h_h.tensor.shape[0]))
+    h_eh = to_hyperbolic(h_e, ball)
+    h_h_l, h_h_u = rows(h_h, first), rows(h_h, rest)
+    u_terms = info_nce_unlabeled(h_h_u, rows(h_eh, rest), h_h_l, ball, cfg)
+    l_term = info_nce_labeled(h_h_l, rows(h_eh, first), [h_h_u], ball, cfg)
+    total = fused_total(sup, l_term, [u_terms], cfg)
+    return total, l_term.item() + cfg.lambda_u / len(rest) * float(u_terms.values.sum())
 
 
 class LoopAdam:

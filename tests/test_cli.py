@@ -200,6 +200,19 @@ class TestTrain:
         assert "expected a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, data_root, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes('{"dataset": "caf\u00e9"}'.encode("latin-1"))
+        cases = [(tmp_path, "cannot read config: Is a directory"),
+                 (not_utf8, "config is not UTF-8 text"),
+                 (tmp_path / "absent.json", "cannot read config: No such file")]
+        for path, reason in cases:
+            out = tmp_path / "x"
+            rc = main(["train", str(path), "--data-dir", data_root, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}: {reason}")
+            assert not out.exists()
+
     def test_override_without_equals_exits_2(self, tmp_path, data_root, capsys):
         out = tmp_path / "x"
         rc = main(["train", write_config(tmp_path), "--data-dir", data_root,

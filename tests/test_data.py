@@ -14,6 +14,7 @@ from dsgc.data import (
     write_tu_dataset,
 )
 from dsgc.errors import ContractError, TUParseError
+from dsgc.samplers import SamplerConfig, community_expansion_sample, diffusion_sample
 
 
 def write_tu(tmp_path, name, edges, indicator, labels, node_labels=None):
@@ -63,6 +64,39 @@ class TestGraphInvariants:
     def test_rejects_feature_mismatch(self):
         with pytest.raises(ContractError):
             Graph(n=2, edges=[(0, 1)], features=np.ones((3, 2)))
+
+    def test_equality_compares_every_field_but_the_cache(self):
+        def graph(**over):
+            fields = dict(n=3, edges=[(0, 1), (1, 2)], features=np.eye(3), label=1,
+                          orig_ids=np.array([4, 7, 9]))
+            return Graph(**{**fields, **over})
+
+        a, b = graph(), graph()
+        b.cache["connected"] = True
+        assert a == b and not a != b
+        for over in (dict(label=0), dict(label=None), dict(edges=[(0, 1)]),
+                     dict(edges=[(0, 1), (0, 2)]), dict(features=np.eye(3)[::-1]),
+                     dict(features=np.ones((3, 1))), dict(features=None),
+                     dict(orig_ids=np.array([4, 7, 8])), dict(orig_ids=None)):
+            assert a != graph(**over) and graph(**over) != a, over
+        bare = graph(features=None, orig_ids=None)
+        assert bare == graph(features=None, orig_ids=None)
+        assert bare != graph(n=4, features=None, orig_ids=None)
+        assert a != "graph"
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_views_from_one_seed_compare_equal(self):
+        g = synthesize_features(Graph(n=6, edges=[(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]),
+                                cap=4)
+        for sample in (diffusion_sample, community_expansion_sample):
+            a, b = (sample(g, SamplerConfig(rate=0.6, seed=11)) for _ in range(2))
+            assert a.num_edges and a.orig_ids is not None and a == b
+
+    def test_edgeless_graphs_compare(self):
+        assert Graph(n=2, edges=np.empty((0, 2))) == Graph(n=2, edges=[])
+        assert Graph(n=2, edges=[]) != Graph(n=3, edges=[])
+        assert Graph(n=2, edges=[]) != Graph(n=2, edges=[(0, 1)])
 
     def test_connectivity(self):
         assert Graph(n=3, edges=[(0, 1), (1, 2)]).is_connected()

@@ -258,6 +258,32 @@ class TestRunExperiment:
         assert "project: row 0" in str(err.value.__cause__)
         assert "project: row 0" in str(err.value)
 
+    @pytest.mark.parametrize("space, message", [
+        ("euclidean", "expmap0: row 2 has a non-finite norm nan"),
+        ("hyperbolic", "geodesic_similarity: row 2 of the hyperbolic view is not strictly inside"),
+    ])
+    def test_head_domain_error_names_fold_epoch_and_batch_row(self, monkeypatch, space, message):
+        # row 2 of a step's readouts turns NaN from the second epoch on; the
+        # contrastive head rejects it, naming the batch row
+        from dsgc import losses
+        ds, cfg, fold = featured_rings(), ExperimentConfig(**FAST), 1
+        split = split_folds(ds, cfg)[fold]
+        real, steps = getattr(losses, f"encode_{space}"), []
+
+        def corrupt(*args):
+            out = real(*args)
+            steps.append(1)
+            if len(steps) > len(split.labeled):
+                out.tensor.values[2] = np.nan
+            return out
+
+        monkeypatch.setattr(losses, f"encode_{space}", corrupt)
+        with pytest.raises(TrainingDivergedError) as err:
+            _train_fold(cfg, ds.graphs, ds.num_classes, split, fold)
+        assert (err.value.fold, err.value.epoch) == (1, 1)
+        assert isinstance(err.value.__cause__, DomainError)
+        assert err.value.detail.startswith(message)
+
     def test_non_finite_loss_in_step_becomes_divergence(self, monkeypatch):
         from dsgc import experiment
 
@@ -420,13 +446,6 @@ def featured_rings():
     return dataclasses.replace(ds, graphs=[synthesize_features(g, cap=8) for g in ds.graphs])
 
 
-def same_view(a, b):
-    return a.n == b.n and a.label == b.label and all(
-        np.array_equal(x, y)
-        for x, y in ((a.orig_ids, b.orig_ids), (a.edges, b.edges), (a.features, b.features))
-    )
-
-
 class TestEpochViews:
     CFG = ExperimentConfig(**FAST)
     SPACES = [("euclidean_view", 0, "alpha_e", diffusion_sample),
@@ -461,7 +480,7 @@ class TestEpochViews:
         _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[fold], fold)
         assert {space for _, space, _ in served} == {0, 1}
         for gid, space, view in served:
-            assert same_view(view, self.seeded(ds, gid, fold, 0, space, cfg))
+            assert view == self.seeded(ds, gid, fold, 0, space, cfg)
 
     def test_set_epoch_and_plan_sample_nothing(self, monkeypatch):
         ds, calls = featured_rings(), self.count_calls(monkeypatch)
@@ -496,7 +515,7 @@ class TestEpochViews:
             views.euclidean_view(ds.graphs[7])
         assert calls == {"diffusion_sample": [], "community_expansion_sample": []}
         served = views.hyperbolic_view(ds.graphs[1])
-        assert same_view(served, self.seeded(ds, 1, 2, 1, 1))
+        assert served == self.seeded(ds, 1, 2, 1, 1)
         with pytest.raises(ContractError, match="graph 7 .* fold 2, epoch 1"):
             views.hyperbolic_view(ds.graphs[7])
         assert calls["community_expansion_sample"] == [3]

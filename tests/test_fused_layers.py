@@ -20,7 +20,7 @@ from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
 KINDS = list(EncoderKind)
 WIDTH = 16
 SIZES = (1, 7, 3, 12, 2, 5)  # a single node, a pair, larger graphs
-DEFAULT_STEP_TENSORS = 30    # 6 layers, 2 readouts, predictor, ball maps, losses
+DEFAULT_STEP_TENSORS = 18    # 6 layers, 2 readouts, exp0, gather, 6 predictor, BCE, head
 
 
 def mixed_batch(seed=0):

@@ -3,7 +3,8 @@
 values and gradients to 1e-12 over interior rows, rows at the projection
 radius and past the artanh clamp, coincident rows and near-zero rows; the
 InfoNCE row, the supervised loss and the total objective likewise; finite
-differences for each; and the flat-buffer Adam bit for bit against the
+differences for each; the contrastive head bit for bit against the node
+functions it replaced; and the flat-buffer Adam bit for bit against the
 per-parameter loop."""
 
 import warnings
@@ -15,7 +16,9 @@ import fused_reference as ref
 from dsgc import autodiff as ad
 from dsgc.autodiff import Adam, Tensor
 from dsgc.errors import ContractError, DomainError, ShapeError
-from dsgc.losses import BCE_PROB_FLOOR, LossConfig, _nce, supervised_loss, total_objective
+from dsgc.encoders import EUCLIDEAN, HYPERBOLIC, GraphEmbedding
+from dsgc.losses import (BCE_PROB_FLOOR, LossConfig, _nce, contrastive_head, supervised_loss,
+                         total_objective)
 from dsgc.poincare import SIMILARITY_CAP, PoincareBall
 
 CURVATURES = [0.25, 1.0, 2.0]
@@ -199,6 +202,93 @@ class TestTotalObjective:
         with pytest.raises(ShapeError, match="^total_objective: "):
             total_objective(Tensor([[1.0]]), Tensor([[0.5]]),
                             [Tensor(np.ones((2, 1))), Tensor(np.ones((2, 2)))], LossConfig())
+
+
+class TestContrastiveHead:
+    """The one-node head against the nodes train_step built before it:
+    the value, the contrastive value and the gradients of sup, h_e and h_h
+    equal bit for bit."""
+
+    SETTINGS = [(1.0, LossConfig()),
+                (0.25, LossConfig(temperature=0.5, lambda_u=0.7, omega=1.0)),
+                (2.0, LossConfig(temperature=2.0, lambda_u=0.0, omega=0.3))]
+
+    def arrays(self, ball, n, variant, seed=0):
+        """sup, Euclidean rows and hyperbolic points for n graphs. "pulled"
+        gives the last Euclidean row a norm whose exp0 is pulled back;
+        "coincident" puts the labeled and the last hyperbolic point on
+        their mapped Euclidean rows, so those positives hit the cap."""
+        rng = np.random.default_rng(seed)
+        h_e = directions(rng, n) * (rng.uniform(0.2, 3.0, (n, 1)) / ball.sqrt_c)
+        h_h = directions(rng, n) * (rng.uniform(0.1, 0.9, (n, 1)) * ball.max_norm)
+        if variant == "pulled":
+            h_e[-1] *= 30.0 / np.linalg.norm(h_e[-1]) / ball.sqrt_c
+        elif variant == "coincident":
+            h_h[[0, -1]] = ball.expmap0(h_e[[0, -1]])
+        return rng.uniform(0.5, 2.0, (1, 1)), h_e, h_h
+
+    def run(self, head, ball, cfg, arrays):
+        sup, h_e, h_h = (Tensor(a.copy()) for a in arrays)
+        total, contrastive = head(sup, GraphEmbedding(h_e, EUCLIDEAN),
+                                  GraphEmbedding(h_h, HYPERBOLIC), ball, cfg)
+        ad.backward(total)
+        return total, contrastive, [sup.grad, h_e.grad, h_h.grad]
+
+    @pytest.mark.parametrize("variant", ["plain", "pulled", "coincident"])
+    @pytest.mark.parametrize("setting", range(len(SETTINGS)))
+    @pytest.mark.parametrize("unlabeled", [1, 2, 7])
+    def test_bit_identical_to_the_composite(self, unlabeled, setting, variant):
+        c, cfg = self.SETTINGS[setting]
+        ball = PoincareBall(c)
+        arrays = self.arrays(ball, unlabeled + 1, variant, seed=unlabeled)
+        total, contrastive, grads = self.run(contrastive_head, ball, cfg, arrays)
+        want, want_contrastive, want_grads = self.run(ref.contrastive_head, ball, cfg, arrays)
+        assert np.array_equal(total.values, want.values)
+        assert contrastive == want_contrastive
+        for got, expect in zip(grads, want_grads):
+            assert np.array_equal(got, expect)
+        mapped = ball.expmap0(arrays[1][-1:])
+        if variant == "pulled":  # tanh saturates: the row sits on the projection radius
+            assert np.linalg.norm(mapped) == pytest.approx(ball.max_norm, rel=1e-15)
+        if variant == "coincident":
+            sim = ball.geodesic_similarity(arrays[2][-1:], mapped)
+            assert sim[0, 0] == pytest.approx(SIMILARITY_CAP * ball.sqrt_c, rel=1e-12)
+        assert len(total._parents) == 3 and all(p._vjp is None for p in total._parents)
+
+    def views(self, n=4, seed=3):
+        ball = PoincareBall(2.0)
+        _, h_e, h_h = self.arrays(ball, n, "plain", seed)
+        return ball, h_e, h_h
+
+    def raises(self, message, ball, h_e, h_h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                contrastive_head(Tensor([[1.0]]), GraphEmbedding(Tensor(h_e), EUCLIDEAN),
+                                 GraphEmbedding(Tensor(h_h), HYPERBOLIC), ball, LossConfig())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_euclidean_row_names_expmap0_and_the_row(self, value, row):
+        ball, h_e, h_h = self.views()
+        h_e[row, 1] = value
+        self.raises(f"^expmap0: row {row} has a non-finite norm ", ball, h_e, h_h)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.8])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_bad_hyperbolic_point_names_the_batch_row(self, value, row):
+        # 0.8 is outside the ball of c = 2 (radius 0.707); the row named is
+        # the batch row, not a row of the stacked pairs
+        ball, h_e, h_h = self.views()
+        h_h[row, 0] = value
+        self.raises(f"^geodesic_similarity: row {row} of the hyperbolic view is not "
+                    f"strictly inside the ball", ball, h_e, h_h)
+
+    def test_views_of_different_sizes_are_rejected(self):
+        ball, h_e, h_h = self.views()
+        with pytest.raises(ContractError, match="^contrastive_head: "):
+            contrastive_head(Tensor([[1.0]]), GraphEmbedding(Tensor(h_e), EUCLIDEAN),
+                             GraphEmbedding(Tensor(h_h[:3]), HYPERBOLIC), ball, LossConfig())
 
 
 class TestFiniteDifferences:
