@@ -6,6 +6,7 @@ array, so constants never reach the tape. Only Tensors made from values
 (parameters, and inputs a caller wants gradients for) are leaves and hold a
 `.grad` buffer; an operation on at least one Tensor returns a Tensor linked
 to its Tensor operands, with `grad = None`, that passes its adjoint on.
+`link` builds every such node: the primitives here and the fused ops.
 Tensors are numbered as they are created, so every operation is newer than
 its inputs; `backward` walks the reachable tape newest first, which is a
 reverse topological order, and adds d(root)/d(leaf) into each leaf's
@@ -97,27 +98,24 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _record(a, b, v, da, db):
-    """The result v of a binary op, linked to whichever operands are Tensors.
+def link(parts, v, vjp):
+    """The result v of an op on the operands `parts`, linked to the parts
+    that are Tensors, else a plain array; every tape node is built here.
+    vjp(g) gives one adjoint per part, in order, where a part that is not a
+    Tensor may get None; each adjoint is summed back over the axes its part
+    was broadcast along.
 
-    da(g) and db(g) give each operand's adjoint from the result's adjoint g;
-    it is then summed back over the axes that broadcasting added.
-
-    Here and in `link`, tape tuples are built from lists: CPython allocates
-    tuple(generator) outside its tuple free lists but frees it into them, so
-    those lists would grow a little with every step up to their cap.
+    Tape tuples are built from lists: CPython allocates tuple(generator)
+    outside its tuple free lists but frees it into them, so those lists
+    would grow a little with every step up to their cap.
     """
-    links = [(x, d, x.values.shape) for x, d in ((a, da), (b, db)) if isinstance(x, Tensor)]
-    if not links:
+    linked = [isinstance(p, Tensor) for p in parts]
+    if not any(linked):
         return v
-    parents = tuple([x for x, _, _ in links])
-    return Tensor(v, parents, lambda g: tuple([_unbroadcast(d(g), sh) for _, d, sh in links]))
-
-
-def _unary(x, v, vjp):
-    """The result v of a one-operand op: linked to x when x is a Tensor
-    (vjp(g) gives the 1-tuple of x's adjoint), else a plain array."""
-    return Tensor(v, (x,), vjp) if isinstance(x, Tensor) else v
+    kept = tuple([p for p, keep in zip(parts, linked) if keep])
+    shapes = [p.values.shape for p in kept]
+    return Tensor(v, kept, lambda g: tuple([
+        _unbroadcast(d, sh) for d, sh in zip(itertools.compress(vjp(g), linked), shapes)]))
 
 
 def _broadcast(name, op, av, bv):
@@ -129,22 +127,21 @@ def _broadcast(name, op, av, bv):
 
 def add(a, b):
     av, bv = values_of(a), values_of(b)
-    return _record(a, b, _broadcast("add", np.add, av, bv), lambda g: g, lambda g: g)
+    return link((a, b), _broadcast("add", np.add, av, bv), lambda g: (g, g))
 
 
 def sub(a, b):
     av, bv = values_of(a), values_of(b)
-    return _record(a, b, _broadcast("sub", np.subtract, av, bv), lambda g: g, lambda g: -g)
+    return link((a, b), _broadcast("sub", np.subtract, av, bv), lambda g: (g, -g))
 
 
 def neg(x):
-    return _unary(x, -values_of(x), lambda g: (-g,))
+    return link((x,), -values_of(x), lambda g: (-g,))
 
 
 def mul(a, b):
     av, bv = values_of(a), values_of(b)
-    v = _broadcast("mul", np.multiply, av, bv)
-    return _record(a, b, v, lambda g: g * bv, lambda g: g * av)
+    return link((a, b), _broadcast("mul", np.multiply, av, bv), lambda g: (g * bv, g * av))
 
 
 def floored_divisor(bv):
@@ -161,14 +158,16 @@ def floored_divisor(bv):
 def div(a, b):
     av, bv = values_of(a), floored_divisor(values_of(b))
     v = _broadcast("div", np.divide, av, bv)
-    return _record(a, b, v, lambda g: g / bv, lambda g: -g * v / bv)
+    return link((a, b), v, lambda g: (g / bv, -g * v / bv))
 
 
 def matmul(a, b):
     av, bv = values_of(a), values_of(b)
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {av.shape} @ {bv.shape}")
-    return _record(a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
+    need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)  # no adjoint for a constant
+    return link((a, b), av @ bv, lambda g: (g @ bv.T if need_a else None,
+                                            av.T @ g if need_b else None))
 
 
 def powc(x, p):
@@ -177,47 +176,47 @@ def powc(x, p):
     if p != int(p) and (xv < 0).any():
         raise DomainError(f"powc: negative base with fractional exponent {p}")
     v = xv ** p
-    return _unary(x, v, lambda g: (g * p * xv ** (p - 1.0),))
+    return link((x,), v, lambda g: (g * p * xv ** (p - 1.0),))
 
 
 def tanh(x):
     v = np.tanh(values_of(x))
-    return _unary(x, v, lambda g: (g * (1.0 - v * v),))
+    return link((x,), v, lambda g: (g * (1.0 - v * v),))
 
 
 def artanh(x):
     xc = np.clip(values_of(x), -ARTANH_MAX, ARTANH_MAX)
     v = np.arctanh(xc)
-    return _unary(x, v, lambda g: (g / (1.0 - xc * xc),))
+    return link((x,), v, lambda g: (g / (1.0 - xc * xc),))
 
 
 def arcosh(x):
     xc = np.maximum(values_of(x), ARCOSH_MIN)
     v = np.arccosh(xc)
-    return _unary(x, v, lambda g: (g / np.sqrt(xc * xc - 1.0),))
+    return link((x,), v, lambda g: (g / np.sqrt(xc * xc - 1.0),))
 
 
 def sigmoid(x):
     # clipping at +-500 avoids exp overflow without changing any representable output
     v = 1.0 / (1.0 + np.exp(-np.clip(values_of(x), -500.0, 500.0)))
-    return _unary(x, v, lambda g: (g * v * (1.0 - v),))
+    return link((x,), v, lambda g: (g * v * (1.0 - v),))
 
 
 def relu(x):
     xv = values_of(x)
     v = np.maximum(xv, 0.0)
-    return _unary(x, v, lambda g: (g * (xv > 0.0),))
+    return link((x,), v, lambda g: (g * (xv > 0.0),))
 
 
 def leaky_relu(x, slope=0.2):
     xv = values_of(x)
     v = np.where(xv > 0.0, xv, slope * xv)
-    return _unary(x, v, lambda g: (g * np.where(xv > 0.0, 1.0, slope),))
+    return link((x,), v, lambda g: (g * np.where(xv > 0.0, 1.0, slope),))
 
 
 def exp(x):
     v = np.exp(values_of(x))
-    return _unary(x, v, lambda g: (g * v,))
+    return link((x,), v, lambda g: (g * v,))
 
 
 def log(x):
@@ -225,7 +224,7 @@ def log(x):
     lo = xv.min() if xv.size else 1.0
     if lo <= 0.0:
         raise DomainError(f"log: argument must be positive, got {lo}")
-    return _unary(x, np.log(xv), lambda g: (g / xv,))
+    return link((x,), np.log(xv), lambda g: (g / xv,))
 
 
 def rownorm(x):
@@ -233,20 +232,20 @@ def rownorm(x):
     xv = values_of(x)
     v = np.sqrt((xv * xv).sum(axis=1, keepdims=True))
     safe = np.maximum(v, DIV_FLOOR)
-    return _unary(x, v, lambda g: (g * xv / safe,))
+    return link((x,), v, lambda g: (g * xv / safe,))
 
 
 def clip_min(x, floor):
     """max(x, floor) elementwise; gradient passes where x >= floor."""
     xv = values_of(x)
     v = np.maximum(xv, floor)
-    return _unary(x, v, lambda g: (g * (xv >= floor),))
+    return link((x,), v, lambda g: (g * (xv >= floor),))
 
 
 def asum(x, axis=None):
     xv = values_of(x)
     sh = xv.shape
-    return _unary(x, xv.sum(axis=axis, keepdims=True), lambda g: (np.broadcast_to(g, sh),))
+    return link((x,), xv.sum(axis=axis, keepdims=True), lambda g: (np.broadcast_to(g, sh),))
 
 
 def amean(x, axis=None):
@@ -254,7 +253,7 @@ def amean(x, axis=None):
     sh = xv.shape
     inv = 1.0 / (xv.size if axis is None else sh[axis])
     v = xv.mean(axis=axis, keepdims=True)
-    return _unary(x, v, lambda g: (np.broadcast_to(g, sh) * inv,))
+    return link((x,), v, lambda g: (np.broadcast_to(g, sh) * inv,))
 
 
 def amax(x, axis=None):
@@ -266,21 +265,7 @@ def amax(x, axis=None):
         mask.flat[int(np.argmax(xv))] = 1.0
     else:
         np.put_along_axis(mask, np.argmax(xv, axis=axis, keepdims=True), 1.0, axis=axis)
-    return _unary(x, v, lambda g: (g * mask,))
-
-
-def link(parts, v, vjp):
-    """The result v of an op on several operands, linked to the parts that
-    are Tensors, else a plain array. vjp(g) gives one adjoint per part; each
-    is summed back over the axes its part was broadcast along. Fused ops
-    outside this module build their one tape node with it."""
-    linked = [isinstance(p, Tensor) for p in parts]
-    if not any(linked):
-        return v
-    kept = tuple([p for p, keep in zip(parts, linked) if keep])
-    shapes = [p.values.shape for p in kept]
-    return Tensor(v, kept, lambda g: tuple([
-        _unbroadcast(d, sh) for d, sh in zip(itertools.compress(vjp(g), linked), shapes)]))
+    return link((x,), v, lambda g: (g * mask,))
 
 
 def _concat(name, parts, axis):
@@ -310,7 +295,7 @@ def concat_rows(parts):
 
 
 def transpose(x):
-    return _unary(x, values_of(x).T.copy(), lambda g: (g.T,))
+    return link((x,), values_of(x).T.copy(), lambda g: (g.T,))
 
 
 def take_rows(x, rows):
@@ -323,7 +308,7 @@ def take_rows(x, rows):
         np.add.at(gx, rows, g)
         return (gx,)
 
-    return _unary(x, xv[rows], vjp)
+    return link((x,), xv[rows], vjp)
 
 
 def block_aggregate(x, slots, ops, scores=None):

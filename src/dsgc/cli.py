@@ -191,8 +191,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, TUParseError, ContractError, FileNotFoundError,
-            NotADirectoryError, json.JSONDecodeError) as exc:
+    except (ConfigError, TUParseError, ContractError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:

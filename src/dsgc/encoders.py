@@ -16,7 +16,9 @@ maps the readout into the ball with exp0. An optional fully-hyperbolic
 variant (`mobius=True`) instead keeps node states on the ball and applies
 each layer as aggregate-in-tangent-space followed by the Mobius
 linear/bias/activation composition; the GIN MLP degenerates to that single
-Mobius linear layer there.
+Mobius linear layer there. The predictor is the same MLP, d -> d -> K:
+`_mlp_rows` writes it once for both, and the predictor's logits are one
+tape node, like each layer.
 
 Every encoder call takes a GraphBatch: the node rows of B graphs stacked
 graph after graph, (sum of n_b, width), with no padding. Each layer of
@@ -146,6 +148,22 @@ def _mlp_params(rng, w_in, w_hidden, w_out):
     relu(x W1 + b1) W2 + b2, GIN's layer MLP and the predictor."""
     return {"W1": glorot_uniform(rng, w_in, w_hidden), "b1": Tensor(np.zeros((1, w_hidden))),
             "W2": glorot_uniform(rng, w_hidden, w_out), "b2": Tensor(np.zeros((1, w_out)))}
+
+
+def _mlp_rows(x, p, need_x):
+    """relu(x W1 + b1) W2 + b2 over the rows of the array x, and its VJP,
+    which gives the adjoints of x (None unless need_x), W1, b1, W2 and b2,
+    each as the chain of primitives computes it; `link` sums the bias
+    adjoints over the rows."""
+    W1, b1, W2, b2 = (ad.values_of(t) for t in p.values())
+    a1 = x @ W1 + b1
+    h = np.maximum(a1, 0.0)
+
+    def vjp(g):
+        g1 = (g @ W2.T) * (a1 > 0.0)
+        return g1 @ W1.T if need_x else None, x.T @ g1, g1, h.T @ g, g
+
+    return h @ W2 + b2, vjp
 
 
 class _Module:
@@ -290,22 +308,15 @@ def _sage_layer(H, batch, kind, p):
 
 
 def _gin_layer(H, batch, kind, p):
-    """relu(relu((A + I) H W1 + b1) W2 + b2)."""
-    hv = ad.values_of(H)
-    W1, b1, W2, b2 = (ad.values_of(p[k]) for k in ("W1", "b1", "W2", "b2"))
-    need_h = isinstance(H, Tensor)
-    agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
-    a1 = agg @ W1 + b1
-    h = np.maximum(a1, 0.0)
-    a2 = h @ W2 + b2
+    """relu(MLP((A + I) H)), the MLP as in `_mlp_rows`."""
+    agg, agg_vjp = ad.block_product(ad.values_of(H), batch.slots, batch.operators(kind))
+    a2, mlp_vjp = _mlp_rows(agg, p, isinstance(H, Tensor))
 
-    def vjp(g):  # link sums the bias adjoints over the rows
-        g2 = g * (a2 > 0.0)
-        g1 = (g2 @ W2.T) * (a1 > 0.0)
-        gh = agg_vjp(g1 @ W1.T)[0] if need_h else None
-        return gh, agg.T @ g1, g1, h.T @ g2, g2
+    def vjp(g):
+        g_agg, *g_params = mlp_vjp(g * (a2 > 0.0))
+        return (None if g_agg is None else agg_vjp(g_agg)[0], *g_params)
 
-    return ad.link((H, p["W1"], p["b1"], p["W2"], p["b2"]), np.maximum(a2, 0.0), vjp)
+    return ad.link((H, *p.values()), np.maximum(a2, 0.0), vjp)
 
 
 _LAYERS = {
@@ -345,9 +356,9 @@ class Predictor(_Module):
         self.layer_params = [_mlp_params(rng, dim, dim, num_classes)]
 
     def logits(self, h):
+        """The MLP over the rows of h, as one tape node."""
         p = self.layer_params[0]
-        hidden = ad.relu(ad.add(ad.matmul(h, p["W1"]), p["b1"]))
-        return ad.add(ad.matmul(hidden, p["W2"]), p["b2"])
+        return ad.link((h, *p.values()), *_mlp_rows(ad.values_of(h), p, isinstance(h, Tensor)))
 
 
 def predict(h, pred):

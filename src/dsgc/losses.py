@@ -36,6 +36,7 @@ predictor's elementwise-sigmoid output, as one node.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +64,11 @@ class LossConfig:
     omega: float = 0.01
 
     def __post_init__(self):
-        if not (self.temperature > 0):
-            raise ContractError(f"temperature must be positive, got {self.temperature}")
-        if self.lambda_u < 0 or self.omega < 0:
-            raise ContractError("lambda_u and omega must be nonnegative")
+        if not (0 < self.temperature < math.inf):
+            raise ContractError(f"temperature must be positive and finite, got {self.temperature}")
+        if not (0 <= self.lambda_u < math.inf and 0 <= self.omega < math.inf):
+            raise ContractError("lambda_u and omega must be nonnegative and finite, "
+                                f"got {self.lambda_u} and {self.omega}")
 
 
 @dataclass

@@ -68,8 +68,8 @@ class PoincareBall:
     """Poincare ball of curvature -c; all methods treat matrix rows as points."""
 
     def __init__(self, c=1.0):
-        if not (c > 0):
-            raise ContractError(f"curvature magnitude must be positive, got {c}")
+        if not (0 < c < math.inf):
+            raise ContractError(f"curvature magnitude must be positive and finite, got {c}")
         self.c = float(c)
         self.sqrt_c = math.sqrt(self.c)
         self.max_norm = (1.0 - BOUNDARY_EPS) / self.sqrt_c

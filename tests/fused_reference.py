@@ -1,12 +1,13 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
-supervised loss, the total objective, Adam and the four encoder layers as
-they were written before they were fused, kept as the test reference.
+supervised loss, the total objective, Adam, the four encoder layers and the
+predictor's logits as they were written before they were fused, kept as the
+test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
 `dsgc.poincare`, `dsgc.losses` and `dsgc.autodiff.Adam` must match these:
-the ops to 1e-12, Adam bit for bit. The layers of `dsgc.encoders` must
-match theirs bit for bit, values and gradients, and
+the ops to 1e-12, Adam bit for bit. The layers and the predictor of
+`dsgc.encoders` must match theirs bit for bit, values and gradients, and
 `dsgc.losses.contrastive_head` must match, bit for bit, the composite of
 node functions that `train_step` ran before it (`contrastive_head` below).
 """
@@ -153,7 +154,16 @@ def layer_forward(enc, H, batch, layer):
         cat = ad.concat_cols([H, ad.block_aggregate(H, batch.slots, ops)])
         pre = ad.matmul(cat, p["W"])
     else:  # gin: (A + I) H through the two-layer MLP
-        agg = ad.block_aggregate(H, batch.slots, ops)
-        hidden = ad.relu(ad.add(ad.matmul(agg, p["W1"]), p["b1"]))
-        pre = ad.add(ad.matmul(hidden, p["W2"]), p["b2"])
+        pre = mlp(ad.block_aggregate(H, batch.slots, ops), p)
     return ad.relu(pre)
+
+
+def mlp(x, p):
+    """relu(x W1 + b1) W2 + b2, GIN's layer MLP and the predictor's."""
+    hidden = ad.relu(ad.add(ad.matmul(x, p["W1"]), p["b1"]))
+    return ad.add(ad.matmul(hidden, p["W2"]), p["b2"])
+
+
+def predictor_logits(pred, h):
+    """`Predictor.logits` as a chain of primitives."""
+    return mlp(h, pred.layer_params[0])

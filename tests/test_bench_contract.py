@@ -22,7 +22,7 @@ from dsgc import autodiff as ad
 from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
-TENSORS_PER_STEP = 18  # the traced child's autodiff.tensors_per_step on the tiny set
+TENSORS_PER_STEP = 14  # the traced child's autodiff.tensors_per_step on the tiny set
 
 WRAPPED = [
     "experiment.train_step",

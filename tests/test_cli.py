@@ -221,6 +221,15 @@ class TestTrain:
         assert "override 'foo' is not KEY=VALUE" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, data_root, capsys):
+        out = tmp_path / "some_file"
+        out.write_text("kept\n")
+        rc = main(["train", write_config(tmp_path), "--data-dir", data_root, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "kept\n"
+
     def test_missing_dataset_exits_2_without_outputs(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "never"

@@ -1,9 +1,9 @@
-"""The four fused encoder layers against the chains of primitives they
-replaced (kept in fused_reference.py): the output and every gradient equal
-bit for bit on a batch of mixed-size graphs, with the layer input a Tensor
-and a constant; finite differences per kind; no adjoint for a constant
-input; and the tape counts: one node per layer, and the Tensors a default
-training step builds."""
+"""The four fused encoder layers and the predictor against the chains of
+primitives they replaced (kept in fused_reference.py): the output and every
+gradient equal bit for bit on a batch of mixed-size graphs, with the layer
+input a Tensor and a constant; finite differences per kind; no adjoint for
+a constant input; and the tape counts: one node per layer and for the
+predictor's logits, and the Tensors a default training step builds."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,15 @@ from conftest import synthetic_dataset
 from dsgc import autodiff as ad
 from dsgc.autodiff import Tensor
 from dsgc.data import Graph, synthesize_features
-from dsgc.encoders import EncoderKind, GraphBatch, GraphEncoder, encode_euclidean
+from dsgc.encoders import (EncoderKind, GraphBatch, GraphEncoder, Predictor,
+                           encode_euclidean)
 from dsgc.experiment import ExperimentConfig, _build_model
 from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
 
 KINDS = list(EncoderKind)
 WIDTH = 16
 SIZES = (1, 7, 3, 12, 2, 5)  # a single node, a pair, larger graphs
-DEFAULT_STEP_TENSORS = 18    # 6 layers, 2 readouts, exp0, gather, 6 predictor, BCE, head
+DEFAULT_STEP_TENSORS = 14    # 6 layers, 2 readouts, exp0, gather, logits, sigmoid, BCE, head
 
 
 def mixed_batch(seed=0):
@@ -108,6 +109,52 @@ def test_constant_input_gets_no_adjoint(kind, monkeypatch):
         asked.clear()
         ad.backward(ad.asum(enc.layer_forward(H, batch, 0)))
         assert asked == want
+
+
+def make_predictor(rows, seed=0):
+    """A predictor on nonzero random parameters, except b1's first entry,
+    and `rows` embedding rows of which row 0 is zero: that row's first
+    hidden pre-activation is exactly 0."""
+    pred = Predictor(WIDTH, 3, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for t in pred.params:
+        t.values[...] = rng.uniform(-0.5, 0.5, t.values.shape)
+    pred.layer_params[0]["b1"].values[0, 0] = 0.0
+    hv = rng.standard_normal((rows, WIDTH))
+    hv[0] = 0.0
+    return pred, hv
+
+
+def run_logits(logits_fn, pred, hv, weights):
+    """The logits over a Tensor of the rows hv, and the gradients of
+    <logits, weights>: h's, then W1's, b1's, W2's and b2's."""
+    for p in pred.params:
+        p.zero_grad()
+    h = Tensor(hv.copy())
+    out = logits_fn(pred, h)
+    ad.backward(ad.asum(ad.mul(out, weights)))
+    return out, [h.grad] + [p.grad.copy() for p in pred.params]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_predictor_is_one_node_equal_to_the_chain_bit_for_bit(rows):
+    pred, hv = make_predictor(rows)
+    p = pred.layer_params[0]
+    pre = hv @ p["W1"].values + p["b1"].values
+    assert pre[0, 0] == 0.0 and (pre > 0.0).any() and (pre < 0.0).any()
+    weights = np.random.default_rng(2).standard_normal((rows, 3))
+    out, grads = run_logits(Predictor.logits, pred, hv, weights)
+    chain, chain_grads = run_logits(ref.predictor_logits, pred, hv, weights)
+    assert out._parents[1:] == tuple(pred.params)
+    assert np.array_equal(out.values, chain.values)
+    assert len(grads) == len(chain_grads) == 5
+    for got, want in zip(grads, chain_grads):
+        assert np.array_equal(got, want)
+    frozen = pred.frozen()  # plain arrays in, a plain array out, no tape
+    logits, built = tensors_built(lambda: frozen.logits(hv))
+    assert built == 0
+    assert np.array_equal(logits, chain.values)
+    assert np.array_equal(logits, ref.predictor_logits(frozen, hv))
 
 
 def tensors_built(fn):

@@ -60,14 +60,16 @@ def build_model(seed, in_dim=4, d=8, num_classes=2, layers=2):
 
 class TestConfigAndBatch:
     def test_temperature_must_be_positive(self):
-        with pytest.raises(ContractError):
-            LossConfig(temperature=0.0)
+        for t in (0.0, math.inf, math.nan):
+            with pytest.raises(ContractError):
+                LossConfig(temperature=t)
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ContractError):
-            LossConfig(omega=-0.1)
-        with pytest.raises(ContractError):
-            LossConfig(lambda_u=-1.0)
+        for w in (-0.1, math.inf, math.nan):  # and non-finite ones
+            with pytest.raises(ContractError):
+                LossConfig(omega=w)
+            with pytest.raises(ContractError):
+                LossConfig(lambda_u=w)
 
     def test_batch_needs_label_and_unlabeled(self):
         g_l, g_u, _ = toy_graphs()

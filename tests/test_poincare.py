@@ -276,6 +276,9 @@ class TestBallDomain:
             PoincareBall(0.0)
         with pytest.raises(ContractError):
             PoincareBall(-1.0)
+        for c in (math.inf, math.nan):  # an infinite c would squash every point to 0
+            with pytest.raises(ContractError):
+                PoincareBall(c)
 
     def test_contains(self):
         ball = PoincareBall()
