@@ -24,8 +24,14 @@ class Graph:
     """An undirected graph with canonical (i < j, sorted, unique) edge rows.
 
     `orig_ids` maps local node ids back to the parent graph for sampled
-    sub-graphs; `cache` memoizes derived structure (connectivity) and never
-    affects equality. Graphs are unhashable.
+    sub-graphs. `cache` memoizes derived structure and never affects
+    equality. It may hold "connected" (`is_connected`) and "classes", each
+    node's degree class: the column of its one-hot row in `features`, set by
+    `synthesize_features` and carried into sampled views, which lets the
+    encoders' first layer gather weight rows in place of a product with
+    the one-hot block. The constructor copies the cache it is given without
+    "classes", so a Graph built with other features (`dataclasses.replace`
+    included) never reads stale ones. Graphs are unhashable.
     """
 
     n: int
@@ -37,22 +43,24 @@ class Graph:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if self.n < 1:
-            raise ContractError(f"graph needs at least one node, got n={self.n}")
-        a, b = self.edges.T
-        if not ((a >= 0) & (b < self.n)).all():
-            raise ContractError("edge endpoint out of range")
-        if not (a < b).all():
-            raise ContractError("edges must be canonical (i < j), no self-loops")
-        keys = a * self.n + b   # below n**2: both ends are in range by now
-        if not (keys[1:] > keys[:-1]).all():
-            raise ContractError("edge rows must be sorted with no duplicate edge")
+        check_edge_rows(self.edges, self.n)
+        self.cache = {k: v for k, v in self.cache.items() if k != "classes"}
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.shape[0] != self.n:
                 raise ContractError(
                     f"feature rows {self.features.shape[0]} != node count {self.n}"
                 )
+
+    @classmethod
+    def unchecked(cls, n, edges, features, label, orig_ids, cache):
+        """A Graph from fields already in their checked form: int64 (m, 2)
+        edge rows that passed `check_edge_rows` and float64 features with n
+        rows, or None. Nothing is converted or checked again."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, features=features, label=label,
+                          orig_ids=orig_ids, cache=cache)
+        return g
 
     def __eq__(self, other):
         """Equal node count, label, edges, features and orig_ids; arrays
@@ -89,6 +97,31 @@ class Graph:
             hit = bool(seen.all())
             self.cache["connected"] = hit
         return hit
+
+
+def check_edge_rows(edges, sizes, counts=None):
+    """The edge-row checks of `Graph`, over graphs whose int64 rows are
+    stacked graph after graph in `edges`, counts[k] rows for the graph of
+    sizes[k] nodes (a lone graph passes its n and no counts): raise
+    ContractError unless every graph has a node and each row has both ends
+    in its graph's range, i < j, and follows the previous row of its graph
+    in sorted order with no duplicate."""
+    if counts is None:
+        empty, n = sizes < 1, sizes
+    else:
+        empty, n = (sizes < 1).any(), np.repeat(sizes, counts)
+    if empty:
+        raise ContractError(f"graph needs at least one node, got n={np.min(sizes)}")
+    a, b = edges.T
+    if not ((a >= 0) & (b < n)).all():
+        raise ContractError("edge endpoint out of range")
+    if not (a < b).all():
+        raise ContractError("edges must be canonical (i < j), no self-loops")
+    keys = a * n + b   # below n**2: both ends are in range by now
+    if counts is not None:  # graph k's keys move to [base_k, base_k + n_k**2)
+        keys += np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, counts)
+    if not (keys[1:] > keys[:-1]).all():
+        raise ContractError("edge rows must be sorted with no duplicate edge")
 
 
 def canonical_edges(pairs, n):
@@ -254,14 +287,17 @@ def filter_connected(ds):
 
 def synthesize_features(g, cap=DEFAULT_DEGREE_CAP):
     """One-hot encode min(degree, cap) per node; returns a new Graph, F = cap + 1,
-    that starts from a copy of g's cache (same nodes and edges)."""
+    whose cache is a copy of g's (same nodes and edges) with those classes
+    as its "classes"."""
     if cap < 1:
         raise ContractError(f"degree cap must be positive, got {cap}")
     deg = np.minimum(g.degrees(), cap)
     feats = np.zeros((g.n, cap + 1), dtype=np.float64)
     feats[np.arange(g.n), deg] = 1.0
-    return Graph(n=g.n, edges=g.edges, features=feats, label=g.label,
-                 orig_ids=g.orig_ids, cache=dict(g.cache))
+    out = Graph(n=g.n, edges=g.edges, features=feats, label=g.label,
+                orig_ids=g.orig_ids, cache=g.cache)
+    out.cache["classes"] = deg
+    return out
 
 
 def dataset_stats(ds):

@@ -36,11 +36,22 @@ mask. The Mobius path stays composite: each of its layers chains a
 `block_aggregate` node, the ball maps and the Mobius ops. The readout is
 one matmul with the constant (B, sum n_b) averaging matrix, giving one row
 per graph. Only the entry points `encode_euclidean` and `encode_hyperbolic`
-also take a single Graph, as a batch of one. The padded operator stack is
-built from the edges once per batch and dies with it; nothing is cached
-across calls. Training encodes each space's views of a step as one batch,
-labeled view first. `experiment.evaluate_accuracy` sizes the evaluation
-batches.
+also take a single Graph, as a batch of one. Each kind's padded operator
+stack is written at the batch's edges and self-loops the first time a
+layer asks for it, and dies with the batch.
+
+The features are one-hot degree classes, and `data.synthesize_features`
+caches each node's class in `Graph.cache["classes"]`; the samplers carry
+it into every view and GraphBatch concatenates it. On the batch's own
+features, the first gcn or gat layer gathers W's rows by class in place of
+X @ W, and the first gin layer counts each row's neighbor-with-self
+classes (one bincount over the batch's edges) in place of the padded
+(A + I) X product. Both give exactly the dense values, and the weight
+gradients still multiply by the dense X and (A + I) X, so outputs equal
+the dense path's bit for bit. graphsage, the Mobius path, hidden layers
+and batches with a graph that has no cached classes take the dense path.
+Training encodes each space's views of a step as one batch, labeled view
+first. `experiment.evaluate_accuracy` sizes the evaluation batches.
 """
 
 from __future__ import annotations
@@ -93,7 +104,9 @@ class GraphBatch:
     """Graphs row-stacked for one encoder pass.
 
     `features` holds the node rows graph after graph and `n` counts them;
-    `slots` gives each row its place b * n_max + i in the padded layout of
+    `classes` holds each row's degree class (the graphs' cached "classes",
+    see `data.Graph`), or is None when a graph has none. `slots` gives each
+    row its place b * n_max + i in the padded layout of
     `autodiff.block_aggregate`, and `readout` is the constant (B, n) matrix
     whose row b averages graph b's rows.
     """
@@ -104,36 +117,62 @@ class GraphBatch:
             raise ContractError("a graph batch needs at least one graph")
         if any(g.features is None for g in self.graphs):
             raise ContractError("graph has no features; synthesize them first")
-        sizes = np.array([g.n for g in self.graphs])
-        self.n = int(sizes.sum())
-        self.n_max = int(sizes.max())
+        counts = [g.n for g in self.graphs]
+        self.n, self.n_max = sum(counts), max(counts)
+        sizes, rows = np.array(counts), np.arange(self.n)
         self._graph_of = np.repeat(np.arange(len(sizes)), sizes)
-        self._local = np.arange(self.n) - (np.cumsum(sizes) - sizes)[self._graph_of]
+        self._start = np.cumsum(sizes) - sizes
+        self._local = rows - self._start[self._graph_of]
         self.slots = self._graph_of * self.n_max + self._local
         self.features = np.concatenate([g.features for g in self.graphs])
+        classes = [g.cache.get("classes") for g in self.graphs]
+        self.classes = None if any(c is None for c in classes) else np.concatenate(classes)
         self.readout = np.zeros((len(sizes), self.n))
-        self.readout[self._graph_of, np.arange(self.n)] = 1.0 / sizes[self._graph_of]
+        self.readout[self._graph_of, rows] = 1.0 / sizes[self._graph_of]
+        self._links = None
         self._ops = {}
+
+    def links(self):
+        """(r, c): every edge as batch rows in both directions, then each
+        row's self-loop r = c."""
+        if self._links is None:
+            edges = np.concatenate([g.edges for g in self.graphs])
+            edges += np.repeat(self._start, [len(g.edges) for g in self.graphs])[:, None]
+            i, j = edges.T
+            loops = np.arange(self.n)
+            self._links = (np.concatenate([i, j, loops]), np.concatenate([j, i, loops]))
+        return self._links
+
+    def classes_of(self, H):
+        """The degree classes of H's rows when H is this batch's own one-hot
+        `features`, else None."""
+        return self.classes if H is self.features else None
+
+    def neighbor_classes(self):
+        """(A + I) X for the one-hot X = `features`, as the per-row counts of
+        the classes over each row's neighbors-with-self; needs `classes`."""
+        r, c = self.links()
+        width = self.features.shape[1]
+        counts = np.bincount(r * width + self.classes[c], minlength=self.n * width)
+        return counts.reshape(self.n, width).astype(np.float64)
 
     def operators(self, kind):
         """The (B, n_max, n_max) stack of the graphs' propagation operators,
-        zero outside each graph's corner; built once per batch from the edges."""
+        zero outside each graph's corner; built once per batch by writing
+        each kind's values at the edges and self-loops it keeps."""
         ops = self._ops.get(kind)
         if ops is None:
+            r, c = self.links()
+            if kind is EncoderKind.GRAPHSAGE:  # no self-loops; isolated rows stay zero
+                r, c = r[:-self.n], c[:-self.n]
+                w = 1.0 / np.bincount(r, minlength=self.n)[r]
+            elif kind is EncoderKind.GCN:
+                d_inv_sqrt = 1.0 / np.sqrt(np.bincount(r, minlength=self.n))
+                w = d_inv_sqrt[r] * d_inv_sqrt[c]
+            else:  # GIN sums over neighbors-with-self, GAT masks attention with them
+                w = 1.0
             ops = np.zeros((len(self.graphs), self.n_max, self.n_max))
-            owner = np.repeat(np.arange(len(self.graphs)), [g.num_edges for g in self.graphs])
-            i, j = np.concatenate([g.edges for g in self.graphs]).T
-            ops[owner, i, j] = 1.0
-            ops[owner, j, i] = 1.0
-            if kind is EncoderKind.GRAPHSAGE:
-                ops /= np.maximum(ops.sum(axis=2, keepdims=True), 1.0)  # isolated nodes aggregate zeros
-            else:  # neighbors-with-self: GIN sums over them, GAT masks attention with them
-                ops[self._graph_of, self._local, self._local] = 1.0
-            if kind is EncoderKind.GCN:
-                deg = ops.sum(axis=2)
-                d_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))  # pad rows have degree 0
-                ops *= d_inv_sqrt[:, :, None]
-                ops *= d_inv_sqrt[:, None, :]
+            ops.reshape(-1, self.n_max)[self.slots[r], self._local[c]] = w
             self._ops[kind] = ops
         return ops
 
@@ -266,7 +305,8 @@ def _linear_then_aggregate(H, batch, kind, p):
     """gcn and gat: relu(P (H W)), P the normalized adjacency, or the
     attention over H W with scores (H W) a_src and (H W) a_dst."""
     hv, W = ad.values_of(H), ad.values_of(p["W"])
-    z = hv @ W
+    classes = batch.classes_of(H)
+    z = hv @ W if classes is None else W[classes]  # a one-hot row picks its class's row
     parts = (H, p["W"])
     scores = None
     if kind is EncoderKind.GAT:
@@ -308,8 +348,12 @@ def _sage_layer(H, batch, kind, p):
 
 
 def _gin_layer(H, batch, kind, p):
-    """relu(MLP((A + I) H)), the MLP as in `_mlp_rows`."""
-    agg, agg_vjp = ad.block_product(ad.values_of(H), batch.slots, batch.operators(kind))
+    """relu(MLP((A + I) H)), the MLP as in `_mlp_rows`; (A + I) H is a class
+    count when H is the batch's one-hot features."""
+    if batch.classes_of(H) is None:
+        agg, agg_vjp = ad.block_product(ad.values_of(H), batch.slots, batch.operators(kind))
+    else:  # a constant H needs no agg_vjp
+        agg, agg_vjp = batch.neighbor_classes(), None
     a2, mlp_vjp = _mlp_rows(agg, p, isinstance(H, Tensor))
 
     def vjp(g):

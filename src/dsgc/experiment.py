@@ -61,7 +61,9 @@ DEFAULT_SWEEP_DIMS = (8, 16, 32, 64)
 # product to its thread pool; with 2 idle threads on a 2-vCPU machine,
 # (967, 65) @ (65, 16), 1.006e6 multiply-adds, took 5.2 ms where
 # (953, 65) @ (65, 16), 0.991e6, took 0.09 ms. The budget is 640 rows of
-# the default gcn's 65 x 16 weight.
+# the default gcn's 65 x 16 weight. With the degree classes the graphs
+# cache, gcn's first product is now a gather of weight rows; the budget
+# stays so that evaluation batches, and with them outputs, do not move.
 _EVAL_MACS = 640 * 65 * 16
 # mallopt parameters from glibc's malloc.h, and the values keep_freed_heap
 # pins: the ceilings glibc's own dynamic thresholds reach on 64-bit,

@@ -12,12 +12,16 @@ batch of one and returns one view. A call builds one CSR adjacency over
 the batch's disjoint union and grows every graph's S in lockstep, one node
 per graph per pass while any graph is below its target size, with all
 bookkeeping in arrays over the union. Every view is then cut from the
-union in one pass. Each graph draws from its own stream, the one numpy's
-default generator seeded with its config's seed gives, so a view does not
-depend on the batch it is drawn in. The streams are replayed with array
-ops (`streams.Streams`): a call seeds all of them at once, and each round
-of draws is one bounded-draw step over the graphs still growing, with a
-cursor per graph; a bound of 1 reads no word, as in numpy.
+union in one pass: the edge rows of all views get `Graph`'s checks
+together (`data.check_edge_rows`), each view is built without checking
+them again, and the views' cached degree classes are gathered from the
+union at once. Each graph draws from its own stream,
+the one numpy's default generator seeded with its config's seed gives, so
+a view does not depend on the batch it is drawn in. The streams are
+replayed with array ops (`streams.Streams`): a call seeds all of them at
+once, and each round of draws is one bounded-draw step over the graphs
+still growing, with a cursor per graph; a bound of 1 reads no word, as in
+numpy.
 
   * diffusion_sample: frontier diffusion — repeatedly pick a uniform-random
     member of S that still has an outside neighbor, then a uniform-random
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Graph
+from .data import Graph, check_edge_rows
 from .errors import ContractError
 from .streams import Streams
 
@@ -102,7 +106,10 @@ class _Union:
 
     def cut(self, order, sizes):
         """Each graph's node-induced view on its slice of `order` (union
-        ids, view after view, sizes[i] for graph i), numbered in that order."""
+        ids of distinct nodes, view after view, sizes[i] for graph i),
+        numbered in that order. All views' edge rows get `Graph`'s checks
+        in one pass. The views' degree classes are gathered at once when
+        every graph has them; otherwise no view gets them, as in GraphBatch."""
         local = np.full(self.n, -1, dtype=np.int64)
         local[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         sub = local[self.edges]
@@ -111,19 +118,35 @@ class _Union:
         lo, hi = sub[keep].min(axis=1), sub[keep].max(axis=1)
         width = int(sizes.max())
         rows = np.argsort((view * width + lo) * width + hi)
-        edges = np.split(np.stack([lo[rows], hi[rows]], axis=1),
-                         np.cumsum(np.bincount(view, minlength=len(sizes)))[:-1])
-        ids = np.split(order - np.repeat(self.starts, sizes), np.cumsum(sizes)[:-1])
+        counts = np.bincount(view, minlength=len(sizes))
+        edges = np.stack([lo[rows], hi[rows]], axis=1)
+        check_edge_rows(edges, sizes, counts)
+        edges = np.split(edges, np.cumsum(counts)[:-1])
+        bounds = np.cumsum(sizes)[:-1]
+        ids = np.split(order - np.repeat(self.starts, sizes), bounds)
+
+        classes = [g.cache.get("classes") for g in self.graphs]
+        classes = ([None] * len(ids) if any(c is None for c in classes)
+                   else np.split(np.concatenate(classes)[order], bounds))
         return [
-            Graph(n=len(o), edges=e, label=g.label, orig_ids=o,
-                  features=g.features[o] if g.features is not None else None)
-            for g, o, e in zip(self.graphs, ids, edges)
+            Graph.unchecked(len(o), e, None if g.features is None else g.features[o], g.label, o,
+                            {} if c is None else {"classes": c})
+            for g, o, e, c in zip(self.graphs, ids, edges, classes)
         ]
 
 
 def induced_subgraph(g, order):
-    """Node-induced sub-graph on `order` (kept as the new node numbering)."""
-    order = np.asarray(order, dtype=np.int64)
+    """Node-induced sub-graph on `order`, distinct node ids of g (kept as
+    the new node numbering); an entry outside 0..n-1 or repeating an
+    earlier one is a ContractError naming the first such entry."""
+    order = np.asarray(order, dtype=np.int64).reshape(-1)
+    seen = set()
+    for k, v in enumerate(order.tolist()):
+        if not 0 <= v < g.n:
+            raise ContractError(f"induced_subgraph: order[{k}] = {v} is outside 0..{g.n - 1}")
+        if v in seen:
+            raise ContractError(f"induced_subgraph: order[{k}] = {v} repeats an earlier node")
+        seen.add(v)
     return _Union([g]).cut(order, np.array([len(order)]))[0]
 
 

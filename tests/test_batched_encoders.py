@@ -224,10 +224,17 @@ class TestLayout:
         assert np.array_equal(batch.readout, expect)
         assert np.array_equal(batch.features, np.concatenate([g.features for g in graphs]))
 
+    @pytest.mark.parametrize("batch", sorted(FROZEN_BATCHES) + ["isolated-and-edgeless"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_operators_are_each_graphs_own(self, kind):
+    def test_operators_are_each_graphs_own(self, kind, batch):
+        # the operators are written at the edges and self-loops only: a
+        # degree-0 node keeps GCN's self-loop weight 1 and GraphSAGE's zero row
         kind = EncoderKind(kind)
-        graphs = frozen_batch(FROZEN_BATCHES["mixed"], seed=2)
+        if batch in FROZEN_BATCHES:
+            graphs = frozen_batch(FROZEN_BATCHES[batch], seed=2)
+        else:
+            graphs = [synthesize_features(Graph(n=n, edges=edges), cap=3) for n, edges in
+                      ((5, [(0, 1), (0, 2), (1, 2), (3, 4)]), (4, [(1, 3)]), (3, []))]
         ops = GraphBatch(graphs).operators(kind)
         for block, g in zip(ops, graphs):
             assert np.array_equal(block[:g.n, :g.n], ref.prop_matrix(g, kind))

@@ -1,11 +1,14 @@
 """TU parsing, filtering, featurization, stats, and round-trip tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dsgc.data import (
     Dataset,
     Graph,
+    check_edge_rows,
     dataset_stats,
     filter_connected,
     parse_tu_dataset,
@@ -60,6 +63,22 @@ class TestGraphInvariants:
     def test_rejects_unsorted_rows(self):
         with pytest.raises(ContractError, match="sorted"):
             Graph(n=3, edges=[(1, 2), (0, 1)])
+
+    def test_stacked_edge_rows_are_checked_graph_by_graph(self):
+        sizes, counts = np.array([3, 2, 4]), [2, 1, 2]
+        # each graph's rows ascend; the stack falls back at each new graph
+        good = np.array([(0, 1), (1, 2), (0, 1), (0, 3), (2, 3)])
+        check_edge_rows(good, sizes, counts)
+        check_edge_rows(np.empty((0, 2), dtype=np.int64), sizes, [0, 0, 0])
+        for rows, message in (
+                ([(0, 1), (1, 2), (0, 2), (0, 3), (2, 3)], "out of range"),  # 2 >= n of graph 1
+                ([(0, 1), (1, 2), (0, 1), (0, 3), (3, 3)], "canonical"),
+                ([(0, 1), (0, 1), (0, 1), (0, 3), (2, 3)], "sorted"),
+                ([(0, 1), (1, 2), (0, 1), (2, 3), (0, 3)], "sorted")):
+            with pytest.raises(ContractError, match=message):
+                check_edge_rows(np.array(rows), sizes, counts)
+        with pytest.raises(ContractError, match="at least one node, got n=0"):
+            check_edge_rows(good[:3], np.array([3, 0, 2]), [2, 0, 1])
 
     def test_rejects_feature_mismatch(self):
         with pytest.raises(ContractError):
@@ -296,6 +315,24 @@ class TestFilterAndFeatures:
         g = synthesize_features(Graph(n=11, edges=edges), cap=4)
         assert np.argmax(g.features[0]) == 4
         assert g.features[0].sum() == 1.0
+
+    def test_classes_are_cached_and_replaced_on_refeaturizing(self):
+        g = Graph(n=4, edges=[(0, 1), (0, 2), (0, 3)])
+        g.is_connected()
+        wide = synthesize_features(g, cap=4)
+        assert wide.cache["classes"].tolist() == [3, 1, 1, 1]
+        assert np.array_equal(wide.cache["classes"], np.argmax(wide.features, axis=1))
+        assert wide.cache["connected"] is True and "classes" not in g.cache
+        narrow = synthesize_features(wide, cap=2)
+        assert narrow.cache["classes"].tolist() == [2, 1, 1, 1]
+        assert np.array_equal(narrow.cache["classes"], np.argmax(narrow.features, axis=1))
+        assert wide.cache["classes"].tolist() == [3, 1, 1, 1]
+        # derived structure: the classes take no part in equality
+        assert narrow == Graph(n=4, edges=g.edges, features=narrow.features)
+        # a Graph built with other features never carries the old classes
+        other = dataclasses.replace(narrow, features=np.eye(3)[[0, 0, 0, 0]])
+        assert other.cache == {"connected": True} and other.cache is not narrow.cache
+        assert "classes" in narrow.cache
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)

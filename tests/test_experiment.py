@@ -482,6 +482,21 @@ class TestEpochViews:
         for gid, space, view in served:
             assert view == self.seeded(ds, gid, fold, 0, space, cfg)
 
+    def test_every_served_view_carries_its_degree_classes(self, monkeypatch):
+        # the first layer reads them; without them it takes the dense path
+        ds, cfg = featured_rings(), self.CFG.replace(epochs=1)
+        served = []
+        for name, _, _, _ in self.SPACES:
+            def serve(views, g, real=getattr(_EpochViews, name)):
+                served.append((g, real(views, g)))
+                return served[-1][1]
+            monkeypatch.setattr(_EpochViews, name, serve)
+        _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[0], 0)
+        assert served
+        for g, view in served:
+            assert np.array_equal(view.cache["classes"], g.cache["classes"][view.orig_ids])
+            assert np.array_equal(view.cache["classes"], np.argmax(view.features, axis=1))
+
     def test_set_epoch_and_plan_sample_nothing(self, monkeypatch):
         ds, calls = featured_rings(), self.count_calls(monkeypatch)
         views = _EpochViews(self.CFG, ds.graphs, 0)

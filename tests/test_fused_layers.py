@@ -179,7 +179,8 @@ def test_each_layer_is_one_tape_node(kind, as_tensor):
     assert built == enc.num_layers + 1
 
 
-def test_default_train_step_builds_the_pinned_tensor_count():
+def default_step():
+    """One default-config train_step on 8 featurized graphs, as a callable."""
     cfg = ExperimentConfig()
     graphs = [synthesize_features(g, cap=cfg.degree_cap)
               for g in synthetic_dataset(cfg.batch_size).graphs]
@@ -188,6 +189,26 @@ def test_default_train_step_builds_the_pinned_tensor_count():
     views = ViewSampler(cfg.alpha_e, cfg.alpha_h, seed=0)
     loss_cfg = LossConfig(temperature=cfg.temperature, lambda_u=cfg.lambda_u, omega=cfg.omega)
     batch = Batch(labeled=graphs[0], unlabeled=graphs[1:])
+    return lambda: train_step(batch, model, views, loss_cfg, opt)
+
+
+def test_default_train_step_skips_gins_first_block_product(monkeypatch):
+    # views carry their parents' degree classes, so gin's first layer counts
+    # neighbor classes: three gcn layers and two gin layers use the block
+    calls = []
+
+    def counted(*args, real=ad.block_product, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    step = default_step()
+    monkeypatch.setattr(ad, "block_product", counted)
+    step()
+    assert len(calls) == 5
+
+
+def test_default_train_step_builds_the_pinned_tensor_count():
+    step = default_step()
     for _ in range(2):  # the count repeats exactly, step after step
-        _, built = tensors_built(lambda: train_step(batch, model, views, loss_cfg, opt))
+        _, built = tensors_built(step)
         assert built == DEFAULT_STEP_TENSORS

@@ -166,6 +166,30 @@ class TestInducedSubgraph:
         # original edges among {0,1,2} are (0,1),(0,2),(1,2) -> remapped
         assert {tuple(e) for e in sub.edges.tolist()} == {(0, 1), (0, 2), (1, 2)}
 
+    @pytest.mark.parametrize("order,message", [
+        ([0, 1, 1], r"order\[2\] = 1 repeats an earlier node"),
+        ([-1, 2], r"order\[0\] = -1 is outside 0..4"),
+        ([0, 7], r"order\[1\] = 7 is outside 0..4"),
+        ([3, 5, 3], r"order\[1\] = 5 is outside"),
+        ([], "at least one node"),
+    ])
+    def test_bad_order_is_a_contract_error(self, order, message):
+        path = Graph(n=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ContractError, match=message):
+            induced_subgraph(path, order)
+
+    def test_views_carry_their_nodes_classes(self):
+        g = synthesize_features(Graph(n=5, edges=[(0, 1), (0, 2), (0, 3), (3, 4)]), cap=2)
+        sub = induced_subgraph(g, [3, 0, 4])
+        assert sub.cache["classes"].tolist() == [2, 2, 1]
+        assert np.array_equal(sub.features, g.features[[3, 0, 4]])
+        assert induced_subgraph(Graph(n=2, edges=[(0, 1)]), [1]).cache == {}
+        # one graph without classes: no view of the call gets them
+        bare = Graph(n=g.n, edges=g.edges, features=g.features)
+        views = diffusion_sample([g, bare], [SamplerConfig(1.0), SamplerConfig(1.0)])
+        assert [v.cache for v in views] == [{}, {}]
+        assert all(np.array_equal(v.features, g.features[v.orig_ids]) for v in views)
+
 
 class TestCheckView:
     # a 6-cycle with one chord: every edge lies on a cycle
