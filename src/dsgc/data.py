@@ -29,9 +29,9 @@ class Graph:
     node's degree class: the column of its one-hot row in `features`, set by
     `synthesize_features` and carried into sampled views, which lets the
     encoders' first layer gather weight rows in place of a product with
-    the one-hot block. The constructor copies the cache it is given without
-    "classes", so a Graph built with other features (`dataclasses.replace`
-    included) never reads stale ones. Graphs are unhashable.
+    the one-hot block. The constructor drops the cache it is given, so a
+    Graph built with other edges or features (`dataclasses.replace`
+    included) never reads stale structure. Graphs are unhashable.
     """
 
     n: int
@@ -44,7 +44,7 @@ class Graph:
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         check_edge_rows(self.edges, self.n)
-        self.cache = {k: v for k, v in self.cache.items() if k != "classes"}
+        self.cache = {}
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
             if self.features.shape[0] != self.n:
@@ -287,16 +287,15 @@ def filter_connected(ds):
 
 def synthesize_features(g, cap=DEFAULT_DEGREE_CAP):
     """One-hot encode min(degree, cap) per node; returns a new Graph, F = cap + 1,
-    whose cache is a copy of g's (same nodes and edges) with those classes
-    as its "classes"."""
+    whose cache is a copy of g's (same nodes and edges, so "connected"
+    holds) with those classes as its "classes"."""
     if cap < 1:
         raise ContractError(f"degree cap must be positive, got {cap}")
     deg = np.minimum(g.degrees(), cap)
     feats = np.zeros((g.n, cap + 1), dtype=np.float64)
     feats[np.arange(g.n), deg] = 1.0
-    out = Graph(n=g.n, edges=g.edges, features=feats, label=g.label,
-                orig_ids=g.orig_ids, cache=g.cache)
-    out.cache["classes"] = deg
+    out = Graph(n=g.n, edges=g.edges, features=feats, label=g.label, orig_ids=g.orig_ids)
+    out.cache.update(g.cache, classes=deg)
     return out
 
 

@@ -9,13 +9,16 @@ always connected.
 Each sampler takes a list of graphs and a matching list of SamplerConfigs
 and returns the list of views; a single Graph with a single config is a
 batch of one and returns one view. A call builds one CSR adjacency over
-the batch's disjoint union and grows every graph's S in lockstep, one node
-per graph per pass while any graph is below its target size, with all
-bookkeeping in arrays over the union. Every view is then cut from the
-union in one pass: the edge rows of all views get `Graph`'s checks
-together (`data.check_edge_rows`), each view is built without checking
-them again, and the views' cached degree classes are gathered from the
-union at once. Each graph draws from its own stream,
+the batch's disjoint union, its graphs ordered by target size, largest
+first, and grows every graph's S in lockstep, one node per graph per pass
+while any graph is below its target size, with all bookkeeping in arrays
+over the union. The graphs still growing are then always a prefix of the
+union, so a pass works on leading slices. Neighbors are looked up by one
+gather of the CSR rows asked for. Every view is then cut from the union in
+one pass: the edge rows of all views get `Graph`'s checks together
+(`data.check_edge_rows`), each view is built without checking them again
+and takes its slice of the gathered node ids, edge rows and cached degree
+classes. Each graph draws from its own stream,
 the one numpy's default generator seeded with its config's seed gives, so
 a view does not depend on the batch it is drawn in. The streams are
 replayed with array ops (`streams.Streams`): a call seeds all of them at
@@ -28,19 +31,24 @@ numpy.
     such neighbor. Produces an unbiased "skeleton" view. It keeps, per
     node, the count of its neighbors outside S, so the eligible members of
     the graphs still growing are one mask over their (graphs, k) member
-    matrix, and the drawn one is found by a cumulative count. Each growth
-    step makes two draws per graph, both bounded by that graph's state:
-    the member, then its outside neighbor.
+    matrix. Each growth step makes two draws per graph, both bounded by
+    that graph's state: the member, then its outside neighbor. The r-th
+    eligible member of a graph is found among the mask's nonzero positions
+    at r past the hits of the graphs before it, and the r-th outside
+    neighbor likewise among the free entries of the members' gathered
+    neighbor rows.
   * community_expansion_sample: greedy structure expansion — among the
     candidate neighbors of S, add the one with the most neighbors outside
     S and the candidate set. Only the start node is random; the growth
     itself is deterministic. Produces a hierarchy-flavored view. It keeps
-    a candidate mask, a mask of the nodes not yet counted (neither in S
-    nor candidates) and, per node, the count of its uncounted neighbors
-    (one less for each neighbor that becomes counted). Each graph's pick
-    is a segmented argmax over its candidates' counts: the maximum per
-    graph by np.maximum.reduceat, then the first node at it by
-    np.minimum.reduceat, so ties go to the smallest original id.
+    a mask of the nodes not yet counted (neither in S nor candidates) and
+    one int64 key per node, gain * (n + 1) + (n - id) over the union's n
+    nodes, where gain counts its uncounted neighbors (one less for each
+    neighbor that becomes counted), plus (n + 1)**2 while the node is a
+    candidate. Each graph's pick is its largest key, one
+    np.maximum.reduceat over the union: the most gain among candidates,
+    ties going to the smallest original id, and the id is the key's
+    remainder.
 """
 
 from __future__ import annotations
@@ -79,13 +87,14 @@ def _require_connected(g, who, index=None):
 
 class _Union:
     """The disjoint union of a batch of graphs: graph i's nodes are
-    starts[i] .. starts[i] + n_i - 1, `edges` its canonical edge rows graph
-    after graph, and a CSR adjacency with each node's neighbors sorted."""
+    starts[i] .. ends[i] - 1, `edges` its canonical edge rows graph after
+    graph, and a CSR adjacency with each node's neighbors sorted."""
 
     def __init__(self, graphs):
         self.graphs = graphs
         self.sizes = np.array([g.n for g in graphs], dtype=np.int64)
-        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.ends = np.cumsum(self.sizes)
+        self.starts = self.ends - self.sizes
         self.n = n = int(self.sizes.sum())
         self.edge_counts = [g.num_edges for g in graphs]
         self.edges = (np.concatenate([g.edges for g in graphs])
@@ -97,12 +106,12 @@ class _Union:
         self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
 
     def neighbors(self, nodes):
-        """The neighbors of `nodes`, node after node, and for each the
-        position of its node in `nodes`."""
-        lo = self.indptr[nodes]
-        lens = self.indptr[nodes + 1] - lo
-        pos = np.repeat(np.arange(len(nodes)), lens)
-        return self.nbr[np.arange(len(pos)) + (lo - (np.cumsum(lens) - lens))[pos]], pos
+        """The neighbors of `nodes`, node after node: one gather of their
+        CSR rows."""
+        lens = self.degrees[nodes]
+        ends = lens.cumsum()
+        return self.nbr[np.arange(ends[-1] if len(ends) else 0)
+                        + (self.indptr[1:][nodes] - ends).repeat(lens)]
 
     def cut(self, order, sizes):
         """Each graph's node-induced view on its slice of `order` (union
@@ -110,28 +119,28 @@ class _Union:
         numbered in that order. All views' edge rows get `Graph`'s checks
         in one pass. The views' degree classes are gathered at once when
         every graph has them; otherwise no view gets them, as in GraphBatch."""
+        ends = np.cumsum(sizes)
         local = np.full(self.n, -1, dtype=np.int64)
-        local[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        sub = local[self.edges]
-        keep = (sub >= 0).all(axis=1)
+        local[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)
+        x, y = local.take(self.edges).T
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        keep = lo >= 0
         view = np.repeat(np.arange(len(sizes)), self.edge_counts)[keep]
-        lo, hi = sub[keep].min(axis=1), sub[keep].max(axis=1)
+        lo, hi = lo[keep], hi[keep]
         width = int(sizes.max())
         rows = np.argsort((view * width + lo) * width + hi)
         counts = np.bincount(view, minlength=len(sizes))
         edges = np.stack([lo[rows], hi[rows]], axis=1)
         check_edge_rows(edges, sizes, counts)
-        edges = np.split(edges, np.cumsum(counts)[:-1])
-        bounds = np.cumsum(sizes)[:-1]
-        ids = np.split(order - np.repeat(self.starts, sizes), bounds)
+        ids = order - np.repeat(self.starts, sizes)
 
         classes = [g.cache.get("classes") for g in self.graphs]
-        classes = ([None] * len(ids) if any(c is None for c in classes)
-                   else np.split(np.concatenate(classes)[order], bounds))
+        classes = None if any(c is None for c in classes) else np.concatenate(classes)[order]
+        at, edge_at = [0, *ends.tolist()], [0, *np.cumsum(counts).tolist()]
         return [
-            Graph.unchecked(len(o), e, None if g.features is None else g.features[o], g.label, o,
-                            {} if c is None else {"classes": c})
-            for g, o, e, c in zip(self.graphs, ids, edges, classes)
+            Graph.unchecked(b - a, edges[c:d], None if g.features is None else g.features[ids[a:b]],
+                            g.label, ids[a:b], {} if classes is None else {"classes": classes[a:b]})
+            for g, a, b, c, d in zip(self.graphs, at, at[1:], edge_at, edge_at[1:])
         ]
 
 
@@ -152,8 +161,8 @@ def induced_subgraph(g, order):
 
 def _sample(graphs, cfgs, who, grow):
     """The views of one sampler call; a lone Graph and config are a batch of
-    one. `grow(union, targets, seeds)` returns the (graphs, largest target)
-    matrix of insertion orders."""
+    one. `grow(union, targets, seeds)` gets the targets in descending order
+    and returns the (graphs, largest target) matrix of insertion orders."""
     single = isinstance(graphs, Graph)
     graphs, cfgs = ([graphs], [cfgs]) if single else (list(graphs), list(cfgs))
     if len(graphs) != len(cfgs):
@@ -162,68 +171,72 @@ def _sample(graphs, cfgs, who, grow):
         _require_connected(g, who, None if single else i)
     if not graphs:
         return []
-    union = _Union(graphs)
     targets = np.array([c.target_size(g.n) for g, c in zip(graphs, cfgs)], dtype=np.int64)
-    order = grow(union, targets, [c.seed for c in cfgs])
+    # largest target first, so the graphs still growing are always a prefix
+    # (ties in any order: each graph grows on its own)
+    rank = np.argsort(-targets)
+    union, targets = _Union([graphs[i] for i in rank]), targets[rank]
+    order = grow(union, targets, [cfgs[i].seed for i in rank])
     views = union.cut(order[np.arange(order.shape[1]) < targets[:, None]], targets)
+    views = [views[i] for i in np.argsort(rank).tolist()]
     return views[0] if single else views
 
 
+def _growing(targets):
+    """The number of graphs still growing at each pass, targets descending."""
+    return (targets[:, None] > np.arange(targets[0])).sum(axis=0).tolist()
+
+
 def _start_nodes(union, streams):
-    return union.starts + streams.draw(np.arange(len(union.sizes)), union.sizes)
+    return union.starts + streams.draw(slice(None), union.sizes)
 
 
 def _grow_diffusion(union, targets, seeds):
     # a start draw and two draws per growth step, when none is rejected
-    streams = Streams(seeds, 2 * int(targets.max()) - 1)
+    streams = Streams(seeds, 2 * int(targets[0]) - 1)
     free = np.ones(union.n, dtype=bool)    # outside S
     outside = union.degrees.copy()         # neighbors outside S, per node
-    order = np.empty((len(targets), targets.max()), dtype=np.int64)
-    active = np.arange(len(targets))
+    order = np.empty((len(targets), targets[0]), dtype=np.int64)
     v = _start_nodes(union, streams)
-    for k in range(order.shape[1]):
+    for k, g in enumerate(_growing(targets)):
         if k:
-            active = np.flatnonzero(targets > k)
-            members = order[active, :k]
-            eligible = outside[members] > 0
-            r = streams.draw(active, eligible.sum(axis=1))
-            # the r-th eligible member is the one with r eligible before it
-            at = (eligible.cumsum(axis=1) <= r[:, None]).sum(axis=1)
-            nb, pos = union.neighbors(members[np.arange(len(active)), at])
-            out = free[nb]
-            nb, counts = nb[out], np.bincount(pos[out], minlength=len(active))
-            v = nb[np.cumsum(counts) - counts + streams.draw(active, counts)]
-        order[active, k] = v
+            # the r-th eligible member of graph i, and then the r-th outside
+            # neighbor of it, sit at r past the hits of graphs 0..i-1
+            members = order[:g, :k]
+            eligible = outside.take(members) > 0
+            count = eligible.sum(axis=1)
+            at = count.cumsum() - count + streams.draw(slice(g), count)
+            u = members.take(eligible.ravel().nonzero()[0][at])
+            count = outside[u]
+            nb = union.neighbors(u)
+            at = count.cumsum() - count + streams.draw(slice(g), count)
+            v = nb[free[nb].nonzero()[0][at]]
+        order[:g, k] = v
         free[v] = False
-        outside[union.neighbors(v)[0]] -= 1  # one node per graph: no repeats
+        outside[union.neighbors(v)] -= 1  # one node per graph: no repeats
     return order
 
 
 def _grow_community(union, targets, seeds):
-    uncounted = np.ones(union.n, dtype=bool)   # neither a member nor a candidate
-    candidate = np.zeros(union.n, dtype=bool)
-    gain = union.degrees.copy()                # uncounted neighbors, per node
-    order = np.empty((len(targets), targets.max()), dtype=np.int64)
-    node = np.arange(union.n)
-    graph_of = np.repeat(np.arange(len(targets)), union.sizes)
+    n = union.n
+    uncounted = np.ones(n, dtype=bool)   # neither a member nor a candidate
+    # per node, (n + 1) * its uncounted neighbors + n - its id, plus (n + 1)**2
+    # while it is a candidate: a graph's largest key is its pick
+    key = union.degrees * (n + 1) + (n - np.arange(n))
+    order = np.empty((len(targets), targets[0]), dtype=np.int64)
     best = _start_nodes(union, Streams(seeds, 1))
     uncounted[best] = False
-    gain[union.neighbors(best)[0]] -= 1
-    for k in range(order.shape[1]):
-        active = np.flatnonzero(targets > k)
+    key[union.neighbors(best)] -= n + 1
+    for k, g in enumerate(_growing(targets)):
         if k:
-            score = np.where(candidate, gain, -1)
-            top = np.maximum.reduceat(score, union.starts)
-            first = np.minimum.reduceat(np.where(score == top[graph_of], node, union.n),
-                                        union.starts)
-            best = first[active]
-        order[active, k] = best
-        candidate[best] = False
-        nb = union.neighbors(best)[0]
+            best = n - np.maximum.reduceat(key[:union.ends[g - 1]], union.starts[:g]) % (n + 1)
+            key[best] -= (n + 1) ** 2
+        order[:g, k] = best
+        nb = union.neighbors(best)
         fresh = nb[uncounted[nb]]
-        candidate[fresh] = True
         uncounted[fresh] = False
-        gain -= np.bincount(union.neighbors(fresh)[0], minlength=union.n)
+        key[fresh] += (n + 1) ** 2
+        np.subtract.at(key, union.neighbors(fresh), n + 1)   # may repeat nodes
     return order
 
 

@@ -18,7 +18,10 @@ each can run for many generators at once with the same output bits:
   * The draw. A bound b > 1 takes uint32 words x until the low 32 bits of
     x * b are at least 2**32 mod b and returns the high 32 bits (Lemire,
     "Fast random integer generation in an interval", ACM TOMACS 2019). A
-    bound of 1 returns 0 and reads no word.
+    bound of 1 returns 0 and reads no word. Since 2**32 mod b < b, a word
+    whose low half is at least b is never rejected: a round of draws where
+    every low half clears its bound is returned at once, and only the
+    others take the remainder and re-draw the rejected views.
 
 The tests check each piece against numpy itself, so a numpy release that
 changed any of them would fail there.
@@ -28,7 +31,10 @@ into the process, in 64 KB steps that count in the resident set. So the
 code keeps to the integer add, multiply, shift and bitwise loops: it
 compares as int64, takes the 128-bit carry with bitwise ops and splits
 seeds without object arrays. A training run maps one 64 KB chunk for it,
-where uint64 comparisons, casts and object arrays would map four.
+where uint64 comparisons, casts and object arrays would map four. The
+words are stored as int64 and a draw multiplies them as int64, but it
+takes the product's halves on its uint64 view: the int64 `&` loop is not
+otherwise used in training, and would map one more 64 KB chunk.
 """
 
 from __future__ import annotations
@@ -166,43 +172,48 @@ class Streams:
     `Streams(seeds, words).draw(views, bounds)` gives, for each view i (a
     row of `seeds`), what the next `np.random.default_rng(seeds[i])
     .integers(bounds[i])` call would. Each stream's first `words` uint32
-    words are made up front; when a stream has read them all (a rejected
-    draw reads one more word), every stream makes two more from its own
-    saved state.
+    words are made up front (rounded up to even); a draw moves a cursor by
+    one word at most, so once there have been as many draws as words,
+    every stream makes two more from its own saved state before the next
+    draw. The words are int64 in one flat array, word j of stream i at
+    j * streams + i, so a cursor is a flat index and the words a round
+    reads are one gather.
     """
 
     def __init__(self, seeds, words):
         self._state, self._inc = _pcg_seed(seeds)
-        self._words = np.empty((len(seeds), 0), dtype=np.uint64)
-        self._cursor = np.zeros(len(seeds), dtype=np.int64)
+        self._words = np.empty(0, dtype=np.int64)
+        self._cursor = np.arange(len(seeds))
+        self._draws = 0
         self._extend((max(1, words) + 1) // 2)
 
     def _extend(self, outputs):
         """Append each stream's next `outputs` 64-bit outputs, as the uint32
         words bounded draws read: the low half, then the high half."""
-        powers, sums = _jump_table(outputs)
-        state, inc = (tuple(x[:, None] for x in pair) for pair in (self._state, self._inc))
-        hi, lo = _add128(_mul128(state, powers), _mul128(inc, sums))
-        self._state = hi[:, -1], lo[:, -1]
+        powers, sums = (tuple(x[:, None] for x in pair) for pair in _jump_table(outputs))
+        hi, lo = _add128(_mul128(self._state, powers), _mul128(self._inc, sums))
+        self._state = hi[-1], lo[-1]
         x, rot = hi ^ lo, hi >> _U58
-        out = (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
-        self._words = np.concatenate(
-            [self._words, np.stack([out & _M32, out >> _U32], axis=2).reshape(len(out), -1)],
-            axis=1)
+        out = (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))   # (outputs, streams)
+        words = np.stack([out & _M32, out >> _U32], axis=1).ravel()
+        self._words = np.concatenate([self._words, words.view(np.int64)])
 
     def draw(self, views, bounds):
         """One draw below each bound (1 <= bound <= 2**32, int64) from each
-        view's stream; `views` must be distinct."""
-        at = self._cursor[views]
-        if at.max(initial=0) >= self._words.shape[1]:
+        view's stream; `views`, an index array or a slice, must be distinct."""
+        streams = len(self._cursor)
+        if self._draws * streams >= len(self._words):
             self._extend(1)
-        self._cursor[views] = at + (bounds > 1)
-        b = bounds.astype(np.uint64)
-        m = self._words[views, at] * b
-        out = (m >> _U32).astype(np.int64)
-        # both sides are below 2**32, so they compare exactly as int64
-        floor = np.uint64(1 << 32) % b
-        rejected = np.flatnonzero((m & _M32).view(np.int64) < floor.view(np.int64))
+        self._draws += 1
+        at = self._cursor[views]
+        m = (self._words[at] * bounds).view(np.uint64)   # x * b mod 2**64
+        self._cursor[views] += streams * (bounds > 1)
+        out, low = (m >> _U32).view(np.int64), (m & _M32).view(np.int64)
+        # no word is rejected when each low half is at least its bound,
+        # since 2**32 mod b < b
+        if not np.count_nonzero(low < bounds):
+            return out
+        rejected = (low < (1 << 32) % bounds).nonzero()[0]
         if len(rejected):
-            out[rejected] = self.draw(views[rejected], bounds[rejected])
+            out[rejected] = self.draw(np.arange(streams)[views][rejected], bounds[rejected])
         return out

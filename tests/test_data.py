@@ -331,8 +331,15 @@ class TestFilterAndFeatures:
         assert narrow == Graph(n=4, edges=g.edges, features=narrow.features)
         # a Graph built with other features never carries the old classes
         other = dataclasses.replace(narrow, features=np.eye(3)[[0, 0, 0, 0]])
-        assert other.cache == {"connected": True} and other.cache is not narrow.cache
+        assert other.cache == {} and other.cache is not narrow.cache
         assert "classes" in narrow.cache
+
+    def test_replaced_edges_are_not_read_from_the_old_cache(self):
+        g = Graph(n=3, edges=[(0, 1), (1, 2)])
+        assert g.is_connected() and g.cache == {"connected": True}
+        cut = dataclasses.replace(g, edges=np.array([[0, 1]]))
+        assert cut.cache == {} and not cut.is_connected()
+        assert g.is_connected()
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)

@@ -194,7 +194,7 @@ class TestAdjacency:
         assert len(union.indptr) == g.n + 1
         for v, b in enumerate(want):
             assert np.array_equal(union.nbr[union.indptr[v]:union.indptr[v + 1]], b)
-            assert np.array_equal(union.neighbors(np.array([v]))[0], b)
+            assert np.array_equal(union.neighbors(np.array([v])), b)
         assert g.is_connected() == reference_is_connected(g)
 
 
@@ -309,6 +309,9 @@ class TestIncrementalSamplers:
 
 rates = st.floats(0.0, 1.0, exclude_min=True)
 ONE_NODE = Graph(n=1, edges=np.empty((0, 2)))
+PATH = Graph(n=9, edges=[(i, i + 1) for i in range(8)])
+# every node of a ring has the same gain until growth reaches it
+RING = Graph(n=12, edges=sorted(tuple(sorted((i, (i + 1) % 12))) for i in range(12)))
 
 
 class TestBatchedSamplers:
@@ -318,7 +321,16 @@ class TestBatchedSamplers:
     @PROPERTY
     @given(batch=st.lists(st.tuples(connected_graphs(), rates, seeds), min_size=1, max_size=6))
     @example(batch=[(ONE_NODE, 0.5, 3), (star(7, hub=4), 0.75, 1), (ONE_NODE, 1.0, 0),
-                    (Graph(n=9, edges=[(i, i + 1) for i in range(8)]), 1.0, 5)])
+                    (PATH, 1.0, 5)])
+    # graphs done at passes 0 and 1 ahead of others that grow on for 10+
+    # passes: the growing set shrinks, and not from the batch's end
+    @example(batch=[(PATH, 0.1, 2), (RING, 1.0, 9), (star(7, hub=4), 0.25, 4),
+                    (PATH, 1.0, 1), (RING, 0.9, 6)])
+    # tied gains among a ring's candidates while a path and a star grow
+    @example(batch=[(RING, 0.75, 3), (PATH, 0.8, 7), (RING, 0.5, 8), (star(7, hub=2), 1.0, 5)])
+    # a hub of 200 leaves beside small graphs and a 1-node graph
+    @example(batch=[(star(200, hub=117), 0.6, 12), (ONE_NODE, 1.0, 4), (PATH, 0.5, 3),
+                    (star(200, hub=0), 1.0, 7), (RING, 1.0, 2)])
     def test_batch_views_equal_the_quadratic_reference(self, batch):
         graphs = [synthesize_features(g, cap=4) for g, _, _ in batch]
         cfgs = [SamplerConfig(rate=rate, seed=seed) for _, rate, seed in batch]

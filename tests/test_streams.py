@@ -1,8 +1,8 @@
 """The array replay of numpy's seeding and bounded draws against numpy
 itself: SeedSequence's hash for entropies of 0-8 words and for multi-word
 seeds, and Generator.integers for small bounds, random bounds and bounds
-where rejections are common, with the words made up front or one output at
-a time."""
+where rejections are common, alone or mixed with bounds that never reject
+in one draw, with the words made up front or one output at a time."""
 
 import numpy as np
 import pytest
@@ -62,8 +62,11 @@ class TestBoundedDraws:
         rngs = [np.random.default_rng(s) for s in seeds]
         got, want = [], []
         for views, bs in rounds:
-            got.append(streams.draw(np.array(views, dtype=np.int64),
-                                    np.array(bs, dtype=np.int64)).tolist())
+            if isinstance(views, slice):   # the samplers' leading streams
+                at, views = views, range(len(seeds))[views]
+            else:
+                at = np.array(views, dtype=np.int64)
+            got.append(streams.draw(at, np.array(bs, dtype=np.int64)).tolist())
             want.append([int(rngs[v].integers(b)) for v, b in zip(views, bs)])
         return got, want
 
@@ -93,6 +96,20 @@ class TestBoundedDraws:
         raw = np.random.PCG64(seeds[0]).random_raw(100)
         words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
         assert ((words * np.uint64(b)) & 0xFFFFFFFF < 2**32 % b).sum() > 50
+
+    def test_one_draw_mixes_accepted_and_rejected_words(self):
+        # bound 1 reads no word and small bounds are almost never rejected,
+        # while about half the words at 2**31 + 1 are: most rounds take the
+        # rejection path for some views and return the rest at once
+        seeds, b = [3, 2**40, 11, 0, 12345, 2**33 + 5], 2**31 + 1
+        rounds = ([(slice(None), [1, b, 7, 1000, b, 2])] * 40
+                  + [([5, 1, 2], [b, 1, 3])] * 20 + [(slice(4), [2, 1, b, 9])] * 20)
+        for words in (1, 40):
+            got, want = self.replay(seeds, rounds, words)
+            assert got == want
+        raw = np.random.PCG64(seeds[1]).random_raw(20)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        assert ((words * np.uint64(b)) & 0xFFFFFFFF < 2**32 % b).sum() > 10
 
     def test_bound_one_reads_no_word(self):
         got, want = self.replay([7], [([0], [1])] * 5 + [([0], [10])] * 5, 1)
