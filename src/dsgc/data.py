@@ -47,10 +47,9 @@ class Graph:
         self.cache = {}
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.shape[0] != self.n:
-                raise ContractError(
-                    f"feature rows {self.features.shape[0]} != node count {self.n}"
-                )
+            if self.features.ndim != 2 or self.features.shape[0] != self.n:
+                raise ContractError(f"features of shape {self.features.shape} are not "
+                                    f"an (n, F) matrix with n = {self.n} rows")
 
     @classmethod
     def unchecked(cls, n, edges, features, label, orig_ids, cache):
@@ -97,6 +96,26 @@ class Graph:
             hit = bool(seen.all())
             self.cache["connected"] = hit
         return hit
+
+
+class GraphStack:
+    """Graphs stacked as one disjoint union, graph after graph: graph i's
+    nodes are starts[i] .. starts[i] + sizes[i] - 1 of the n, and `edges`
+    holds its canonical rows in those ids (edge_counts[i] rows). `degrees`
+    counts each node's edges; `classes` joins the graphs' cached "classes",
+    or is None when a graph has none."""
+
+    def __init__(self, graphs):
+        self.graphs = graphs = list(graphs)
+        self.sizes = np.array([g.n for g in graphs], dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.n = int(self.sizes.sum())
+        self.edge_counts = [g.num_edges for g in graphs]
+        self.edges = (np.concatenate([g.edges for g in graphs])
+                      + np.repeat(self.starts, self.edge_counts)[:, None])
+        self.degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+        classes = [g.cache.get("classes") for g in graphs]
+        self.classes = None if any(c is None for c in classes) else np.concatenate(classes)
 
 
 def check_edge_rows(edges, sizes, counts=None):

@@ -20,8 +20,9 @@ Mobius linear layer there. The predictor is the same MLP, d -> d -> K:
 `_mlp_rows` writes it once for both, and the predictor's logits are one
 tape node, like each layer.
 
-Every encoder call takes a GraphBatch: the node rows of B graphs stacked
-graph after graph, (sum of n_b, width), with no padding. Each layer of
+Every encoder call takes a GraphBatch: a `data.GraphStack` of B graphs,
+the layout the samplers' union shares, with their node rows stacked graph
+after graph, (sum of n_b, width), with no padding. Each layer of
 the four kinds, relu included, is one tape node whatever B is. Its
 closed-form VJP repeats the adjoints of the chain of primitives it
 replaced, in that chain's order, so values and gradients equal the chain's
@@ -42,7 +43,7 @@ layer asks for it, and dies with the batch.
 
 The features are one-hot degree classes, and `data.synthesize_features`
 caches each node's class in `Graph.cache["classes"]`; the samplers carry
-it into every view and GraphBatch concatenates it. On the batch's own
+it into every view and the stack concatenates it. On the batch's own
 features, the first gcn or gat layer gathers W's rows by class in place of
 X @ W, and the first gin layer counts each row's neighbor-with-self
 classes (one bincount over the batch's edges) in place of the padded
@@ -64,6 +65,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, glorot_uniform
+from .data import GraphStack
 from .errors import ContractError, ShapeError
 from .poincare import PoincareBall
 
@@ -100,35 +102,28 @@ class GraphEmbedding:
         return ad.values_of(self.tensor)
 
 
-class GraphBatch:
-    """Graphs row-stacked for one encoder pass.
-
-    `features` holds the node rows graph after graph and `n` counts them;
-    `classes` holds each row's degree class (the graphs' cached "classes",
-    see `data.Graph`), or is None when a graph has none. `slots` gives each
+class GraphBatch(GraphStack):
+    """Graphs row-stacked for one encoder pass: a `data.GraphStack` whose
+    `features` hold the node rows graph after graph. `slots` gives each
     row its place b * n_max + i in the padded layout of
     `autodiff.block_aggregate`, and `readout` is the constant (B, n) matrix
     whose row b averages graph b's rows.
     """
 
     def __init__(self, graphs):
-        self.graphs = list(graphs)
-        if not self.graphs:
+        graphs = list(graphs)
+        if not graphs:
             raise ContractError("a graph batch needs at least one graph")
-        if any(g.features is None for g in self.graphs):
+        if any(g.features is None for g in graphs):
             raise ContractError("graph has no features; synthesize them first")
-        counts = [g.n for g in self.graphs]
-        self.n, self.n_max = sum(counts), max(counts)
-        sizes, rows = np.array(counts), np.arange(self.n)
-        self._graph_of = np.repeat(np.arange(len(sizes)), sizes)
-        self._start = np.cumsum(sizes) - sizes
-        self._local = rows - self._start[self._graph_of]
-        self.slots = self._graph_of * self.n_max + self._local
-        self.features = np.concatenate([g.features for g in self.graphs])
-        classes = [g.cache.get("classes") for g in self.graphs]
-        self.classes = None if any(c is None for c in classes) else np.concatenate(classes)
-        self.readout = np.zeros((len(sizes), self.n))
-        self.readout[self._graph_of, rows] = 1.0 / sizes[self._graph_of]
+        super().__init__(graphs)
+        self.n_max, rows = int(self.sizes.max()), np.arange(self.n)
+        graph_of = np.repeat(np.arange(len(graphs)), self.sizes)
+        self._local = rows - self.starts[graph_of]
+        self.slots = graph_of * self.n_max + self._local
+        self.features = np.concatenate([g.features for g in graphs])
+        self.readout = np.zeros((len(graphs), self.n))
+        self.readout[graph_of, rows] = 1.0 / self.sizes[graph_of]
         self._links = None
         self._ops = {}
 
@@ -136,10 +131,7 @@ class GraphBatch:
         """(r, c): every edge as batch rows in both directions, then each
         row's self-loop r = c."""
         if self._links is None:
-            edges = np.concatenate([g.edges for g in self.graphs])
-            edges += np.repeat(self._start, [len(g.edges) for g in self.graphs])[:, None]
-            i, j = edges.T
-            loops = np.arange(self.n)
+            (i, j), loops = self.edges.T, np.arange(self.n)
             self._links = (np.concatenate([i, j, loops]), np.concatenate([j, i, loops]))
         return self._links
 
@@ -165,9 +157,9 @@ class GraphBatch:
             r, c = self.links()
             if kind is EncoderKind.GRAPHSAGE:  # no self-loops; isolated rows stay zero
                 r, c = r[:-self.n], c[:-self.n]
-                w = 1.0 / np.bincount(r, minlength=self.n)[r]
+                w = 1.0 / self.degrees[r]
             elif kind is EncoderKind.GCN:
-                d_inv_sqrt = 1.0 / np.sqrt(np.bincount(r, minlength=self.n))
+                d_inv_sqrt = 1.0 / np.sqrt(self.degrees + 1)
                 w = d_inv_sqrt[r] * d_inv_sqrt[c]
             else:  # GIN sums over neighbors-with-self, GAT masks attention with them
                 w = 1.0

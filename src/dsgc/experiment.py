@@ -155,14 +155,16 @@ class ExperimentConfig:
                         raise ValueError(value)
                     value = int(value)
                 elif f.type in ("float", float):
+                    if isinstance(value, bool):
+                        raise ValueError(value)
                     value = float(value)
                 elif f.type in ("bool", bool):
                     text = value.strip().lower() if isinstance(value, str) else value
                     if text not in ("true", "false", "1", "0", 1, 0):
                         raise ValueError(value)
                     value = text in ("true", "1", 1)
-                else:
-                    value = str(value)
+                elif not isinstance(value, str):
+                    raise ValueError(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"config key {key!r}: cannot interpret {value!r}") from None
             values[key] = value
@@ -261,13 +263,19 @@ class _EpochViews:
     until a space's first view request of the epoch; that request samples
     every planned graph of the space in one batched sampler call, and the
     views are cached for the rest of the epoch. Asking for a graph outside
-    the plan is a ContractError.
+    the plan is a ContractError, and so is a list that holds one Graph
+    object twice, as views are found by object.
     """
 
     def __init__(self, cfg, graphs, fold):
         self._cfg = cfg
         self._graphs = graphs
-        self._gid_of = {id(g): i for i, g in enumerate(graphs)}
+        self._gid_of = {}
+        for i, g in enumerate(graphs):
+            first = self._gid_of.setdefault(id(g), i)
+            if first != i:
+                raise ContractError(f"graphs {first} and {i} are one Graph object; "
+                                    "give each position its own")
         self._fold = fold
         self._epoch = 0
         self._plan = set()

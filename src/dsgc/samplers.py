@@ -9,16 +9,17 @@ always connected.
 Each sampler takes a list of graphs and a matching list of SamplerConfigs
 and returns the list of views; a single Graph with a single config is a
 batch of one and returns one view. A call builds one CSR adjacency over
-the batch's disjoint union, its graphs ordered by target size, largest
-first, and grows every graph's S in lockstep, one node per graph per pass
-while any graph is below its target size, with all bookkeeping in arrays
+the batch's disjoint union (`data.GraphStack`, the layout the encoders'
+batch shares), its graphs ordered by target size, largest first, and
+grows every graph's S in lockstep, one node per graph per pass while any
+graph is below its target size, with all bookkeeping in arrays
 over the union. The graphs still growing are then always a prefix of the
 union, so a pass works on leading slices. Neighbors are looked up by one
 gather of the CSR rows asked for. Every view is then cut from the union in
 one pass: the edge rows of all views get `Graph`'s checks together
 (`data.check_edge_rows`), each view is built without checking them again
-and takes its slice of the gathered node ids, edge rows and cached degree
-classes. Each graph draws from its own stream,
+and takes its slice of the gathered node ids, edge rows and the stack's
+degree classes. Each graph draws from its own stream,
 the one numpy's default generator seeded with its config's seed gives, so
 a view does not depend on the batch it is drawn in. The streams are
 replayed with array ops (`streams.Streams`): a call seeds all of them at
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Graph, check_edge_rows
+from .data import Graph, GraphStack, check_edge_rows
 from .errors import ContractError
 from .streams import Streams
 
@@ -85,24 +86,14 @@ def _require_connected(g, who, index=None):
         raise ContractError(f"{who}: graph must be connected (filter the dataset first){where}")
 
 
-class _Union:
-    """The disjoint union of a batch of graphs: graph i's nodes are
-    starts[i] .. ends[i] - 1, `edges` its canonical edge rows graph after
-    graph, and a CSR adjacency with each node's neighbors sorted."""
+class _Union(GraphStack):
+    """A batch's `data.GraphStack` plus its CSR adjacency, each node's
+    neighbors sorted."""
 
     def __init__(self, graphs):
-        self.graphs = graphs
-        self.sizes = np.array([g.n for g in graphs], dtype=np.int64)
-        self.ends = np.cumsum(self.sizes)
-        self.starts = self.ends - self.sizes
-        self.n = n = int(self.sizes.sum())
-        self.edge_counts = [g.num_edges for g in graphs]
-        self.edges = (np.concatenate([g.edges for g in graphs])
-                      + np.repeat(self.starts, self.edge_counts)[:, None])
-        a, b = self.edges.T
-        keys = np.sort(np.concatenate([a * n + b, b * n + a]))
-        self.nbr = keys % n
-        self.degrees = np.bincount(keys // n, minlength=n)
+        super().__init__(graphs)
+        n, (a, b) = self.n, self.edges.T
+        self.nbr = np.sort(np.concatenate([a * n + b, b * n + a])) % n
         self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
 
     def neighbors(self, nodes):
@@ -117,8 +108,8 @@ class _Union:
         """Each graph's node-induced view on its slice of `order` (union
         ids of distinct nodes, view after view, sizes[i] for graph i),
         numbered in that order. All views' edge rows get `Graph`'s checks
-        in one pass. The views' degree classes are gathered at once when
-        every graph has them; otherwise no view gets them, as in GraphBatch."""
+        in one pass. The views get their slices of the stack's `classes`,
+        or none when it has none."""
         ends = np.cumsum(sizes)
         local = np.full(self.n, -1, dtype=np.int64)
         local[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)
@@ -133,9 +124,7 @@ class _Union:
         edges = np.stack([lo[rows], hi[rows]], axis=1)
         check_edge_rows(edges, sizes, counts)
         ids = order - np.repeat(self.starts, sizes)
-
-        classes = [g.cache.get("classes") for g in self.graphs]
-        classes = None if any(c is None for c in classes) else np.concatenate(classes)[order]
+        classes = None if self.classes is None else self.classes[order]
         at, edge_at = [0, *ends.tolist()], [0, *np.cumsum(counts).tolist()]
         return [
             Graph.unchecked(b - a, edges[c:d], None if g.features is None else g.features[ids[a:b]],
@@ -224,12 +213,13 @@ def _grow_community(union, targets, seeds):
     # while it is a candidate: a graph's largest key is its pick
     key = union.degrees * (n + 1) + (n - np.arange(n))
     order = np.empty((len(targets), targets[0]), dtype=np.int64)
+    ends = union.starts + union.sizes
     best = _start_nodes(union, Streams(seeds, 1))
     uncounted[best] = False
     key[union.neighbors(best)] -= n + 1
     for k, g in enumerate(_growing(targets)):
         if k:
-            best = n - np.maximum.reduceat(key[:union.ends[g - 1]], union.starts[:g]) % (n + 1)
+            best = n - np.maximum.reduceat(key[:ends[g - 1]], union.starts[:g]) % (n + 1)
             key[best] -= (n + 1) ** 2
         order[:g, k] = best
         nb = union.neighbors(best)

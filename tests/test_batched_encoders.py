@@ -33,6 +33,7 @@ from dsgc.losses import (
     train_step,
 )
 from dsgc.poincare import PoincareBall
+from dsgc.samplers import _Union
 
 ALL_KINDS = [k.value for k in EncoderKind]
 SPACES = ("euclidean", "tangent", "mobius")
@@ -57,6 +58,14 @@ def connected_graph(rng, n, cap=3):
 def frozen_batch(sizes, seed=0):
     rng = np.random.default_rng(seed)
     return [connected_graph(rng, n) for n in sizes]
+
+
+def stack_contract_graphs():
+    """Isolated nodes, an edgeless 1-node graph, and one graph (the last)
+    with features but no cached degree classes."""
+    graphs = [synthesize_features(Graph(n=n, edges=edges), cap=3) for n, edges in
+              ((5, [(0, 1), (0, 2), (1, 2), (3, 4)]), (4, [(1, 3)]), (1, []), (3, []))]
+    return graphs + [Graph(n=3, edges=[(0, 2)], features=np.eye(3, 4))]
 
 
 def make_encoder(kind, space, seed=0, scale=0.5):
@@ -224,7 +233,7 @@ class TestLayout:
         assert np.array_equal(batch.readout, expect)
         assert np.array_equal(batch.features, np.concatenate([g.features for g in graphs]))
 
-    @pytest.mark.parametrize("batch", sorted(FROZEN_BATCHES) + ["isolated-and-edgeless"])
+    @pytest.mark.parametrize("batch", sorted(FROZEN_BATCHES) + ["stack-contract"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_operators_are_each_graphs_own(self, kind, batch):
         # the operators are written at the edges and self-loops only: a
@@ -233,12 +242,28 @@ class TestLayout:
         if batch in FROZEN_BATCHES:
             graphs = frozen_batch(FROZEN_BATCHES[batch], seed=2)
         else:
-            graphs = [synthesize_features(Graph(n=n, edges=edges), cap=3) for n, edges in
-                      ((5, [(0, 1), (0, 2), (1, 2), (3, 4)]), (4, [(1, 3)]), (3, []))]
+            graphs = stack_contract_graphs()
         ops = GraphBatch(graphs).operators(kind)
         for block, g in zip(ops, graphs):
             assert np.array_equal(block[:g.n, :g.n], ref.prop_matrix(g, kind))
             assert not block[g.n:].any() and not block[:, g.n:].any()
+
+    @pytest.mark.parametrize("stack", [GraphBatch, _Union])
+    def test_the_stack_is_each_graphs_own(self, stack):
+        # the sampler's union and the encoders' batch share one layout
+        graphs = stack_contract_graphs()
+        s = stack(graphs)
+        sizes = [g.n for g in graphs]
+        assert s.graphs == graphs and s.sizes.tolist() == sizes and s.n == sum(sizes)
+        assert s.starts.tolist() == [0, 5, 9, 10, 13]
+        assert s.edge_counts == [g.num_edges for g in graphs]
+        assert np.array_equal(s.edges, np.concatenate(
+            [g.edges + start for g, start in zip(graphs, s.starts.tolist())]))
+        assert np.array_equal(s.degrees, np.concatenate([g.degrees() for g in graphs]))
+        assert s.classes is None  # the last graph has no cached classes
+        cached = stack(graphs[:-1])
+        assert np.array_equal(cached.classes,
+                              np.concatenate([g.cache["classes"] for g in graphs[:-1]]))
 
     def test_empty_and_featureless_batches_rejected(self):
         with pytest.raises(ContractError):

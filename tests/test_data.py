@@ -1,6 +1,7 @@
 """TU parsing, filtering, featurization, stats, and round-trip tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ class TestGraphInvariants:
     def test_rejects_feature_mismatch(self):
         with pytest.raises(ContractError):
             Graph(n=2, edges=[(0, 1)], features=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("features", [[1.0, 2.0], 5.0])
+    def test_rejects_features_that_are_not_a_matrix(self, features):
+        message = f"features of shape {np.shape(features)} are not an (n, F) matrix"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            Graph(n=2, edges=[(0, 1)], features=features)
 
     def test_equality_compares_every_field_but_the_cache(self):
         def graph(**over):

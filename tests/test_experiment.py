@@ -89,7 +89,8 @@ class TestConfig:
          ("independent_draws", 2), ("mobius_layers", -1), ("mobius_layers", 0.5),
          ("learning_rate", "nan"), ("weight_decay", "nan"), ("omega", float("nan")),
          ("lambda_u", "inf"), ("temperature", float("inf")), ("curvature", "inf"),
-         ("learning_rate", "inf"), ("omega", "inf")],
+         ("learning_rate", "inf"), ("omega", "inf"), ("omega", True), ("alpha_h", False),
+         ("dataset", None), ("euclidean_encoder", 3)],
     )
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -535,6 +536,13 @@ class TestEpochViews:
             views.hyperbolic_view(ds.graphs[7])
         assert calls["community_expansion_sample"] == [3]
 
+    @pytest.mark.parametrize("omega", [0.0, 0.01])
+    def test_one_graph_object_at_two_positions_is_refused(self, omega):
+        ds = featured_rings()
+        ds.graphs[22] = ds.graphs[0]
+        with pytest.raises(ContractError, match="graphs 0 and 22 are one Graph object"):
+            run_experiment(self.CFG.replace(omega=omega), ds)
+
 
 class TestEpochSchedule:
     CFG = ExperimentConfig(**{**FAST, "epochs": 3})
@@ -767,7 +775,7 @@ class TestRunArtifacts:
         }
         path = write_sweep_csv(sweep, str(tmp_path), "dim")
         assert path == str(tmp_path / "sweep_dim.csv")
-        assert open(path).read() == (
+        assert Path(path).read_text() == (
             "config,fold,accuracy\n"
             "d8,0,0.1\nd8,1,0.2\nd16,0,0.3\nd16,1,0.3333333333333333\n"
         )
