@@ -124,6 +124,8 @@ class ExperimentConfig:
             )
         if self.folds < 2:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.temperature <= 0:
@@ -227,6 +229,9 @@ def split_folds(ds, cfg):
     splits = []
     for k, test in enumerate(tests):
         pool = np.setdiff1d(everyone, test)
+        if not len(pool):
+            raise ContractError(f"fold {k}: its test set of {len(test)} graphs holds every "
+                                "graph, so none is left to label; lower test_fraction")
         take = min(n_labeled, len(pool))
         lab_rng = np.random.default_rng(derive_seed("labeled", cfg.seed, k))
         labeled = np.sort(lab_rng.choice(pool, size=take, replace=False))
@@ -484,6 +489,13 @@ def run_experiment(cfg, dataset=None, data_dir=None, pool=None):
     """Full protocol: split, train each fold from scratch, aggregate. The
     folds run in `pool` (see fold_pool) when one is given, else in turn."""
     ds = dataset if dataset is not None else load_dataset(cfg, data_dir)
+    for i, g in enumerate(ds.graphs):   # every fold's model reads graph 0's width
+        if g.features is None:
+            raise ContractError(f"graph {i} has no features; synthesize them first")
+        if g.features.shape[1] != ds.graphs[0].features.shape[1]:
+            raise ContractError(f"graph {i} has {g.features.shape[1]} feature columns where "
+                                f"graph 0 has {ds.graphs[0].features.shape[1]}; synthesize "
+                                "them first, with one degree cap")
     jobs = [
         (cfg, ds.graphs, ds.num_classes, split, fold)
         for fold, split in enumerate(split_folds(ds, cfg))

@@ -72,9 +72,9 @@ class SamplerConfig:
         if not (0.0 < self.rate <= 1.0):
             raise ContractError(f"sampling rate must be in (0, 1], got {self.rate}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ContractError(f"sampler seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))   # streams split Python ints
+                or not 0 <= self.seed < 2**32):
+            raise ContractError(f"sampler seed must be a nonnegative integer, got "
+                                f"{self.seed!r}; a seed is one 32-bit word, below 2**32")
 
     def target_size(self, n):
         return max(1, int(round(self.rate * n)))

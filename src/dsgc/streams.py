@@ -3,9 +3,9 @@
 `np.random.default_rng(seed).integers(b)` is three fixed algorithms, and
 each can run for many generators at once with the same output bits:
 
-  * Seeding. `SeedSequence` splits the seed into little-endian uint32 words
-    and hashes them into a 4-word pool with 32-bit multiply-xorshift mixes;
-    its `generate_state` hashes the pool into output words. `generate_state`
+  * Seeding. A seed is one uint32 word. `SeedSequence` hashes its entropy
+    words into a 4-word pool with 32-bit multiply-xorshift mixes; its
+    `generate_state` hashes the pool into output words. `generate_state`
     below runs both hashes on uint32 columns, one row per entropy.
   * The stream. `PCG64` takes generate_state(4, uint64) as its 128-bit seed
     and increment, seeds itself as PCG's srandom does, and steps the 128-bit
@@ -29,12 +29,13 @@ changed any of them would fail there.
 The first call of a numpy loop maps its part of numpy's shared library
 into the process, in 64 KB steps that count in the resident set. So the
 code keeps to the integer add, multiply, shift and bitwise loops: it
-compares as int64, takes the 128-bit carry with bitwise ops and splits
-seeds without object arrays. A training run maps one 64 KB chunk for it,
-where uint64 comparisons, casts and object arrays would map four. The
-words are stored as int64 and a draw multiplies them as int64, but it
-takes the product's halves on its uint64 view: the int64 `&` loop is not
-otherwise used in training, and would map one more 64 KB chunk.
+compares as int64, takes the 128-bit carry with bitwise ops and reads
+seeds as uint32 words, without object arrays. A training run maps one
+64 KB chunk for it, where uint64 comparisons, casts and object arrays
+would map four. The words are stored as int64 and a draw multiplies them
+as int64, but it takes the product's halves on its uint64 view: the int64
+`&` loop is not otherwise used in training, and would map one more 64 KB
+chunk.
 """
 
 from __future__ import annotations
@@ -80,14 +81,9 @@ def _mix(x, y):
     return r ^ (r >> np.uint32(16))
 
 
-def generate_state(entropy, n_words, lengths=None):
+def generate_state(entropy, n_words):
     """`np.random.SeedSequence(row).generate_state(n_words)` for every row of
-    `entropy`, a (rows, L) uint32 matrix, as a (rows, n_words) uint32 matrix.
-
-    Row i holds lengths[i] entropy words and zeros after them (all L words
-    when `lengths` is None). A row of at most 4 words hashes as if padded
-    with zeros to 4, so lengths only matter past the fourth word.
-    """
+    `entropy`, a (rows, L) uint32 matrix, as a (rows, n_words) uint32 matrix."""
     words = np.asarray(entropy, dtype=np.uint32).T
     width, rows = words.shape
     xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL * max(_POOL, width))
@@ -100,20 +96,9 @@ def generate_state(entropy, n_words, lengths=None):
         pool = mixed
     for src in range(_POOL, width):   # then each further word into the whole pool
         at = slice(_POOL * src, _POOL * (src + 1))
-        mixed = _mix(pool, _hashmix(words[src], xor[at, None], mult[at, None]))
-        pool = mixed if lengths is None else np.where(lengths > src, mixed, pool)
+        pool = _mix(pool, _hashmix(words[src], xor[at, None], mult[at, None]))
     xor, mult = _hash_constants(_INIT_B, _MULT_B, n_words)
     return _hashmix(pool[np.arange(n_words) % _POOL], xor[:, None], mult[:, None]).T
-
-
-def seed_words(seeds):
-    """Nonnegative integer seeds as SeedSequence splits them: a (len(seeds),
-    L) uint32 matrix of little-endian words, zero-padded, and each seed's
-    word count (1 for a seed of 0)."""
-    counts = [max(1, -(-s.bit_length() // 32)) for s in seeds]
-    width = max(counts, default=1)
-    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
-    return np.frombuffer(raw, dtype="<u4").reshape(len(seeds), width), np.array(counts)
 
 
 def _mul_hi(a, b):
@@ -155,12 +140,11 @@ def _jump_table(count):
 
 
 def _pcg_seed(seeds):
-    """PCG64's (state, increment) after seeding from each seed's
+    """PCG64's (state, increment) after seeding from each 32-bit seed's
     SeedSequence, as PCG's srandom does: state 0, step, add the seed, step."""
     # generate_state(4, uint64) reads each pair of words as one little-endian uint64
-    words, lengths = seed_words(seeds)
-    words = np.ascontiguousarray(generate_state(words, 8, lengths)).view("<u8")
-    seed_hi, seed_lo, inc_hi, inc_lo = words.T
+    words = np.ascontiguousarray(generate_state(np.asarray(seeds, dtype=np.uint32)[:, None], 8))
+    seed_hi, seed_lo, inc_hi, inc_lo = words.view("<u8").T
     inc = ((inc_hi << np.uint64(1)) | (inc_lo >> _U63), (inc_lo << np.uint64(1)) | np.uint64(1))
     state = _mul128(_add128(inc, (seed_hi, seed_lo)), _split128([_MULT]))
     return _add128(state, inc), inc
@@ -169,8 +153,8 @@ def _pcg_seed(seeds):
 class Streams:
     """One numpy PCG64 uint32 stream per seed, drawn from with array ops.
 
-    `Streams(seeds, words).draw(views, bounds)` gives, for each view i (a
-    row of `seeds`), what the next `np.random.default_rng(seeds[i])
+    `Streams(seeds, words).draw(views, bounds)` gives, for each view i (an
+    entry of `seeds`, each below 2**32), what the next `np.random.default_rng(seeds[i])
     .integers(bounds[i])` call would. Each stream's first `words` uint32
     words are made up front (rounded up to even); a draw moves a cursor by
     one word at most, so once there have been as many draws as words,

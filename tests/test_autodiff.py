@@ -180,6 +180,9 @@ class TestBackwardSemantics:
 
 
 class TestGuardsAndErrors:
+    def test_a_vector_becomes_one_row(self):
+        assert np.array_equal(ad.Tensor([1.0, 2.0, 3.0]).values, [[1.0, 2.0, 3.0]])
+
     def test_matmul_shape_error(self):
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import re
 
 import pytest
 
@@ -190,6 +191,36 @@ class TestTrain:
         assert rc == 2
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["4294967296", "-1"])
+    def test_seed_outside_32_bits_exits_2_without_outputs(self, tmp_path, data_root, capsys,
+                                                          seed):
+        out = tmp_path / "x"
+        rc = main(["train", write_config(tmp_path), "--data-dir", data_root, "--out", str(out),
+                   "--set", f"seed={seed}"])
+        assert rc == 2
+        assert f"seed must lie in [0, 2**32), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fold_with_every_graph_in_its_test_set_exits_2(self, tmp_path, data_root, capsys):
+        # round(0.99 * 12) = 12 test graphs leave none to label
+        rc = main(["train", write_config(tmp_path), "--data-dir", data_root,
+                   "--out", str(tmp_path / "x"), "--set", "independent_draws=true",
+                   "--set", "test_fraction=0.99"])
+        assert rc == 2
+        assert "fold 0: its test set of 12 graphs holds every graph" in capsys.readouterr().err
+
+    def test_default_out_dir_is_named_by_dataset_command_time_and_seed(
+            self, tmp_path, data_root, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["train", write_config(tmp_path, epochs=1, seed=7), "--data-dir", data_root])
+        assert rc == 0
+        (out,) = (tmp_path / "runs").iterdir()
+        assert re.fullmatch(r"RINGS-train-\d{8}-\d{6}-s7", out.name)
+        assert f"out_dir: {os.path.join('runs', out.name)}" in capsys.readouterr().out
+        assert (out / "summary.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["out_dir"] == os.path.join(
+            "runs", out.name)
 
     def test_config_that_is_a_json_list_exits_2(self, tmp_path, data_root, capsys):
         path = tmp_path / "list.json"

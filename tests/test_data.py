@@ -42,6 +42,10 @@ class TestGraphInvariants:
         with pytest.raises(ContractError, match="at least one node"):
             Graph(n=0, edges=np.empty((0, 2)))
 
+    def test_dataset_needs_a_class(self):
+        with pytest.raises(ContractError, match="num_classes must be positive"):
+            Dataset(name="E", graphs=[Graph(n=1, edges=[])], num_classes=0)
+
     def test_dataset_rejects_label_outside_its_classes(self):
         for label in (-1, 2):
             with pytest.raises(ContractError, match="outside"):

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import io
 import json
 import os
 import pickle
@@ -90,7 +91,7 @@ class TestConfig:
          ("learning_rate", "nan"), ("weight_decay", "nan"), ("omega", float("nan")),
          ("lambda_u", "inf"), ("temperature", float("inf")), ("curvature", "inf"),
          ("learning_rate", "inf"), ("omega", "inf"), ("omega", True), ("alpha_h", False),
-         ("dataset", None), ("euclidean_encoder", 3)],
+         ("dataset", None), ("euclidean_encoder", 3), ("seed", -1), ("seed", 2**32)],
     )
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -186,6 +187,13 @@ class TestSplitFolds:
         with pytest.raises(ContractError):
             split_folds(ds, cfg)
 
+    def test_test_set_of_every_graph_is_rejected(self):
+        # round(0.99 * 12) = 12: the fold's test set leaves no graph to label
+        ds = self.featurized(12)
+        cfg = ExperimentConfig(**{**FAST, "independent_draws": True, "test_fraction": 0.99})
+        with pytest.raises(ContractError, match="fold 0: its test set of 12 graphs"):
+            split_folds(ds, cfg)
+
 
 class TestMetricsRecord:
     def test_aggregates_match_recomputation(self):
@@ -231,6 +239,20 @@ class TestRunExperiment:
         # a short supervised-only run must beat coin flipping on average
         _, _, rec = self.run(epochs=30, omega=0.0, learning_rate=0.01)
         assert rec.mean > 0.75
+
+    def test_graphs_without_features_are_refused_before_any_fold(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_train_fold", _no_fold)
+        ds = synthetic_dataset()   # parsed graphs, not featurized
+        with pytest.raises(ContractError, match="graph 0 has no features; synthesize them first"):
+            run_experiment(ExperimentConfig(**FAST), dataset=ds)
+
+    def test_graphs_of_two_feature_widths_are_refused_before_any_fold(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_train_fold", _no_fold)
+        ds = synthetic_dataset()
+        graphs = [synthesize_features(g, cap=4 if i == 5 else 8) for i, g in enumerate(ds.graphs)]
+        with pytest.raises(ContractError, match="graph 5 has 5 feature columns where graph 0 "
+                                                "has 9; synthesize them first"):
+            run_experiment(ExperimentConfig(**FAST), dataset=dataclasses.replace(ds, graphs=graphs))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_location(self):
@@ -338,6 +360,30 @@ class TestRunExperiment:
         with fold_pool(2) as pool:
             counts = [pool.submit(_blas_threads).result(timeout=60) for _ in range(4)]
         assert counts == [1, 1, 1, 1]
+
+
+def _no_fold(*args):
+    raise AssertionError("a fold started training")
+
+
+def _raise_os_error(*args, **kwargs):
+    raise OSError("not available")
+
+
+class TestNativeLookups:
+    def test_openblas_lookup_is_none_without_the_process_maps(self, monkeypatch):
+        monkeypatch.setattr(experiment, "open", _raise_os_error, raising=False)
+        assert openblas_function("get_num_threads") is None
+
+    def test_openblas_lookup_skips_libraries_that_do_not_load(self, monkeypatch):
+        maps = "7f00-7f01 r-xp 00000000 00:00 0 /lib/libopenblas.so\n"
+        monkeypatch.setattr(experiment, "open", lambda path: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(experiment.ctypes, "CDLL", _raise_os_error)
+        assert openblas_function("get_num_threads") is None
+
+    def test_mallopt_lookup_is_none_when_the_c_library_does_not_load(self, monkeypatch):
+        monkeypatch.setattr(experiment.ctypes, "CDLL", _raise_os_error)
+        assert mallopt_function() is None
 
 
 needs_mallopt = pytest.mark.skipif(mallopt_function() is None,

@@ -341,13 +341,3 @@ class TestBatchedSamplers:
                 want = reference(g, cfg)
                 assert_same_view(view, want)
                 assert_same_view(sample([g], [cfg])[0], want)
-
-    @PROPERTY
-    @given(batch=st.lists(st.tuples(connected_graphs(), rates, st.integers(2**32, 2**140)),
-                          min_size=1, max_size=4))
-    def test_multi_word_seeds_equal_the_quadratic_reference(self, batch):
-        graphs = [synthesize_features(g, cap=4) for g, _, _ in batch]
-        cfgs = [SamplerConfig(rate=rate, seed=seed) for _, rate, seed in batch]
-        for sample, reference in SAMPLER_PAIRS:
-            for g, cfg, view in zip(graphs, cfgs, sample(graphs, cfgs)):
-                assert_same_view(view, reference(g, cfg))

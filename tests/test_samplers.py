@@ -45,11 +45,17 @@ class TestConfig:
         with pytest.raises(ContractError, match=f"seed must be a nonnegative integer, got {seed!r}"):
             SamplerConfig(rate=0.5, seed=seed)
 
-    def test_accepts_numpy_and_multi_word_seeds(self):
+    @pytest.mark.parametrize("seed", [2**32, 2**40, np.int64(2**32), np.uint64(2**64 - 1)])
+    def test_rejects_seeds_wider_than_32_bits(self, seed):
+        with pytest.raises(ContractError, match="one 32-bit word, below 2\\*\\*32"):
+            SamplerConfig(rate=0.5, seed=seed)
+
+    @pytest.mark.parametrize("sample", SAMPLERS)
+    def test_numpy_integer_seeds_give_the_int_seeds_views(self, sample):
         g = Graph(n=6, edges=[(i, i + 1) for i in range(5)])
-        for seed in (np.uint32(7), np.int64(2**40), 2**40, 2**200):
-            view = diffusion_sample(g, SamplerConfig(rate=0.5, seed=seed))
-            want = diffusion_sample(g, SamplerConfig(rate=0.5, seed=int(seed)))
+        for seed in (np.uint32(7), np.int64(2**32 - 1), np.uint64(0), np.int8(3)):
+            view = sample(g, SamplerConfig(rate=0.5, seed=seed))
+            want = sample(g, SamplerConfig(rate=0.5, seed=int(seed)))
             assert np.array_equal(view.orig_ids, want.orig_ids)
 
     def test_target_size(self):
