@@ -147,7 +147,7 @@ def mul(a, b):
 def floored_divisor(bv):
     """bv with magnitudes floored at DIV_FLOOR, signs kept; an exact zero
     raises DomainError."""
-    small = np.abs(bv).min() if bv.size else 1.0
+    small = np.minimum.reduce(np.abs(bv), axis=None) if bv.size else 1.0
     if small == 0.0:
         raise DomainError("div: divisor contains an exact zero")
     if small < DIV_FLOOR:
@@ -196,10 +196,17 @@ def arcosh(x):
     return link((x,), v, lambda g: (g / np.sqrt(xc * xc - 1.0),))
 
 
-def sigmoid(x):
+def sigmoid_rows(xv):
+    """`sigmoid` on an array, for fused ops: the values and vjp(g), the
+    adjoint of xv."""
     # clipping at +-500 avoids exp overflow without changing any representable output
-    v = 1.0 / (1.0 + np.exp(-np.clip(values_of(x), -500.0, 500.0)))
-    return link((x,), v, lambda g: (g * v * (1.0 - v),))
+    v = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(xv, -500.0), 500.0)))
+    return v, lambda g: g * v * (1.0 - v)
+
+
+def sigmoid(x):
+    v, vjp = sigmoid_rows(values_of(x))
+    return link((x,), v, lambda g: (vjp(g),))
 
 
 def relu(x):

@@ -32,9 +32,10 @@ from .errors import ConfigError, ContractError, TrainingDivergedError, TUParseEr
 from .experiment import (
     ExperimentConfig,
     dataset_path,
+    fold_jobs,
     fold_pool,
     load_dataset,
-    run_experiment,
+    run_folds,
     sweep_configs,
     write_manifest,
     write_results,
@@ -109,13 +110,17 @@ def cmd_sample(args):
 
 def cmd_run(args):
     """train: one protocol run; sweep: one run per `sweep_configs` entry.
-    Either way the dataset is loaded once, the manifest comes first, and
-    with --parallel-folds N > 1 every run shares one pool of N workers."""
+    Either way the dataset is loaded once, every run's config is checked
+    against it (`fold_jobs`) before the manifest is written, so a refused
+    run leaves no output, and with --parallel-folds N > 1 every run shares
+    one pool of N workers."""
     if args.parallel_folds < 1:
         raise ConfigError(f"--parallel-folds must be at least 1, got {args.parallel_folds}")
     cfg = _load_config(args.config, args.set_)
     ds = load_dataset(cfg, args.data_dir)
     command = "train" if args.command == "train" else f"sweep-{args.kind}"
+    runs = {"train": cfg} if args.command == "train" else sweep_configs(cfg, args.kind)
+    jobs = {label: fold_jobs(sub, ds) for label, sub in runs.items()}
     stamp = datetime.now()
     out_dir = args.out or os.path.join(
         "runs", f"{cfg.dataset}-{command}-{stamp:%Y%m%d-%H%M%S}-s{cfg.seed}"
@@ -129,17 +134,13 @@ def cmd_run(args):
     })
     pool = fold_pool(args.parallel_folds) if args.parallel_folds > 1 else None
     with pool or contextlib.nullcontext():
-        if args.command == "train":
-            record = run_experiment(cfg, dataset=ds, pool=pool)
-            write_results(record, out_dir)
-            print(f"mean_accuracy: {record.mean:.4f}")
-            print(f"std_accuracy: {record.std:.4f}")
-        else:
-            records = {
-                label: run_experiment(sub, dataset=ds, pool=pool)
-                for label, sub in sweep_configs(cfg, args.kind).items()
-            }
-            print(f"sweep_csv: {write_sweep_csv(records, out_dir, args.kind)}")
+        records = {label: run_folds(folds, pool) for label, folds in jobs.items()}
+    if args.command == "train":
+        write_results(records["train"], out_dir)
+        print(f"mean_accuracy: {records['train'].mean:.4f}")
+        print(f"std_accuracy: {records['train'].std:.4f}")
+    else:
+        print(f"sweep_csv: {write_sweep_csv(records, out_dir, args.kind)}")
     print(f"out_dir: {out_dir}")
     return 0
 

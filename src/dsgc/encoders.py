@@ -17,8 +17,9 @@ variant (`mobius=True`) instead keeps node states on the ball and applies
 each layer as aggregate-in-tangent-space followed by the Mobius
 linear/bias/activation composition; the GIN MLP degenerates to that single
 Mobius linear layer there. The predictor is the same MLP, d -> d -> K:
-`_mlp_rows` writes it once for both, and the predictor's logits are one
-tape node, like each layer.
+`_mlp_rows` writes it once for both. In training it runs inside the
+step's objective node (`losses.step_objective`); `Predictor.logits`, one
+tape node over it, and `predict` serve evaluation, on frozen parameters.
 
 Every encoder call takes a GraphBatch: a `data.GraphStack` of B graphs,
 the layout the samplers' union shares, with their node rows stacked graph

@@ -485,10 +485,10 @@ def load_dataset(cfg, data_dir=None):
     return prepare_dataset(dataset_path(cfg, data_dir), degree_cap=cfg.degree_cap)
 
 
-def run_experiment(cfg, dataset=None, data_dir=None, pool=None):
-    """Full protocol: split, train each fold from scratch, aggregate. The
-    folds run in `pool` (see fold_pool) when one is given, else in turn."""
-    ds = dataset if dataset is not None else load_dataset(cfg, data_dir)
+def fold_jobs(cfg, ds):
+    """The protocol's per-fold `_train_fold` arguments on `ds`, after the
+    checks that refuse a run before any fold trains: every graph has
+    features as wide as graph 0's, and `split_folds` accepts the config."""
     for i, g in enumerate(ds.graphs):   # every fold's model reads graph 0's width
         if g.features is None:
             raise ContractError(f"graph {i} has no features; synthesize them first")
@@ -496,14 +496,26 @@ def run_experiment(cfg, dataset=None, data_dir=None, pool=None):
             raise ContractError(f"graph {i} has {g.features.shape[1]} feature columns where "
                                 f"graph 0 has {ds.graphs[0].features.shape[1]}; synthesize "
                                 "them first, with one degree cap")
-    jobs = [
+    return [
         (cfg, ds.graphs, ds.num_classes, split, fold)
         for fold, split in enumerate(split_folds(ds, cfg))
     ]
+
+
+def run_folds(jobs, pool=None):
+    """Train the folds of `fold_jobs`, in `pool` (see fold_pool) when one
+    is given, else in turn, and aggregate them."""
     results = list((map if pool is None else pool.map)(_train_fold, *zip(*jobs)))
     return MetricsRecord.from_folds(
         [acc for acc, _ in results], [trace for _, trace in results]
     )
+
+
+def run_experiment(cfg, dataset=None, data_dir=None, pool=None):
+    """Full protocol: split, train each fold from scratch, aggregate. The
+    folds run in `pool` (see fold_pool) when one is given, else in turn."""
+    ds = dataset if dataset is not None else load_dataset(cfg, data_dir)
+    return run_folds(fold_jobs(cfg, ds), pool)
 
 
 def sweep_configs(cfg, kind):

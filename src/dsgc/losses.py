@@ -14,23 +14,29 @@ InfoNCE terms:
   total = supervised + omega * (labeled + (lambda_u / N) * sum_i unlabeled_i)
 
 Each space encodes all N + 1 views of a step in one encoder call (labeled
-view first), one row per graph. In training, everything between the two
-readouts and the total is one tape node, `contrastive_head`: one exp0 of
-the Euclidean rows, one similarity evaluation over the 3N + 1 stacked
-(u, v) row pairs of both blocks whatever N, the two blocks of terms (the
-labeled s-_i fill one row; unlabeled_i is row i of one (N, 1) column) and
-the total, with one closed-form VJP. The public node functions
-(`to_hyperbolic`, `info_nce_labeled`, `info_nce_unlabeled`,
+view first), one row per graph. In training, everything after the two
+readouts is one tape node, `step_objective`, with one closed-form VJP:
+  * the supervised part: the predictor MLP over the labeled Euclidean row
+    (`encoders._mlp_rows`), the sigmoid and the binary cross-entropy;
+  * the contrastive part: one exp0 of the Euclidean rows, one ball check
+    of both blocks of points, one similarity evaluation over the 3N + 1
+    stacked (u, v) row pairs of both blocks whatever N, and the two blocks
+    of terms (the labeled s-_i fill one row; unlabeled_i is row i of one
+    (N, 1) column);
+  * the total. At omega = 0 the node computes the supervised part alone.
+The public node functions (`encoders.predict`, `supervised_loss`,
+`to_hyperbolic`, `info_nce_labeled`, `info_nce_unlabeled`,
 `total_objective`) compute the same values from the same array forms
-(`PoincareBall.exp0_rows` and `.similarity_rows`, `_nce_rows`,
-`_total_rows`), so no formula is written twice; the head equals their
-composite over row gathers bit for bit.
+(`encoders._mlp_rows`, `autodiff.sigmoid_rows`, `_bce_rows`,
+`PoincareBall.exp0_rows` and `.similarity_rows`, `_nce_rows`,
+`_total_rows`), so no formula is written twice; the node equals their
+composite over row gathers bit for bit. A training step runs none of them.
 
 Similarities are capped near 7.07e5 (coincident points), so every term is
 evaluated as a max-shifted logsumexp along its row of scores; the shift is
 grouped so that the all-equal-scores case yields ln(N+1) exactly. The
 supervised loss is binary cross-entropy summed over classes, matching the
-predictor's elementwise-sigmoid output, as one node.
+predictor's elementwise-sigmoid output.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ from .encoders import (
     HYPERBOLIC,
     GraphBatch,
     GraphEmbedding,
+    _mlp_rows,
     encode_euclidean,
     encode_hyperbolic,
-    predict,
+    predict,  # noqa: F401  perfbench wraps losses.predict by name
 )
 from .errors import ContractError, ShapeError
 
@@ -114,23 +121,23 @@ def _nce_rows(sp, sn, temperature):
     exactly 0.
     """
     inv_t = 1.0 / temperature
-    sp = sp * inv_t
     try:
-        row = np.concatenate([sp, sn * inv_t], axis=1)
+        row = np.concatenate([sp, sn], axis=1) * inv_t
     except ValueError:
         raise ShapeError(f"_nce: {sp.shape[0]} positive rows, negatives {sn.shape}") from None
+    sp = row[:, :1]
     top = row.argmax(axis=1)
     rows = np.arange(row.shape[0])
     m = row[rows, top][:, None]
     e = np.exp(row - m)
-    total = e.sum(axis=1, keepdims=True)
+    total = np.add.reduce(e, axis=1, keepdims=True)
 
     def vjp(g):
         # the adjoints add up in the order of the chain of primitives: the
         # softmax part, then g minus its sum routed to the row's maximum,
         # then -g on the positive; a softmax - 1 form cancels differently
         grow = g / total * e
-        grow[rows, top] += (g - grow.sum(axis=1, keepdims=True))[:, 0]
+        grow[rows, top] += (g - np.add.reduce(grow, axis=1, keepdims=True))[:, 0]
         return (grow[:, :1] - g) * inv_t, grow[:, 1:] * inv_t
 
     return np.log(total) + (m - sp), vjp
@@ -169,15 +176,9 @@ def info_nce_unlabeled(h_u_hyp, h_u_e2h, h_l_hyp, ball, cfg):
     return _nce(s_pos, s_neg, cfg.temperature)
 
 
-def supervised_loss(p, label):
-    """Binary cross-entropy summed over classes against the one-hot target,
-    as one tape node.
-
-    The label's probability and every other class's complement 1 - p are
-    floored at BCE_PROB_FLOOR before the log; no gradient passes a floored
-    entry.
-    """
-    pv = ad.values_of(p)
+def _bce_rows(pv, label):
+    """`supervised_loss` on arrays: the (1, 1) loss and vjp(g), the adjoint
+    of pv."""
     k = pv.shape[1]
     if not (0 <= label < k):
         raise ContractError(f"label {label} outside [0, {k})")
@@ -186,9 +187,21 @@ def supervised_loss(p, label):
     kept = np.maximum(q, BCE_PROB_FLOOR)
 
     def vjp(g):
-        return (np.where(hit, -g, g) / kept * (q >= BCE_PROB_FLOOR),)
+        return np.where(hit, -g, g) / kept * (q >= BCE_PROB_FLOOR)
 
-    return ad.link((p,), -np.log(kept).sum(keepdims=True), vjp)
+    return -np.add.reduce(np.log(kept), axis=None, keepdims=True), vjp
+
+
+def supervised_loss(p, label):
+    """Binary cross-entropy summed over classes against the one-hot target,
+    as one tape node.
+
+    The label's probability and every other class's complement 1 - p are
+    floored at BCE_PROB_FLOOR before the log; no gradient passes a floored
+    entry.
+    """
+    v, vjp = _bce_rows(ad.values_of(p), label)
+    return ad.link((p,), v, lambda g: (vjp(g),))
 
 
 def _total_rows(sv, lv, terms, cfg):
@@ -197,7 +210,7 @@ def _total_rows(sv, lv, terms, cfg):
     contrastive term lv + (lambda_u / N) * sum(terms), and vjp(g): the
     adjoints of sv and lv, and the (1, 1) adjoint every term shares."""
     scale = cfg.lambda_u / terms.shape[0]
-    contra = lv + terms.sum(keepdims=True) * scale
+    contra = lv + np.add.reduce(terms, axis=None, keepdims=True) * scale
 
     def vjp(g):
         g_contra = g * cfg.omega
@@ -231,7 +244,7 @@ def total_objective(sup, labeled_nce, unlabeled_nces, cfg):
 
 @functools.cache
 def _head_pairs(n):
-    """Row indices of the (u, v) pairs `contrastive_head` scores, into the n
+    """Row indices of the (u, v) pairs `step_objective` scores, into the n
     hyperbolic points stacked over the n mapped Euclidean rows (labeled
     graph first in each): the unlabeled positives (h_h[i], eh[i]) and
     negatives (h_h[0], eh[i]), then the labeled positive (h_h[0], eh[0])
@@ -243,52 +256,83 @@ def _head_pairs(n):
     return iu, iv
 
 
-def contrastive_head(sup, h_e, h_h, ball, cfg):
-    """The step's total objective from the supervised loss and the two
-    readouts, as one tape node; returns the total and the value of the
-    contrastive term.
-
-    h_e holds the Euclidean readout rows and h_h the hyperbolic points, one
-    row per graph of the batch, labeled graph first. The node maps h_e into
-    the ball (exp0), scores all 3N + 1 pairs of both InfoNCE blocks in one
-    similarity evaluation (`_head_pairs`), and adds up as `total_objective`:
-    the same values, bit for bit, as `to_hyperbolic`, `info_nce_unlabeled`,
-    `info_nce_labeled` and `total_objective` over row gathers. A point
-    outside the ball raises DomainError naming its batch row.
-    """
-    _require_space(h_e, EUCLIDEAN, "contrastive_head")
-    _require_space(h_h, HYPERBOLIC, "contrastive_head")
-    ev, hv = ad.values_of(h_e.tensor), ad.values_of(h_h.tensor)
+def _head_rows(ev, hv, ball, cfg):
+    """The two InfoNCE blocks of `step_objective` on arrays: the labeled
+    term, the (N, 1) column of unlabeled terms, and vjp(g_l, g_terms), the
+    adjoints of ev and hv from those of the terms."""
     n = hv.shape[0]
     if ev.shape != hv.shape or n < 2:
-        raise ContractError(f"contrastive_head: need two views of the same n >= 2 graphs, "
+        raise ContractError(f"step_objective: need two views of the same n >= 2 graphs, "
                             f"got {ev.shape} and {hv.shape}")
-    k = n - 1
+    k, d = n - 1, hv.shape[1]
     eh, exp0_vjp = ball.exp0_rows(ev)
-    ph, sh = ball.scaled_rows(hv, " of the hyperbolic view")
-    pe, se = ball.scaled_rows(eh, " of the mapped Euclidean view")
-    pts, sq = np.concatenate([ph, pe]), np.concatenate([sh, se])
+    pts, sq = ball.scaled_rows(np.concatenate([hv, eh]), " of the hyperbolic view",
+                               " of the mapped Euclidean view")
+    # one gather per operand fetches the pairs' points with their squared norms
+    both = np.concatenate([pts, sq], axis=1)
     iu, iv = _head_pairs(n)
-    sim, sim_vjp = ball.similarity_rows(pts[iu], pts[iv], sq[iu], sq[iv])
-    u, u_vjp = _nce_rows(sim[:k], sim[k:2 * k], cfg.temperature)
+    u, v = both[iu], both[iv]
+    sim, sim_vjp = ball.similarity_rows(u[:, :d], v[:, :d], u[:, d:], v[:, d:])
+    terms, u_vjp = _nce_rows(sim[:k], sim[k:2 * k], cfg.temperature)
     lv, l_vjp = _nce_rows(sim[2 * k:2 * k + 1], sim[2 * k + 1:].T, cfg.temperature)
-    v, contra, total_vjp = _total_rows(ad.values_of(sup), lv, u, cfg)
 
-    def vjp(g):
-        g_sup, g_l, g_terms = total_vjp(g)
-        g_pos, g_neg = u_vjp(np.broadcast_to(g_terms, u.shape))
+    def vjp(g_l, g_terms):
+        g_pos, g_neg = u_vjp(g_terms)  # (1, 1): it broadcasts over the rows as it is
         g_lpos, g_lneg = l_vjp(g_l)
         gu, gv = sim_vjp(np.concatenate([g_pos, g_neg, g_lpos, g_lneg.T]))
         # each row sums what the taped composite summed from its two uses;
         # a broadcast operand sums its rows as `_unbroadcast` does
         gh, geh = np.empty_like(hv), np.empty_like(eh)
-        gh[:1] = gu[2 * k:2 * k + 1] + gu[k:2 * k].sum(axis=0, keepdims=True)
+        gh[:1] = gu[2 * k:2 * k + 1] + np.add.reduce(gu[k:2 * k], axis=0, keepdims=True)
         gh[1:] = gv[2 * k + 1:] + gu[:k]
-        geh[:1] = gu[2 * k + 1:].sum(axis=0, keepdims=True) + gv[2 * k:2 * k + 1]
+        geh[:1] = np.add.reduce(gu[2 * k + 1:], axis=0, keepdims=True) + gv[2 * k:2 * k + 1]
         geh[1:] = gv[k:2 * k] + gv[:k]
-        return g_sup, exp0_vjp(geh), gh
+        return exp0_vjp(geh), gh
 
-    return ad.link((sup, h_e.tensor, h_h.tensor), v, vjp), float(contra[0, 0])
+    return lv, terms, vjp
+
+
+def step_objective(h_e, h_h, predictor, label, ball, cfg):
+    """The step's total objective from the two readouts, the predictor and
+    the label, as one tape node. Returns the total, the supervised and the
+    contrastive values, and the prediction: the (K,) class probabilities of
+    the labeled graph.
+
+    h_e holds the Euclidean readout rows and h_h the hyperbolic points, one
+    row per graph of the batch, labeled graph first. The predictor reads
+    h_e's row 0 (`encoders.predict` with `supervised_loss`). The
+    contrastive part maps h_e into the ball (exp0), scores all 3N + 1 pairs
+    of both InfoNCE blocks in one similarity evaluation (`_head_pairs`),
+    and adds up as `total_objective`. At cfg.omega == 0 only the supervised
+    part runs and h_h, which may be None, is not read. The values equal,
+    bit for bit, those of the node functions over row gathers (see the
+    module docstring). A point outside the ball raises DomainError naming
+    its view and batch row.
+    """
+    _require_space(h_e, EUCLIDEAN, "step_objective")
+    ev, params = ad.values_of(h_e.tensor), predictor.layer_params[0]
+    contrast = cfg.omega != 0.0
+    if contrast:  # first, so that a bad readout row is named before any product
+        _require_space(h_h, HYPERBOLIC, "step_objective")
+        lv, terms, head_vjp = _head_rows(ev, ad.values_of(h_h.tensor), ball, cfg)
+    logits, mlp_vjp = _mlp_rows(ev[:1], params, True)
+    prob, sigmoid_vjp = ad.sigmoid_rows(logits)
+    sv, bce_vjp = _bce_rows(prob, label)
+    total, contra, total_vjp = _total_rows(sv, lv, terms, cfg) if contrast else (sv, 0.0, None)
+
+    def vjp(g):
+        if contrast:
+            g_sup, g_l, g_terms = total_vjp(g)
+            ge, gh = head_vjp(g_l, g_terms)
+        else:
+            g_sup, ge = g, np.zeros_like(ev)
+        gx, *g_params = mlp_vjp(sigmoid_vjp(bce_vjp(g_sup)))
+        ge[:1] += gx  # row 0's adjoint from the predictor, where the row gather put it
+        return (ge, gh, *g_params) if contrast else (ge, *g_params)
+
+    parts = (h_e.tensor, h_h.tensor) if contrast else (h_e.tensor,)
+    return (ad.link((*parts, *params.values()), total, vjp), float(sv[0, 0]),
+            float(contra[0, 0]) if contrast else 0.0, prob[0])
 
 
 class ViewSampler:
@@ -329,32 +373,23 @@ def train_step(batch, model, views, cfg, optimizer):
     """One optimizer step on a batch; returns the step's losses and prediction.
 
     Each space encodes its views of the batch as one GraphBatch, labeled
-    view first; the predictor reads the labeled Euclidean row, and
-    `contrastive_head` takes both readouts to the total. With omega == 0
-    the contrastive half (unlabeled and hyperbolic views, hyperbolic
-    encoder, head) is skipped entirely; the objective value is identical
-    either way.
+    view first, and `step_objective` takes both readouts, the predictor
+    and the label to the total. With omega == 0 the contrastive half
+    (unlabeled and hyperbolic views, hyperbolic encoder, head) is skipped
+    entirely; the objective value is identical either way.
     """
     g_l = batch.labeled
-    graphs = [g_l] + list(batch.unlabeled) if cfg.omega != 0.0 else [g_l]
+    contrast = cfg.omega != 0.0
+    graphs = [g_l] + list(batch.unlabeled) if contrast else [g_l]
     h_e = encode_euclidean(GraphBatch([views.euclidean_view(g) for g in graphs]),
                            model.encoder_e)
-    p = predict(GraphEmbedding(ad.take_rows(h_e.tensor, [0]), EUCLIDEAN), model.predictor)
-    sup = supervised_loss(p, g_l.label)
-
-    if cfg.omega != 0.0:
-        h_h = encode_hyperbolic(GraphBatch([views.hyperbolic_view(g) for g in graphs]),
-                                model.encoder_h, model.ball)
-        total, contrastive = contrastive_head(sup, h_e, h_h, model.ball, cfg)
-    else:
-        total, contrastive = sup, 0.0
+    h_h = encode_hyperbolic(GraphBatch([views.hyperbolic_view(g) for g in graphs]),
+                            model.encoder_h, model.ball) if contrast else None
+    total, supervised, contrastive, prediction = step_objective(
+        h_e, h_h, model.predictor, g_l.label, model.ball, cfg)
 
     optimizer.zero_grad()
     ad.backward(total)
     optimizer.step()
-    return StepMetrics(
-        total=total.item(),
-        supervised=sup.item(),
-        contrastive=contrastive,
-        prediction=p.values[0].copy(),
-    )
+    return StepMetrics(total=total.item(), supervised=supervised, contrastive=contrastive,
+                       prediction=prediction)

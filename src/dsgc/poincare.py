@@ -21,10 +21,13 @@ forward runs in numpy and a closed-form VJP (Ganea et al., arXiv
 1805.09112) carries the adjoint back. Each node is a thin `autodiff.link`
 wrapper over an array-level form that returns (value, vjp): `exp0_rows`,
 `_rescale_rows` (the radial rescale exp0 and log0 share) and, for the
-similarity, `scaled_rows` (scale and check the points) then
-`similarity_rows`. Fused nodes that build their own tape node, such as
-`losses.contrastive_head`, call these forms. The guards are computed
-inline, as the chain of autodiff primitives would compute them:
+similarity, `scaled_rows` (scale and check the points, several
+operands' blocks in one pass) then `similarity_rows`. Fused nodes that
+build their own tape node, such as `losses.step_objective`, call these
+forms. Row norms and row sums are `np.add.reduce` calls, the reduction
+`np.linalg.norm` and `ndarray.sum` make, without their Python wrappers.
+The guards are computed inline, as the chain of autodiff primitives would
+compute them:
   * norms are floored at NORM_FLOOR (the exact series limit at the
     origin; no gradient flows through the floor) and divisors at
     autodiff.DIV_FLOOR;
@@ -57,6 +60,14 @@ NORM_FLOOR = 1e-15    # series-limit floor for ||t|| -> 0
 _ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid}
 
 
+def _row_norms(xv):
+    """The (n, 1) Euclidean norms of the rows of xv, as `np.linalg.norm`
+    computes them; a row whose squared norm overflows reads inf, without
+    numpy's overflow warning, for the caller's check to reject."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(xv * xv, axis=1, keepdims=True))
+
+
 def _reject(ok, message):
     """Raise DomainError for the first row where the (n, 1) mask ok is False;
     message(i) words it for row i."""
@@ -83,24 +94,25 @@ class PoincareBall:
         return bool((self.c * (v * v).sum(axis=-1) < 1.0).all())
 
     @staticmethod
-    def _check_inside(csq, op, operand=""):
+    def _check_inside(csq, op, *operands):
         """Reject rows whose c * ||x||^2, the (n, 1) column csq, is not below 1
-        (NaN included)."""
-        _reject(csq < 1.0, lambda i: f"{op}: row {i}{operand} is not strictly inside "
-                                     f"the ball, c*||x||^2 = {csq[i, 0]:.6g}")
+        (NaN included). csq stacks one equal block of rows per operand name;
+        the message names the operand and the row within its block."""
+        size = len(csq) // len(operands)
+        _reject(csq < 1.0, lambda i: f"{op}: row {i % size}{operands[i // size]} is not "
+                                     f"strictly inside the ball, c*||x||^2 = {csq[i, 0]:.6g}")
 
     def _pull_back(self, xv, op):
         """The (n, 1) factors that pull rows with norm > max_norm back onto
         that radius, or None when every row is within it. A row whose norm
         is not finite (inf, NaN, overflow) raises DomainError."""
-        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
-            norms = np.linalg.norm(xv, axis=1, keepdims=True)
+        norms = _row_norms(xv)
         if (norms <= self.max_norm).all():
             return None
         _reject(np.isfinite(norms), lambda i: f"{op}: row {i} has a non-finite norm {norms[i, 0]}")
         factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
         # rounding can leave a rescaled row an ulp or two past the radius
-        while (over := np.linalg.norm(xv * factors, axis=1) > self.max_norm).any():
+        while (over := _row_norms(xv * factors) > self.max_norm).any():
             factors[over] = np.nextafter(factors[over], 0.0)
         return factors
 
@@ -130,15 +142,15 @@ class PoincareBall:
             raise ShapeError(f"geodesic_similarity: cannot broadcast {uv.shape} with {vv.shape}") from None
         return ad.link((u, v), *self.similarity_rows(uv, vv, su, sv))
 
-    def scaled_rows(self, xv, operand):
+    def scaled_rows(self, xv, *operands):
         """sqrt(c) * xv and its rows' squared norms c * ||x||^2, as (n, 1),
-        for `similarity_rows`. A row that is not strictly inside the ball
-        raises DomainError naming geodesic_similarity, the row and the
-        operand."""
+        for `similarity_rows`. xv stacks one equal block of rows per operand
+        name; a row that is not strictly inside the ball raises DomainError
+        naming geodesic_similarity, the operand and the row within it."""
         with np.errstate(over="ignore"):  # an overflowed row is rejected below
             xv = xv * self.sqrt_c
-            sq = (xv * xv).sum(axis=1, keepdims=True)
-        self._check_inside(sq, "geodesic_similarity", operand)
+            sq = np.add.reduce(xv * xv, axis=1, keepdims=True)
+        self._check_inside(sq, "geodesic_similarity", *operands)
         return xv, sq
 
     def similarity_rows(self, uv, vv, su, sv):
@@ -149,7 +161,7 @@ class PoincareBall:
         du = uv - vv
         a, b = 1.0 - su, 1.0 - sv
         den = ad.floored_divisor(a * b)
-        q = 2.0 * (du * du).sum(axis=1, keepdims=True) / den
+        q = 2.0 * np.add.reduce(du * du, axis=1, keepdims=True) / den
         xc = np.maximum(1.0 + q, ad.ARCOSH_MIN)
         length = ad.floored_divisor(np.arccosh(xc) * (1.0 / self.sqrt_c))
         sim = 1.0 / length
@@ -180,8 +192,8 @@ class PoincareBall:
             if factors is not None:
                 g = g * factors
             gq = g / nd
-            gn = (gq * xv).sum(axis=1, keepdims=True) * slope(n, s)
-            gn -= (g * y / nd).sum(axis=1, keepdims=True)
+            gn = np.add.reduce(gq * xv, axis=1, keepdims=True) * slope(n, s)
+            gn -= np.add.reduce(g * y / nd, axis=1, keepdims=True)
             gr = gn * self.sqrt_c * (r >= NORM_FLOOR)
             return gq * s + gr * xv / np.maximum(r, ad.DIV_FLOOR)
 
@@ -189,8 +201,7 @@ class PoincareBall:
 
     def exp0_rows(self, tv):
         """`expmap0` on an array: the mapped rows and vjp(g), the adjoint of tv."""
-        with np.errstate(over="ignore"):  # an overflowed norm is rejected below
-            r = np.sqrt((tv * tv).sum(axis=1, keepdims=True))
+        r = _row_norms(tv)
         _reject(np.isfinite(r), lambda i: f"expmap0: row {i} has a non-finite norm {r[i, 0]}")
         return self._rescale_rows(tv, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
 
@@ -203,9 +214,9 @@ class PoincareBall:
         """Map a ball point back to the origin tangent space (inverse of expmap0)."""
         uv = ad.values_of(u)
         with np.errstate(over="ignore"):  # an overflowed norm is rejected below
-            sq = (uv * uv).sum(axis=1, keepdims=True)
+            sq = np.add.reduce(uv * uv, axis=1, keepdims=True)
             csq = self.c * sq
-        self._check_inside(csq, "logmap0")
+        self._check_inside(csq, "logmap0", "")
         y, vjp = self._rescale_rows(
             uv, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
             lambda n, s: 1.0 / (1.0 - np.minimum(n, ad.ARTANH_MAX) ** 2))

@@ -1,24 +1,25 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
-supervised loss, the total objective, Adam, the four encoder layers and the
-predictor's logits as they were written before they were fused, kept as the
-test reference.
+supervised loss, the total objective, Adam, the four encoder layers, the
+predictor's logits and the step's objective as they were written before
+they were fused, kept as the test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
 `dsgc.poincare`, `dsgc.losses` and `dsgc.autodiff.Adam` must match these:
 the ops to 1e-12, Adam bit for bit. The layers and the predictor of
 `dsgc.encoders` must match theirs bit for bit, values and gradients, and
-`dsgc.losses.contrastive_head` must match, bit for bit, the composite of
-node functions that `train_step` ran before it (`contrastive_head` below).
+`dsgc.losses.step_objective` must match, bit for bit, the composite of
+node functions that `train_step` ran before it (`step_objective` below).
 """
 
 import numpy as np
 
 from dsgc import autodiff as ad
-from dsgc.encoders import EncoderKind, GraphEmbedding
+from dsgc.encoders import EUCLIDEAN, EncoderKind, GraphEmbedding, predict
 from dsgc.errors import DomainError
 from dsgc.losses import (BCE_PROB_FLOOR, info_nce_labeled, info_nce_unlabeled,
                          to_hyperbolic)
+from dsgc.losses import supervised_loss as fused_supervised
 from dsgc.losses import total_objective as fused_total
 from dsgc.poincare import NORM_FLOOR
 
@@ -104,6 +105,18 @@ def contrastive_head(sup, h_e, h_h, ball, cfg):
     l_term = info_nce_labeled(h_h_l, rows(h_eh, first), [h_h_u], ball, cfg)
     total = fused_total(sup, l_term, [u_terms], cfg)
     return total, l_term.item() + cfg.lambda_u / len(rest) * float(u_terms.values.sum())
+
+
+def step_objective(h_e, h_h, predictor, label, ball, cfg):
+    """The objective as train_step composed it from node functions: the
+    labeled row's gather, `predict` (the logits and sigmoid nodes), the
+    supervised loss node and, unless omega is 0, the head above; returns the
+    total, the supervised and contrastive values and the prediction."""
+    p = predict(GraphEmbedding(ad.take_rows(h_e.tensor, [0]), EUCLIDEAN), predictor)
+    sup = fused_supervised(p, label)
+    total, contrastive = (sup, 0.0) if cfg.omega == 0.0 else contrastive_head(sup, h_e, h_h,
+                                                                               ball, cfg)
+    return total, sup.item(), contrastive, p.values[0]
 
 
 class LoopAdam:

@@ -22,7 +22,9 @@ from dsgc import autodiff as ad
 from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
-TENSORS_PER_STEP = 14  # the traced child's autodiff.tensors_per_step on the tiny set
+# the traced child's autodiff.tensors_per_step on the tiny set: 6 layers, 2 readouts,
+# the hyperbolic exp0 and the objective node
+TENSORS_PER_STEP = 10
 
 WRAPPED = [
     "experiment.train_step",

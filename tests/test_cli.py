@@ -210,6 +210,17 @@ class TestTrain:
         assert rc == 2
         assert "fold 0: its test set of 12 graphs holds every graph" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--kind", "dim"]])
+    def test_refused_split_exits_2_without_outputs(self, tmp_path, data_root, capsys, command):
+        # the split is checked before the manifest is written
+        out = tmp_path / "x"
+        rc = main([command[0], write_config(tmp_path), *command[1:], "--data-dir", data_root,
+                   "--out", str(out), "--set", "independent_draws=true",
+                   "--set", "test_fraction=0.99"])
+        assert rc == 2
+        assert "holds every graph" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_out_dir_is_named_by_dataset_command_time_and_seed(
             self, tmp_path, data_root, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -3,7 +3,8 @@ primitives they replaced (kept in fused_reference.py): the output and every
 gradient equal bit for bit on a batch of mixed-size graphs, with the layer
 input a Tensor and a constant; finite differences per kind; no adjoint for
 a constant input; and the tape counts: one node per layer and for the
-predictor's logits, and the Tensors a default training step builds."""
+predictor's logits, and the Tensors a training step builds, by default and
+at omega 0."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
 KINDS = list(EncoderKind)
 WIDTH = 16
 SIZES = (1, 7, 3, 12, 2, 5)  # a single node, a pair, larger graphs
-DEFAULT_STEP_TENSORS = 14    # 6 layers, 2 readouts, exp0, gather, logits, sigmoid, BCE, head
+DEFAULT_STEP_TENSORS = 10    # 6 layers, 2 readouts, the hyperbolic exp0, the objective
+OMEGA0_STEP_TENSORS = 5      # 3 Euclidean layers, 1 readout, the objective
 
 
 def mixed_batch(seed=0):
@@ -179,9 +181,10 @@ def test_each_layer_is_one_tape_node(kind, as_tensor):
     assert built == enc.num_layers + 1
 
 
-def default_step():
-    """One default-config train_step on 8 featurized graphs, as a callable."""
-    cfg = ExperimentConfig()
+def default_step(**changes):
+    """One default-config train_step on 8 featurized graphs, as a callable;
+    `changes` are config keys to override."""
+    cfg = ExperimentConfig().replace(**changes)
     graphs = [synthesize_features(g, cap=cfg.degree_cap)
               for g in synthetic_dataset(cfg.batch_size).graphs]
     model = _build_model(cfg, graphs[0].features.shape[1], 2, 0)
@@ -212,3 +215,10 @@ def test_default_train_step_builds_the_pinned_tensor_count():
     for _ in range(2):  # the count repeats exactly, step after step
         _, built = tensors_built(step)
         assert built == DEFAULT_STEP_TENSORS
+
+
+def test_omega_0_train_step_builds_the_pinned_tensor_count():
+    step = default_step(omega=0.0)
+    for _ in range(2):
+        _, built = tensors_built(step)
+        assert built == OMEGA0_STEP_TENSORS

@@ -3,9 +3,9 @@
 values and gradients to 1e-12 over interior rows, rows at the projection
 radius and past the artanh clamp, coincident rows and near-zero rows; the
 InfoNCE row, the supervised loss and the total objective likewise; finite
-differences for each; the contrastive head bit for bit against the node
-functions it replaced; and the flat-buffer Adam bit for bit against the
-per-parameter loop."""
+differences for each; the step's objective node bit for bit against the
+node functions it replaced; and the flat-buffer Adam bit for bit against
+the per-parameter loop."""
 
 import warnings
 
@@ -16,8 +16,8 @@ import fused_reference as ref
 from dsgc import autodiff as ad
 from dsgc.autodiff import Adam, Tensor
 from dsgc.errors import ContractError, DomainError, ShapeError
-from dsgc.encoders import EUCLIDEAN, HYPERBOLIC, GraphEmbedding
-from dsgc.losses import (BCE_PROB_FLOOR, LossConfig, _nce, contrastive_head, supervised_loss,
+from dsgc.encoders import EUCLIDEAN, HYPERBOLIC, GraphEmbedding, Predictor
+from dsgc.losses import (BCE_PROB_FLOOR, LossConfig, _nce, step_objective, supervised_loss,
                          total_objective)
 from dsgc.poincare import SIMILARITY_CAP, PoincareBall
 
@@ -204,68 +204,104 @@ class TestTotalObjective:
                             [Tensor(np.ones((2, 1))), Tensor(np.ones((2, 2)))], LossConfig())
 
 
-class TestContrastiveHead:
-    """The one-node head against the nodes train_step built before it:
-    the value, the contrastive value and the gradients of sup, h_e and h_h
-    equal bit for bit."""
+class TestStepObjective:
+    """The one objective node against the nodes train_step built before it
+    (the labeled row's gather, `predict`, `supervised_loss` and the head's
+    composite): the total, the supervised and contrastive values, the
+    prediction and the adjoints of h_e, h_h, W1, b1, W2 and b2 equal bit for
+    bit."""
 
     SETTINGS = [(1.0, LossConfig()),
                 (0.25, LossConfig(temperature=0.5, lambda_u=0.7, omega=1.0)),
-                (2.0, LossConfig(temperature=2.0, lambda_u=0.0, omega=0.3))]
+                (2.0, LossConfig(temperature=2.0, lambda_u=0.0, omega=0.3)),
+                (1.0, LossConfig(omega=0.0))]
+    CLASSES = 3
 
     def arrays(self, ball, n, variant, seed=0):
-        """sup, Euclidean rows and hyperbolic points for n graphs. "pulled"
-        gives the last Euclidean row a norm whose exp0 is pulled back;
-        "coincident" puts the labeled and the last hyperbolic point on
-        their mapped Euclidean rows, so those positives hit the cap."""
+        """Euclidean rows, hyperbolic points and predictor weights for n
+        graphs. "pulled" gives the last Euclidean row a norm whose exp0 is
+        pulled back onto the projection radius; "coincident" puts the
+        labeled and the last hyperbolic point on their mapped Euclidean
+        rows, so those positives hit the cap; "floored" biases the logits so
+        that the label's probability and another class's complement fall
+        under BCE_PROB_FLOOR."""
         rng = np.random.default_rng(seed)
         h_e = directions(rng, n) * (rng.uniform(0.2, 3.0, (n, 1)) / ball.sqrt_c)
         h_h = directions(rng, n) * (rng.uniform(0.1, 0.9, (n, 1)) * ball.max_norm)
+        shapes = [(D, D), (1, D), (D, self.CLASSES), (1, self.CLASSES)]
+        weights = [rng.uniform(-0.5, 0.5, shape) for shape in shapes]
         if variant == "pulled":
             h_e[-1] *= 30.0 / np.linalg.norm(h_e[-1]) / ball.sqrt_c
         elif variant == "coincident":
             h_h[[0, -1]] = ball.expmap0(h_e[[0, -1]])
-        return rng.uniform(0.5, 2.0, (1, 1)), h_e, h_h
+        elif variant == "floored":
+            weights[3][0] = [-60.0, 60.0, 0.0]  # label 0; sigmoid(60) rounds to 1
+        return h_e, h_h, weights
 
-    def run(self, head, ball, cfg, arrays):
-        sup, h_e, h_h = (Tensor(a.copy()) for a in arrays)
-        total, contrastive = head(sup, GraphEmbedding(h_e, EUCLIDEAN),
-                                  GraphEmbedding(h_h, HYPERBOLIC), ball, cfg)
-        ad.backward(total)
-        return total, contrastive, [sup.grad, h_e.grad, h_h.grad]
+    def run(self, objective, ball, cfg, arrays, label=0):
+        """The objective's four outputs and the adjoints of h_e, h_h, W1, b1,
+        W2 and b2, on fresh leaves."""
+        h_e, h_h, weights = arrays
+        pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
+        for t, w in zip(pred.params, weights):
+            t.values[...] = w
+        e, h = Tensor(h_e.copy()), Tensor(h_h.copy())
+        out = objective(GraphEmbedding(e, EUCLIDEAN), GraphEmbedding(h, HYPERBOLIC), pred,
+                        label, ball, cfg)
+        ad.backward(out[0])
+        return out, [e.grad, h.grad] + [t.grad for t in pred.params]
 
-    @pytest.mark.parametrize("variant", ["plain", "pulled", "coincident"])
+    @pytest.mark.parametrize("variant", ["plain", "pulled", "coincident", "floored"])
     @pytest.mark.parametrize("setting", range(len(SETTINGS)))
     @pytest.mark.parametrize("unlabeled", [1, 2, 7])
     def test_bit_identical_to_the_composite(self, unlabeled, setting, variant):
         c, cfg = self.SETTINGS[setting]
         ball = PoincareBall(c)
         arrays = self.arrays(ball, unlabeled + 1, variant, seed=unlabeled)
-        total, contrastive, grads = self.run(contrastive_head, ball, cfg, arrays)
-        want, want_contrastive, want_grads = self.run(ref.contrastive_head, ball, cfg, arrays)
-        assert np.array_equal(total.values, want.values)
-        assert contrastive == want_contrastive
+        (total, sup, contrastive, prediction), grads = self.run(step_objective, ball, cfg,
+                                                                arrays)
+        want, want_grads = self.run(ref.step_objective, ball, cfg, arrays)
+        assert np.array_equal(total.values, want[0].values)
+        assert (sup, contrastive) == want[1:3]
+        assert np.array_equal(prediction, want[3])
+        assert len(grads) == len(want_grads) == 6
         for got, expect in zip(grads, want_grads):
             assert np.array_equal(got, expect)
-        mapped = ball.expmap0(arrays[1][-1:])
         if variant == "pulled":  # tanh saturates: the row sits on the projection radius
+            mapped = ball.expmap0(arrays[0][-1:])
             assert np.linalg.norm(mapped) == pytest.approx(ball.max_norm, rel=1e-15)
         if variant == "coincident":
-            sim = ball.geodesic_similarity(arrays[2][-1:], mapped)
+            sim = ball.geodesic_similarity(arrays[1][-1:], ball.expmap0(arrays[0][-1:]))
             assert sim[0, 0] == pytest.approx(SIMILARITY_CAP * ball.sqrt_c, rel=1e-12)
-        assert len(total._parents) == 3 and all(p._vjp is None for p in total._parents)
+        if variant == "floored":  # no gradient passes a floored entry
+            assert prediction[0] < BCE_PROB_FLOOR and 1.0 - prediction[1] < BCE_PROB_FLOOR
+            assert not grads[4][:, :2].any() and not grads[5][:, :2].any()
+        assert all(p._vjp is None for p in total._parents)
+        assert len(total._parents) == (5 if cfg.omega == 0.0 else 6)
+
+    def test_omega_0_reads_no_hyperbolic_points(self):
+        ball = PoincareBall(1.0)
+        h_e, _, _ = self.arrays(ball, 1, "plain")
+        pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
+        e = Tensor(h_e)
+        total, sup, contrastive, prediction = step_objective(
+            GraphEmbedding(e, EUCLIDEAN), None, pred, 2, ball, LossConfig(omega=0.0))
+        assert total._parents == (e, *pred.params)
+        assert total.item() == sup and contrastive == 0.0 and prediction.shape == (3,)
 
     def views(self, n=4, seed=3):
         ball = PoincareBall(2.0)
-        _, h_e, h_h = self.arrays(ball, n, "plain", seed)
+        h_e, h_h, _ = self.arrays(ball, n, "plain", seed)
         return ball, h_e, h_h
 
     def raises(self, message, ball, h_e, h_h):
+        pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                contrastive_head(Tensor([[1.0]]), GraphEmbedding(Tensor(h_e), EUCLIDEAN),
-                                 GraphEmbedding(Tensor(h_h), HYPERBOLIC), ball, LossConfig())
+                step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN),
+                               GraphEmbedding(Tensor(h_h), HYPERBOLIC), pred, 0, ball,
+                               LossConfig())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
     @pytest.mark.parametrize("row", [0, 2])
@@ -284,11 +320,28 @@ class TestContrastiveHead:
         self.raises(f"^geodesic_similarity: row {row} of the hyperbolic view is not "
                     f"strictly inside the ball", ball, h_e, h_h)
 
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_mapped_euclidean_point_outside_names_the_batch_row(self, row):
+        # exp0 keeps its rows inside, so a ball whose exp0 leaks one out
+        # stands in for a mapped row the check must catch
+        class Leaky(PoincareBall):
+            def exp0_rows(self, tv):
+                y, vjp = super().exp0_rows(tv)
+                y[row] *= 1.5 / np.linalg.norm(y[row]) / self.sqrt_c
+                return y, vjp
+
+        _, h_e, h_h = self.views()
+        self.raises(f"^geodesic_similarity: row {row} of the mapped Euclidean view is not "
+                    f"strictly inside the ball, c\\*\\|\\|x\\|\\|\\^2 = 2.25$",
+                    Leaky(2.0), h_e, h_h)
+
     def test_views_of_different_sizes_are_rejected(self):
         ball, h_e, h_h = self.views()
-        with pytest.raises(ContractError, match="^contrastive_head: "):
-            contrastive_head(Tensor([[1.0]]), GraphEmbedding(Tensor(h_e), EUCLIDEAN),
-                             GraphEmbedding(Tensor(h_h[:3]), HYPERBOLIC), ball, LossConfig())
+        pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="^step_objective: "):
+            step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN),
+                           GraphEmbedding(Tensor(h_h[:3]), HYPERBOLIC), pred, 0, ball,
+                           LossConfig())
 
 
 class TestFiniteDifferences:
