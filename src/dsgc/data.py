@@ -5,6 +5,10 @@ rows), `<DS>_graph_indicator.txt` (graph id per node line) and
 `<DS>_graph_labels.txt` (label per graph line). An optional
 `<DS>_node_labels.txt` may be present; it is tolerated and ignored —
 features are synthesized from degrees so all datasets are treated alike.
+
+`GraphStack` is the one layout of a list of graphs as a disjoint union:
+the samplers grow views over it, and `encoders.BatchPlan` stacks the
+graphs of many batches in it at once, so that each batch is a slice.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class Graph:
     cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.n, (bool, np.bool_)) or not isinstance(self.n, (int, np.integer)):
+            raise ContractError(f"node count n must be an integer, got {self.n!r}")
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         check_edge_rows(self.edges, self.n)
         self.cache = {}
@@ -145,13 +151,18 @@ def check_edge_rows(edges, sizes, counts=None):
 
 def canonical_edges(pairs, n):
     """Normalize (i, j) pairs (an array or a list) over nodes 0..n-1 to
-    unique, sorted i < j rows; a pair with an endpoint outside that range
-    is a ContractError naming the first such pair."""
+    unique, sorted i < j rows; a pair with an endpoint outside that range,
+    or else a self-loop (i, i), is a ContractError naming the first such
+    pair."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     bad = np.flatnonzero(((arr < 0) | (arr >= n)).any(axis=1))
     if len(bad):
         i, j = arr[bad[0]].tolist()
         raise ContractError(f"edge ({i}, {j}) has an endpoint outside 0..{n - 1}")
+    loops = np.flatnonzero(arr[:, 0] == arr[:, 1])
+    if len(loops):
+        i, j = arr[loops[0]].tolist()
+        raise ContractError(f"edge ({i}, {j}) is a self-loop")
     keys = np.unique(arr.min(axis=1) * n + arr.max(axis=1))
     return np.stack([keys // n, keys % n], axis=1)
 
@@ -165,6 +176,10 @@ class Dataset:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ContractError("num_classes must be positive")
+        for i, g in enumerate(self.graphs):
+            if g.label is not None and (isinstance(g.label, (bool, np.bool_))
+                                        or not isinstance(g.label, (int, np.integer))):
+                raise ContractError(f"graph {i} has label {g.label!r}; a label is an integer")
         labels = {g.label for g in self.graphs if g.label is not None}
         if labels and (min(labels) < 0 or max(labels) >= self.num_classes):
             raise ContractError("graph label outside [0, num_classes)")

@@ -21,9 +21,12 @@ Mobius linear layer there. The predictor is the same MLP, d -> d -> K:
 step's objective node (`losses.step_objective`); `Predictor.logits`, one
 tape node over it, and `predict` serve evaluation, on frozen parameters.
 
-Every encoder call takes a GraphBatch: a `data.GraphStack` of B graphs,
-the layout the samplers' union shares, with their node rows stacked graph
-after graph, (sum of n_b, width), with no padding. Each layer of
+Every encoder call takes a GraphBatch: B graphs in the layout of a
+`data.GraphStack`, which the samplers' union shares, with their node rows
+stacked graph after graph, (sum of n_b, width), with no padding. A
+`BatchPlan` builds the batches of many steps in one pass and serves each
+as slices of its flat arrays; `GraphBatch(graphs)` is its one-row case.
+Each layer of
 the four kinds, relu included, is one tape node whatever B is. Its
 closed-form VJP repeats the adjoints of the chain of primitives it
 replaced, in that chain's order, so values and gradients equal the chain's
@@ -39,8 +42,8 @@ mask. The Mobius path stays composite: each of its layers chains a
 one matmul with the constant (B, sum n_b) averaging matrix, giving one row
 per graph. Only the entry points `encode_euclidean` and `encode_hyperbolic`
 also take a single Graph, as a batch of one. Each kind's padded operator
-stack is written at the batch's edges and self-loops the first time a
-layer asks for it, and dies with the batch.
+stack is written at the plan's entries for the batch's edges and
+self-loops the first time a layer asks for it, and dies with the batch.
 
 The features are one-hot degree classes, and `data.synthesize_features`
 caches each node's class in `Graph.cache["classes"]`; the samplers carry
@@ -52,14 +55,17 @@ classes (one bincount over the batch's edges) in place of the padded
 gradients still multiply by the dense X and (A + I) X, so outputs equal
 the dense path's bit for bit. graphsage, the Mobius path, hidden layers
 and batches with a graph that has no cached classes take the dense path.
-Training encodes each space's views of a step as one batch, labeled view
-first. `experiment.evaluate_accuracy` sizes the evaluation batches.
+Training encodes each space's views of a step as one planned batch,
+labeled view first, whose features are written as the one-hot rows of
+the classes. `experiment.evaluate_accuracy` sizes the evaluation batches
+and plans them together.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,38 +109,143 @@ class GraphEmbedding:
         return ad.values_of(self.tensor)
 
 
-class GraphBatch(GraphStack):
-    """Graphs row-stacked for one encoder pass: a `data.GraphStack` whose
-    `features` hold the node rows graph after graph. `slots` gives each
-    row its place b * n_max + i in the padded layout of
-    `autodiff.block_aggregate`, and `readout` is the constant (B, n) matrix
-    whose row b averages graph b's rows.
+class BatchPlan:
+    """The parameter-free structure of many GraphBatches, built in one pass.
+
+    Row s of `rows` lists the positions in `graphs` of batch s's graphs,
+    in order; a graph may recur, within a row too. All batches' graphs are
+    stacked in one `data.GraphStack`, batch after batch, so a batch's
+    sizes, edge rows, degrees, degree classes and padded slots are slices
+    of flat arrays. The operator entries (flat indices into each batch's
+    padded operator stack, and each kind's values there) and GIN's
+    class-count keys are flat arrays too, in three parts: at every edge
+    i -> j in edge-row order, at its reverse j -> i, and at every node's
+    self-loop in node order; each is computed for all batches when a batch
+    first asks for it. `batch(s)` slices these arrays and writes only
+    batch s's dense ones: features, readout and, on request, operator
+    stacks. With a `width`, every graph caches its degree classes and a
+    batch's features are their one-hot rows, `width` columns; without one
+    they are the graphs' own rows.
+    """
+
+    def __init__(self, graphs, rows, width=None):
+        lens = [len(row) for row in rows]
+        if not all(lens):
+            raise ContractError("a graph batch needs at least one graph")
+        slots = [graphs[i] for row in rows for i in row]
+        has = np.array(["classes" in g.cache for g in slots])
+        if width is not None and not has.all():
+            raise ContractError("one-hot feature rows need every graph's degree classes")
+        if width is None and any(g.features is None for g in slots):
+            raise ContractError("graph has no features; synthesize them first")
+        stack = GraphStack(slots)
+        self.graphs, self.width, self.sizes = stack.graphs, width, stack.sizes
+        self.edge_counts, self.edges, self.degrees = stack.edge_counts, stack.edges, stack.degrees
+        self.classes = stack.classes
+        if self.classes is None and has.any():  # zeros where a graph has none: no batch reads them
+            self.classes = np.concatenate([g.cache.get("classes", np.zeros(g.n, dtype=np.int64))
+                                           for g in slots])
+        self._first = list(itertools.accumulate(lens, initial=0))
+        first = np.array(self._first[:-1])
+        n_max = np.maximum.reduceat(stack.sizes, first)
+        nodes = np.append(stack.starts[first], stack.n)
+        self.n_max, self._nodes = n_max.tolist(), nodes.tolist()
+        self._edge_at = [0, *itertools.accumulate(np.add.reduceat(stack.edge_counts, first).tolist())]
+        self._cached = np.logical_and.reduceat(has, first).tolist()
+        # per slot: its batch, and then its place b * n_max + i in the batch's padding
+        self._step = np.repeat(np.arange(len(lens)), lens)
+        self.starts = stack.starts - nodes[self._step]
+        pad = (np.arange(len(slots)) - first[self._step]) * n_max[self._step] - stack.starts
+        node = np.arange(stack.n)
+        self.slots = node + np.repeat(pad, stack.sizes)
+        self.onehot_at = None if width is None else (
+            (node - np.repeat(nodes[self._step], stack.sizes)) * width + self.classes)
+        self._mean = 1.0 / stack.sizes
+        self._entries = {}
+
+    def batch(self, s):
+        """Batch s as a GraphBatch."""
+        b = GraphBatch.__new__(GraphBatch)
+        self._fill(b, s)
+        return b
+
+    def _fill(self, b, s):
+        q0, q1, n0, n1 = self._first[s], self._first[s + 1], self._nodes[s], self._nodes[s + 1]
+        b.graphs, b.edge_counts = self.graphs[q0:q1], self.edge_counts[q0:q1]
+        b.sizes, b.starts, b.n = self.sizes[q0:q1], self.starts[q0:q1], n1 - n0
+        b.edges = self.edges[self._edge_at[s]:self._edge_at[s + 1]] - n0
+        b.degrees = self.degrees[n0:n1]
+        b.classes = self.classes[n0:n1] if self._cached[s] else None
+        b.n_max, b.slots = self.n_max[s], self.slots[n0:n1]
+        # row b holds 1 / n_b at graph b's columns
+        b.readout = np.repeat(np.diag(self._mean[q0:q1]), b.sizes, axis=1)
+        if self.width is None:
+            b.features = np.concatenate([g.features for g in b.graphs])
+        else:
+            features = np.zeros(b.n * self.width)
+            features[self.onehot_at[n0:n1]] = 1.0
+            b.features = features.reshape(b.n, self.width)
+        b.plan, b.index, b._ops = self, s, {}
+
+    def _parts(self, s, parts):
+        """Batch s's slices of three-part entry arrays (a scalar stays)."""
+        e0, e1, n0, n1 = self._edge_at[s], self._edge_at[s + 1], self._nodes[s], self._nodes[s + 1]
+        return [x if isinstance(x, float) else x[lo:hi]
+                for x, lo, hi in zip(parts, (e0, e0, n0), (e1, e1, n1))]
+
+    def operator_entries(self, kind, s):
+        """Batch s's operator entries for `kind`: (flat indices into its
+        (B * n_max * n_max) padded stack, values there) at its edges, at
+        their reverses and, but for GraphSAGE, at its self-loops. A value is
+        an array, or 1.0 for GIN's sum and GAT's mask."""
+        got = self._entries.get(kind)
+        if got is None:
+            i, j = self.edges.T
+            at = self._entries.get("at")
+            if at is None:  # entry (r, c) sits at r's slot times n_max plus c's place
+                n_max = np.repeat(np.array(self.n_max)[self._step], self.sizes)
+                row, local = self.slots * n_max, self.slots % n_max
+                at = self._entries["at"] = row[i] + local[j], row[j] + local[i], row + local
+            if kind is EncoderKind.GRAPHSAGE:  # the neighbor mean; no self-loops
+                w = 1.0 / self.degrees[i], 1.0 / self.degrees[j]
+            elif kind is EncoderKind.GCN:  # d_i d_j, the same product either way round
+                d = 1.0 / np.sqrt(self.degrees + 1)
+                w_edge = d[i] * d[j]
+                w = w_edge, w_edge, d * d
+            else:
+                w = 1.0, 1.0, 1.0
+            got = self._entries[kind] = at[:len(w)], w
+        at, w = got
+        return list(zip(self._parts(s, at), self._parts(s, w)))
+
+    def class_keys(self, width, s):
+        """Batch s's keys row * width + class of each link's far end (both
+        ends of every edge, and every node itself): their counts are
+        (A + I) X for the one-hot X of the classes."""
+        keys = self._entries.get(width)
+        if keys is None:
+            i, j = self.edges.T
+            row = (np.arange(len(self.slots)) - np.repeat(np.array(self._nodes[:-1])[self._step],
+                                                          self.sizes)) * width
+            keys = self._entries[width] = (row[i] + self.classes[j], row[j] + self.classes[i],
+                                           row + self.classes)
+        return np.concatenate(self._parts(s, keys))
+
+
+class GraphBatch:
+    """Graphs row-stacked for one encoder pass, in the layout of
+    `data.GraphStack`: `graphs`, `sizes`, `starts`, `n`, `edge_counts`,
+    `edges`, `degrees` and `classes`, plus `features`, the node rows graph
+    after graph. `slots` gives each row its place b * n_max + i in the
+    padded layout of `autodiff.block_aggregate`, and `readout` is the
+    constant (B, n) matrix whose row b averages graph b's rows. Built as
+    the one-row `BatchPlan` of its graphs, on their own features, or as
+    batch `index` of a larger `plan`.
     """
 
     def __init__(self, graphs):
         graphs = list(graphs)
-        if not graphs:
-            raise ContractError("a graph batch needs at least one graph")
-        if any(g.features is None for g in graphs):
-            raise ContractError("graph has no features; synthesize them first")
-        super().__init__(graphs)
-        self.n_max, rows = int(self.sizes.max()), np.arange(self.n)
-        graph_of = np.repeat(np.arange(len(graphs)), self.sizes)
-        self._local = rows - self.starts[graph_of]
-        self.slots = graph_of * self.n_max + self._local
-        self.features = np.concatenate([g.features for g in graphs])
-        self.readout = np.zeros((len(graphs), self.n))
-        self.readout[graph_of, rows] = 1.0 / self.sizes[graph_of]
-        self._links = None
-        self._ops = {}
-
-    def links(self):
-        """(r, c): every edge as batch rows in both directions, then each
-        row's self-loop r = c."""
-        if self._links is None:
-            (i, j), loops = self.edges.T, np.arange(self.n)
-            self._links = (np.concatenate([i, j, loops]), np.concatenate([j, i, loops]))
-        return self._links
+        BatchPlan(graphs, [range(len(graphs))])._fill(self, 0)
 
     def classes_of(self, H):
         """The degree classes of H's rows when H is this batch's own one-hot
@@ -144,29 +255,20 @@ class GraphBatch(GraphStack):
     def neighbor_classes(self):
         """(A + I) X for the one-hot X = `features`, as the per-row counts of
         the classes over each row's neighbors-with-self; needs `classes`."""
-        r, c = self.links()
         width = self.features.shape[1]
-        counts = np.bincount(r * width + self.classes[c], minlength=self.n * width)
+        counts = np.bincount(self.plan.class_keys(width, self.index), minlength=self.n * width)
         return counts.reshape(self.n, width).astype(np.float64)
 
     def operators(self, kind):
         """The (B, n_max, n_max) stack of the graphs' propagation operators,
-        zero outside each graph's corner; built once per batch by writing
-        each kind's values at the edges and self-loops it keeps."""
+        zero outside each graph's corner; written once per batch at its
+        plan's entries."""
         ops = self._ops.get(kind)
         if ops is None:
-            r, c = self.links()
-            if kind is EncoderKind.GRAPHSAGE:  # no self-loops; isolated rows stay zero
-                r, c = r[:-self.n], c[:-self.n]
-                w = 1.0 / self.degrees[r]
-            elif kind is EncoderKind.GCN:
-                d_inv_sqrt = 1.0 / np.sqrt(self.degrees + 1)
-                w = d_inv_sqrt[r] * d_inv_sqrt[c]
-            else:  # GIN sums over neighbors-with-self, GAT masks attention with them
-                w = 1.0
-            ops = np.zeros((len(self.graphs), self.n_max, self.n_max))
-            ops.reshape(-1, self.n_max)[self.slots[r], self._local[c]] = w
-            self._ops[kind] = ops
+            ops = np.zeros(len(self.graphs) * self.n_max * self.n_max)
+            for at, w in self.plan.operator_entries(kind, self.index):
+                ops[at] = w
+            ops = self._ops[kind] = ops.reshape(len(self.graphs), self.n_max, self.n_max)
         return ops
 
 

@@ -6,14 +6,17 @@ capped at the pool) is labeled; every other graph — test graphs included —
 participates unlabeled in the contrastive terms. One epoch gives each
 labeled graph one batch as anchor, with batch_size - 1 unlabeled graphs
 drawn round-robin from a seeded ordering of the unlabeled pool. Views are
-resampled once per epoch per graph: the epoch's batches are built before
-its first step, and each space's first view request samples every graph
-they touch in one batched sampler call. Seeds are derived from (base seed,
+resampled once per epoch per graph: the epoch's batches are drawn before
+its first step, and each space's first request samples every graph they
+touch in one batched sampler call, then plans every step's GraphBatch of
+the space in one `encoders.BatchPlan`, so a step only slices its two
+batches out of the plans. Seeds are derived from (base seed,
 fold, epoch, graph index, space), so reruns are bit-identical; the view
 seeds of a space's pass come from one array pass of the hash that
 `derive_seed` runs one seed at a time (`streams.generate_state`). Test
 accuracy is the argmax rule over the predictor's sigmoid vector, evaluated
-on the full graph rather than a sampled view.
+on the full graph rather than a sampled view, in chunks that one
+`BatchPlan` builds.
 
 Folds are independent; given a `fold_pool`, they train in its worker
 processes, one BLAS thread each. Every process that trains a fold pins
@@ -39,10 +42,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam
-from .data import prepare_dataset
+from .data import Graph, prepare_dataset
 from .encoders import (
+    BatchPlan,
     EncoderKind,
-    GraphBatch,
     GraphEncoder,
     Predictor,
     encode_euclidean,
@@ -102,8 +105,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if f.type in ("float", float) and not np.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            v = getattr(self, f.name)
+            if f.type in ("int", int):
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                    raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+                object.__setattr__(self, f.name, int(v))
+            elif f.type in ("float", float) and not np.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if not (0.0 < self.label_ratio < 1.0):
             raise ConfigError(f"label_ratio must lie in (0, 1), got {self.label_ratio}")
         if not (0.0 < self.test_fraction < 1.0):
@@ -262,14 +270,21 @@ class MetricsRecord:
 
 class _EpochViews:
     """Two views per graph per epoch, seeded per (base seed, fold, epoch,
-    graph, space) so every rerun resamples identically.
+    graph, space) so every rerun resamples identically, and every step's
+    two GraphBatches.
 
-    `plan` names the graphs the epoch's batches touch. Nothing is sampled
-    until a space's first view request of the epoch; that request samples
-    every planned graph of the space in one batched sampler call, and the
-    views are cached for the rest of the epoch. Asking for a graph outside
-    the plan is a ContractError, and so is a list that holds one Graph
-    object twice, as views are found by object.
+    `plan` takes the epoch's batches, one row of graph ids per step.
+    Nothing is sampled until a space's first request of the epoch; that
+    request samples every graph the plan names in one batched sampler
+    call, then plans every step's batch of the space at once
+    (`encoders.BatchPlan`). `batches` serves a step's two planned
+    GraphBatches. When every graph caches its degree classes, the views
+    are cut from stand-ins without features, and a batch writes the
+    one-hot rows of the classes; `euclidean_view` and `hyperbolic_view`
+    give a view with its rows gathered from the graph. Asking for a graph
+    outside the plan, or a batch that is not one of its rows, is a
+    ContractError, and so is a list that holds one Graph object twice, as
+    graphs are found by object.
     """
 
     def __init__(self, cfg, graphs, fold):
@@ -281,41 +296,76 @@ class _EpochViews:
             if first != i:
                 raise ContractError(f"graphs {first} and {i} are one Graph object; "
                                     "give each position its own")
+        self._width = _one_hot_width(graphs)
+        self._sources = graphs if self._width is None else [
+            Graph.unchecked(g.n, g.edges, None, g.label, g.orig_ids, g.cache) for g in graphs]
         self._fold = fold
         self._epoch = 0
-        self._plan = set()
-        self._cache = ({}, {})
+        self._use([])
 
     def set_epoch(self, epoch):
         self._epoch = epoch
-        self._plan = set()
-        self._cache = ({}, {})
+        self._use([])
 
-    def plan(self, gids):
-        """The graph ids this epoch's batches touch, sampled together."""
-        self._plan = set(gids)
+    def plan(self, rows):
+        """This epoch's batches, one row of graph ids per step (a flat list
+        is one graph per step); their graphs are sampled together."""
+        self._use(rows)
 
-    def _view(self, g, space, rate, sampler):
-        cache, gid = self._cache[space], self._gid_of[id(g)]
-        if gid not in self._plan:
+    def _use(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        self._rows = rows[:, None] if rows.ndim == 1 else rows
+        self._ids = np.unique(self._rows)
+        self._index = {gid: k for k, gid in enumerate(self._ids.tolist())}
+        self._step_of = {tuple(row): s for s, row in enumerate(self._rows.tolist())}
+        self._spaces = [None, None]
+
+    def _space(self, space):
+        """(views, plan) of a space: the views of the planned graphs in id
+        order, and the BatchPlan of the epoch's steps over them."""
+        got = self._spaces[space]
+        if got is None:
+            rate, sampler = ((self._cfg.alpha_e, diffusion_sample) if space == 0
+                             else (self._cfg.alpha_h, community_expansion_sample))
+            # derive_seed("view", seed, fold, epoch, i, space) for every i at once
+            entropy = np.empty((len(self._ids), 6), dtype=np.uint32)
+            entropy[:, :4] = _entropy(("view", self._cfg.seed, self._fold, self._epoch))
+            entropy[:, 4], entropy[:, 5] = self._ids, space
+            cfgs = [SamplerConfig(rate, s) for s in generate_state(entropy, 1)[:, 0].tolist()]
+            views = sampler([self._sources[i] for i in self._ids.tolist()], cfgs)
+            plan = BatchPlan(views, np.searchsorted(self._ids, self._rows), self._width)
+            got = self._spaces[space] = views, plan
+        return got
+
+    def batches(self, graphs, hyperbolic=True):
+        """The planned GraphBatch of the graphs' Euclidean views and, with
+        `hyperbolic`, that of their hyperbolic views (else None)."""
+        key = tuple(self._gid_of.get(id(g)) for g in graphs)
+        s = self._step_of.get(key)
+        if s is None:
+            raise ContractError(f"graphs {list(key)} are not a batch of the plan of fold "
+                                f"{self._fold}, epoch {self._epoch}")
+        return (self._space(0)[1].batch(s),
+                self._space(1)[1].batch(s) if hyperbolic else None)
+
+    def _view(self, g, space):
+        gid = self._gid_of[id(g)]
+        k = self._index.get(gid)
+        if k is None:
             raise ContractError(
                 f"graph {gid} is outside the view plan of fold {self._fold}, "
                 f"epoch {self._epoch}")
-        if not cache:
-            # derive_seed("view", seed, fold, epoch, i, space) for every i at once
-            ids = sorted(self._plan)
-            entropy = np.empty((len(ids), 6), dtype=np.uint32)
-            entropy[:, :4] = _entropy(("view", self._cfg.seed, self._fold, self._epoch))
-            entropy[:, 4], entropy[:, 5] = ids, space
-            cfgs = [SamplerConfig(rate, s) for s in generate_state(entropy, 1)[:, 0].tolist()]
-            cache.update(zip(ids, sampler([self._graphs[i] for i in ids], cfgs)))
-        return cache[gid]
+        v = self._space(space)[0][k]
+        if v.features is not None:
+            return v
+        return Graph.unchecked(v.n, v.edges, g.features[v.orig_ids], v.label, v.orig_ids,
+                               dict(v.cache))
 
     def euclidean_view(self, g):
-        return self._view(g, 0, self._cfg.alpha_e, diffusion_sample)
+        return self._view(g, 0)
 
     def hyperbolic_view(self, g):
-        return self._view(g, 1, self._cfg.alpha_h, community_expansion_sample)
+        return self._view(g, 1)
 
 
 def _build_model(cfg, in_dim, num_classes, fold):
@@ -335,25 +385,37 @@ def _build_model(cfg, in_dim, num_classes, fold):
     return DsgcModel(enc_e, enc_h, pred, PoincareBall(cfg.curvature))
 
 
+def _one_hot_width(graphs):
+    """The feature width when every graph caches its degree classes, whose
+    one-hot rows its features then are (`data.synthesize_features`), else
+    None."""
+    if all("classes" in g.cache for g in graphs):
+        return graphs[0].features.shape[1]
+    return None
+
+
 def evaluate_accuracy(model, graphs, ids):
     """Fraction of the chosen graphs whose argmax prediction matches the label.
 
     Evaluation encodes the full graph; sampling is a training-time device.
     The graphs go through frozen copies of the encoder and predictor, which
     build no tape, in GraphBatches of equal size (the last may be short),
-    in `ids` order. A batch holds as many graphs as _EVAL_MACS allows, and
-    at least one.
+    in `ids` order, all planned in one `BatchPlan`. A batch holds as many
+    graphs as _EVAL_MACS allows, and at least one.
     """
     if len(ids) == 0:
         raise ContractError("cannot evaluate on an empty id list")
     enc, pred = model.encoder_e.frozen(), model.predictor.frozen()
+    chosen = [graphs[i] for i in ids]
     widest = max(w.size for w in enc.layer_params[0].values())
-    size = max(1, _EVAL_MACS // (widest * max(graphs[i].n for i in ids)))
+    size = max(1, _EVAL_MACS // (widest * max(g.n for g in chosen)))
+    plan = BatchPlan(chosen, [range(a, min(a + size, len(ids))) for a in range(0, len(ids), size)],
+                     _one_hot_width(chosen))
     hits = 0
-    for start in range(0, len(ids), size):
-        chunk = [graphs[i] for i in ids[start:start + size]]
-        p = ad.values_of(predict(encode_euclidean(GraphBatch(chunk), enc), pred))
-        hits += int((np.argmax(p, axis=1) == [g.label for g in chunk]).sum())
+    for s in range(len(plan.n_max)):
+        batch = plan.batch(s)
+        p = ad.values_of(predict(encode_euclidean(batch, enc), pred))
+        hits += int((np.argmax(p, axis=1) == [g.label for g in batch.graphs]).sum())
     return hits / len(ids)
 
 
@@ -379,7 +441,7 @@ def _train_fold(cfg, graphs, num_classes, split, fold):
         negatives = pool[(epoch * len(picks) + picks) % len(pool)]
         batches = np.column_stack([order, negatives.reshape(len(order), -1)])
         # with omega == 0 a step views only its labeled anchor
-        views.plan((batches if cfg.omega else batches[:, :1]).ravel().tolist())
+        views.plan(batches if cfg.omega else batches[:, :1])
         sums = np.zeros(3)
         for anchor, *chosen in batches.tolist():
             batch = Batch(

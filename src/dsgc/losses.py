@@ -340,8 +340,9 @@ class ViewSampler:
 
     The Euclidean path sees the diffusion view; the hyperbolic path sees
     the community-expansion view. Each call samples the graph afresh from
-    the fixed seed. `train_step` only calls the two methods; training
-    passes `experiment._EpochViews`, which reseeds per epoch and caches.
+    the fixed seed. `train_step` calls `batches`; training passes
+    `experiment._EpochViews`, which reseeds per epoch and plans every
+    step's batches at once.
     """
 
     def __init__(self, rate_euclidean, rate_hyperbolic, seed):
@@ -353,6 +354,12 @@ class ViewSampler:
 
     def hyperbolic_view(self, g):
         return community_expansion_sample(g, self._cfg_h)
+
+    def batches(self, graphs, hyperbolic=True):
+        """The GraphBatch of the graphs' Euclidean views and, with
+        `hyperbolic`, that of their hyperbolic views (else None)."""
+        return (GraphBatch([self.euclidean_view(g) for g in graphs]),
+                GraphBatch([self.hyperbolic_view(g) for g in graphs]) if hyperbolic else None)
 
 
 @dataclass
@@ -373,18 +380,18 @@ def train_step(batch, model, views, cfg, optimizer):
     """One optimizer step on a batch; returns the step's losses and prediction.
 
     Each space encodes its views of the batch as one GraphBatch, labeled
-    view first, and `step_objective` takes both readouts, the predictor
-    and the label to the total. With omega == 0 the contrastive half
-    (unlabeled and hyperbolic views, hyperbolic encoder, head) is skipped
-    entirely; the objective value is identical either way.
+    view first, which `views.batches` provides, and `step_objective` takes
+    both readouts, the predictor and the label to the total. With omega
+    == 0 the contrastive half (unlabeled and hyperbolic views, hyperbolic
+    encoder, head) is skipped entirely; the objective value is identical
+    either way.
     """
     g_l = batch.labeled
     contrast = cfg.omega != 0.0
     graphs = [g_l] + list(batch.unlabeled) if contrast else [g_l]
-    h_e = encode_euclidean(GraphBatch([views.euclidean_view(g) for g in graphs]),
-                           model.encoder_e)
-    h_h = encode_hyperbolic(GraphBatch([views.hyperbolic_view(g) for g in graphs]),
-                            model.encoder_h, model.ball) if contrast else None
+    batch_e, batch_h = views.batches(graphs, contrast)
+    h_e = encode_euclidean(batch_e, model.encoder_e)
+    h_h = encode_hyperbolic(batch_h, model.encoder_h, model.ball) if contrast else None
     total, supervised, contrastive, prediction = step_objective(
         h_e, h_h, model.predictor, g_l.label, model.ball, cfg)
 

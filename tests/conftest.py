@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsgc.data import Dataset, Graph, canonical_edges, write_tu_dataset
+from dsgc.encoders import EncoderKind
 
 MUTAG_HINT = (
     "MUTAG not found: set DSGC_DATA_DIR to a directory containing MUTAG/ in "
@@ -50,6 +51,27 @@ def synthetic_dataset(num_graphs=24, seed=0, name="RINGS"):
         else:
             graphs.append(_star_graph(n, 1))
     return Dataset(name=name, graphs=graphs, num_classes=2)
+
+
+def assert_same_batch(got, want):
+    """Two GraphBatches hold equal fields (arrays equal in dtype, shape and
+    value) and equal operator stacks and neighbor-class counts. Their
+    graphs may differ in features alone: a planned batch's views have none."""
+    assert (got.n, got.n_max, got.edge_counts) == (want.n, want.n_max, want.edge_counts)
+    for name in ("sizes", "starts", "edges", "degrees", "slots", "readout", "features"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert (got.classes is None) == (want.classes is None)
+    if want.classes is not None:
+        assert got.classes.dtype == want.classes.dtype
+        assert np.array_equal(got.classes, want.classes)
+        assert np.array_equal(got.neighbor_classes(), want.neighbor_classes())
+    for kind in EncoderKind:
+        assert np.array_equal(got.operators(kind), want.operators(kind)), kind
+    assert len(got.graphs) == len(want.graphs)
+    for g, w in zip(got.graphs, want.graphs):
+        assert Graph.unchecked(g.n, g.edges, w.features, g.label, g.orig_ids, {}) == w
+        assert np.array_equal(g.cache.get("classes", []), w.cache.get("classes", []))
 
 
 @pytest.fixture

@@ -51,6 +51,25 @@ class TestGraphInvariants:
             with pytest.raises(ContractError, match="outside"):
                 Dataset(name="L", graphs=[Graph(n=1, edges=[], label=label)], num_classes=2)
 
+    @pytest.mark.parametrize("label", [0.5, 1.0, True, np.bool_(False), "1"])
+    def test_dataset_rejects_a_label_that_is_not_an_integer(self, label):
+        graphs = [Graph(n=1, edges=[], label=0), Graph(n=2, edges=[(0, 1)], label=label)]
+        with pytest.raises(ContractError, match=f"graph 1 has label {label!r}"):
+            Dataset(name="L", graphs=graphs, num_classes=2)
+
+    def test_dataset_accepts_numpy_integer_labels(self):
+        ds = Dataset(name="L", graphs=[Graph(n=1, edges=[], label=np.int64(1))], num_classes=2)
+        assert ds.graphs[0].label == 1
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.bool_(True), "2", None])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ContractError, match=re.escape(f"got {n!r}")):
+            Graph(n=n, edges=[])
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint8])
+    def test_accepts_numpy_integer_node_counts(self, kind):
+        assert Graph(n=kind(3), edges=[(0, 1), (1, 2)]).degrees().tolist() == [1, 2, 1]
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
             Graph(n=2, edges=[(0, 2)])

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import per_graph_reference as ref
-from conftest import synthetic_dataset
+from conftest import assert_same_batch, synthetic_dataset
 from dsgc import experiment
 from dsgc.data import Graph, canonical_edges, synthesize_features
-from dsgc.encoders import EUCLIDEAN, GraphEmbedding, predict
+from dsgc.encoders import EUCLIDEAN, GraphBatch, GraphEmbedding, predict
 from dsgc.errors import ConfigError, ContractError, DomainError, TrainingDivergedError
 from dsgc.experiment import (
     DEFAULT_SWEEP_DIMS,
@@ -96,6 +96,18 @@ class TestConfig:
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("field", ["num_layers", "hidden_dim", "epochs", "batch_size",
+                                       "folds", "seed", "degree_cap"])
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 2.5, 3.0, "3", None])
+    def test_int_fields_are_type_checked_when_built_directly(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = ExperimentConfig(epochs=np.int64(3), seed=np.uint32(7))
+        assert (cfg.epochs, cfg.seed) == (3, 7)
+        assert type(cfg.epochs) is int and type(cfg.seed) is int
 
     def test_round_trip(self):
         cfg = ExperimentConfig(hidden_dim=32, omega=0.0)
@@ -514,35 +526,46 @@ class TestEpochViews:
             monkeypatch.setattr(experiment, name, counted)
         return calls
 
-    def test_served_views_are_the_seeded_samples(self, monkeypatch):
-        ds, cfg, fold = featured_rings(), self.CFG.replace(epochs=1), 1
+    @staticmethod
+    def served_batches(monkeypatch, ds):
+        """(graph ids, (Euclidean, hyperbolic) batches) of every step the
+        provider serves."""
         gid_of = {id(g): i for i, g in enumerate(ds.graphs)}
         served = []
-        for name, space, _, _ in self.SPACES:
-            def serve(views, g, real=getattr(_EpochViews, name), space=space):
-                view = real(views, g)
-                served.append((gid_of[id(g)], space, view))
-                return view
-            monkeypatch.setattr(_EpochViews, name, serve)
+
+        def serve(views, graphs, hyperbolic=True, real=_EpochViews.batches):
+            got = real(views, graphs, hyperbolic)
+            served.append(([gid_of[id(g)] for g in graphs], got))
+            return got
+
+        monkeypatch.setattr(_EpochViews, "batches", serve)
+        return served
+
+    def test_served_views_are_the_seeded_samples(self, monkeypatch):
+        # a step reads its two batches: each must be the batch of the seeded views
+        ds, cfg, fold = featured_rings(), self.CFG.replace(epochs=1), 1
+        served = self.served_batches(monkeypatch, ds)
         _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[fold], fold)
-        assert {space for _, space, _ in served} == {0, 1}
-        for gid, space, view in served:
-            assert view == self.seeded(ds, gid, fold, 0, space, cfg)
+        assert served and all(h is not None for _, (_, h) in served)
+        for gids, batches in served:
+            for space, batch in enumerate(batches):
+                assert_same_batch(batch, GraphBatch(
+                    [self.seeded(ds, gid, fold, 0, space, cfg) for gid in gids]))
 
     def test_every_served_view_carries_its_degree_classes(self, monkeypatch):
         # the first layer reads them; without them it takes the dense path
         ds, cfg = featured_rings(), self.CFG.replace(epochs=1)
-        served = []
-        for name, _, _, _ in self.SPACES:
-            def serve(views, g, real=getattr(_EpochViews, name)):
-                served.append((g, real(views, g)))
-                return served[-1][1]
-            monkeypatch.setattr(_EpochViews, name, serve)
+        served = self.served_batches(monkeypatch, ds)
         _train_fold(cfg, ds.graphs, ds.num_classes, split_folds(ds, cfg)[0], 0)
         assert served
-        for g, view in served:
-            assert np.array_equal(view.cache["classes"], g.cache["classes"][view.orig_ids])
-            assert np.array_equal(view.cache["classes"], np.argmax(view.features, axis=1))
+        for gids, batches in served:
+            for batch in batches:
+                parts = [ds.graphs[gid].cache["classes"][view.orig_ids]
+                         for gid, view in zip(gids, batch.graphs)]
+                for part, view in zip(parts, batch.graphs):
+                    assert np.array_equal(view.cache["classes"], part)
+                assert np.array_equal(batch.classes, np.concatenate(parts))
+                assert np.array_equal(batch.classes, np.argmax(batch.features, axis=1))
 
     def test_set_epoch_and_plan_sample_nothing(self, monkeypatch):
         ds, calls = featured_rings(), self.count_calls(monkeypatch)
@@ -604,11 +627,10 @@ class TestEpochSchedule:
             batches[-1].append((gid_of[id(batch.labeled)], [gid_of[id(g)] for g in batch.unlabeled]))
             return step(batch, *args)
 
-        def recording_plan(views, gids, real=_EpochViews.plan):
-            gids = list(gids)
+        def recording_plan(views, rows, real=_EpochViews.plan):
             batches.append([])
-            plans.append(gids)
-            return real(views, gids)
+            plans.append(np.asarray(rows).tolist())
+            return real(views, rows)
 
         monkeypatch.setattr(experiment, "train_step", recording_step)
         monkeypatch.setattr(_EpochViews, "plan", recording_plan)
@@ -632,8 +654,7 @@ class TestEpochSchedule:
                 assert negatives == [pool[(pos + j) % len(pool)]
                                      for j in range(cfg.batch_size - 1)]
                 pos += cfg.batch_size - 1
-            want = [i for anchor, negs in steps for i in [anchor] + (negs if omega else [])]
-            assert plan == want
+            assert plan == [[anchor] + (negs if omega else []) for anchor, negs in steps]
         assert pos > len(pool)  # the round robin wrapped within the fold
 
 
@@ -726,11 +747,11 @@ class TestBatchedEvaluation:
         model = split_model(kind, hidden, graphs)
         chunks = []
 
-        def recording(chunk, batch=experiment.GraphBatch):
-            chunks.append(chunk)
-            return batch(chunk)
+        def recording(chosen, rows, width, plan=experiment.BatchPlan):
+            chunks.extend([chosen[i] for i in row] for row in rows)
+            return plan(chosen, rows, width)
 
-        monkeypatch.setattr(experiment, "GraphBatch", recording)
+        monkeypatch.setattr(experiment, "BatchPlan", recording)
         every = np.arange(len(graphs))
         for ids in (every, every[:-1], every[::-1]):  # with and without the 170-node graph
             chunks.clear()

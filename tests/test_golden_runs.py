@@ -1,5 +1,7 @@
 """Golden outputs of short training runs, for configs perfbench/reference.json
-does not cover.
+does not cover. Between them the configs run every encoder kind in both
+spaces, and the `NO_CLASSES` runs train on graphs without cached degree
+classes.
 
 Each config trains RINGS (`conftest.synthetic_dataset`, degree features at
 the default cap) for 3 folds x 3 epochs; its fold accuracies and loss traces
@@ -31,14 +33,23 @@ CONFIGS = {
                          "curvature": 2.0},
     "gat-graphsage-c2-mobius": {"euclidean_encoder": "gat", "hyperbolic_encoder": "graphsage",
                                 "curvature": 2.0, "mobius_layers": True},
+    "gin-gcn": {"euclidean_encoder": "gin", "hyperbolic_encoder": "gcn"},
+    "graphsage-gat": {"euclidean_encoder": "graphsage", "hyperbolic_encoder": "gat"},
+    "default-no-classes": {},
 }
+# graphs that keep their one-hot features but drop the cached degree
+# classes (a new Graph starts with an empty cache), so that the first
+# layer runs on the dense features
+NO_CLASSES = {"default-no-classes"}
 
 
-def golden_run(overrides):
-    cfg = ExperimentConfig(**BASE, **overrides)
+def golden_run(name):
+    cfg = ExperimentConfig(**BASE, **CONFIGS[name])
     ds = synthetic_dataset()
-    ds = dataclasses.replace(
-        ds, graphs=[synthesize_features(g, cfg.degree_cap) for g in ds.graphs])
+    graphs = [synthesize_features(g, cfg.degree_cap) for g in ds.graphs]
+    if name in NO_CLASSES:
+        graphs = [dataclasses.replace(g, features=g.features) for g in graphs]
+    ds = dataclasses.replace(ds, graphs=graphs)
     record = run_experiment(cfg, dataset=ds)
     return {"fold_accuracies": record.fold_accuracies,
             "traces": [np.asarray(t).tolist() for t in record.traces]}
@@ -47,12 +58,12 @@ def golden_run(overrides):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_run_matches_golden_output(name):
     want = json.loads(GOLDEN.read_text())[name]
-    got = golden_run(CONFIGS[name])
+    got = golden_run(name)
     np.testing.assert_allclose(got["fold_accuracies"], want["fold_accuracies"],
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose(got["traces"], want["traces"], rtol=1e-12, atol=0)
 
 
 if __name__ == "__main__":
-    runs = {name: golden_run(overrides) for name, overrides in CONFIGS.items()}
+    runs = {name: golden_run(name) for name in CONFIGS}
     GOLDEN.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")

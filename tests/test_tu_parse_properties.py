@@ -340,3 +340,32 @@ def test_canonical_edges_names_the_first_pair_with_a_bad_endpoint(data, kind, as
 def test_canonical_edges_of_nothing_is_an_empty_row_block(empty):
     got = canonical_edges(empty, 5)
     assert got.shape == (0, 2) and got.dtype == np.int64
+
+
+@st.composite
+def edge_pairs_with_self_loops(draw):
+    """(pairs, n, first): edge_pairs with one to three self-loops (k, k)
+    spliced in, every endpoint in range, and the first self-loop."""
+    pairs, n = draw(edge_pairs())
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, n - 1))
+        pairs.insert(draw(st.integers(0, len(pairs))), (k, k))
+    return pairs, n, next(p for p in pairs if p[0] == p[1])
+
+
+@PROPERTY
+@given(edge_pairs_with_self_loops(), st.booleans())
+def test_canonical_edges_names_the_first_self_loop(case, as_array):
+    pairs, n, (i, j) = case
+    with pytest.raises(ContractError, match=rf"^edge \({i}, {j}\) is a self-loop"):
+        canonical_edges(np.array(pairs, dtype=np.int64) if as_array else pairs, n)
+
+
+def test_canonical_edges_refuses_a_lone_self_loop():
+    with pytest.raises(ContractError, match=r"^edge \(1, 1\) is a self-loop"):
+        canonical_edges([(1, 1)], 3)
+
+
+def test_an_endpoint_out_of_range_is_named_before_a_self_loop():
+    with pytest.raises(ContractError, match=r"^edge \(0, 5\) has an endpoint outside"):
+        canonical_edges([(1, 1), (0, 5)], 3)
