@@ -305,19 +305,6 @@ def transpose(x):
     return link((x,), values_of(x).T.copy(), lambda g: (g.T,))
 
 
-def take_rows(x, rows):
-    """The rows of x picked by the index array rows (repeats allowed); the
-    VJP scatter-adds each row's adjoint back to where it came from."""
-    xv = values_of(x)
-
-    def vjp(g):
-        gx = np.zeros_like(xv)
-        np.add.at(gx, rows, g)
-        return (gx,)
-
-    return link((x,), xv[rows], vjp)
-
-
 def block_aggregate(x, slots, ops, scores=None):
     """Per-graph products ops[b] @ X_b over the node rows of B graphs stacked
     graph after graph in x, as one tape node.

@@ -13,7 +13,8 @@ the space in one `encoders.BatchPlan`, so a step only slices its two
 batches out of the plans. Seeds are derived from (base seed,
 fold, epoch, graph index, space), so reruns are bit-identical; the view
 seeds of a space's pass come from one array pass of the hash that
-`derive_seed` runs one seed at a time (`streams.generate_state`). Test
+`derive_seed` runs one seed at a time (`streams.generate_state`, a replay
+of `SeedSequence`), and each view's words from numpy's own PCG64. Test
 accuracy is the argmax rule over the predictor's sigmoid vector, evaluated
 on the full graph rather than a sampled view, in chunks that one
 `BatchPlan` builds.
@@ -34,6 +35,7 @@ import dataclasses
 import functools
 import json
 import multiprocessing
+import numbers
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -104,14 +106,31 @@ class ExperimentConfig:
     mobius_layers: bool = False
 
     def __post_init__(self):
+        # each field takes its annotated type only (numpy scalars included),
+        # stored as the Python type, so a manifest reruns the same config
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if f.type in ("int", int):
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            boolean = isinstance(v, (bool, np.bool_))
+            if f.type in ("bool", bool):
+                if not boolean:
+                    raise ConfigError(f"{f.name} must be a bool, got {v!r}")
+                v = bool(v)
+            elif f.type in ("int", int):
+                if boolean or not isinstance(v, (int, np.integer)):
                     raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-                object.__setattr__(self, f.name, int(v))
-            elif f.type in ("float", float) and not np.isfinite(v):
-                raise ConfigError(f"{f.name} must be finite, got {v}")
+                v = int(v)
+            elif f.type in ("float", float):
+                if boolean or not isinstance(v, numbers.Real):
+                    raise ConfigError(f"{f.name} must be a real number, got {v!r}")
+                try:
+                    v = float(v)
+                except OverflowError:   # an int past the float range
+                    v = np.inf
+                if not np.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
+            elif not isinstance(v, str):
+                raise ConfigError(f"{f.name} must be a string, got {v!r}")
+            object.__setattr__(self, f.name, v)
         if not (0.0 < self.label_ratio < 1.0):
             raise ConfigError(f"label_ratio must lie in (0, 1), got {self.label_ratio}")
         if not (0.0 < self.test_fraction < 1.0):
@@ -173,9 +192,7 @@ class ExperimentConfig:
                     if text not in ("true", "false", "1", "0", 1, 0):
                         raise ValueError(value)
                     value = text in ("true", "1", 1)
-                elif not isinstance(value, str):
-                    raise ValueError(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"config key {key!r}: cannot interpret {value!r}") from None
             values[key] = value
         return cls(**values)

@@ -21,10 +21,11 @@ one pass: the edge rows of all views get `Graph`'s checks together
 and takes its slice of the gathered node ids, edge rows and the stack's
 degree classes. Each graph draws from its own stream,
 the one numpy's default generator seeded with its config's seed gives, so
-a view does not depend on the batch it is drawn in. The streams are
-replayed with array ops (`streams.Streams`): a call seeds all of them at
-once, and each round of draws is one bounded-draw step over the graphs
-still growing, with a cursor per graph; a bound of 1 reads no word, as in
+a view does not depend on the batch it is drawn in. `streams.Streams`
+replays the seed hash and the bounded draw with array ops and takes the
+words from one numpy PCG64 per graph: a call seeds all of them at once,
+and each round of draws is one bounded-draw step over the graphs still
+growing, with a cursor per graph; a bound of 1 reads no word, as in
 numpy.
 
   * diffusion_sample: frontier diffusion — repeatedly pick a uniform-random

@@ -1,26 +1,26 @@
-"""Numpy's seeding and bounded integer draws, replayed as array ops.
+"""Numpy's default generator for many seeds at once: the seed hash and the
+bounded draw replayed as array ops, the stream made by numpy's PCG64.
 
-`np.random.default_rng(seed).integers(b)` is three fixed algorithms, and
-each can run for many generators at once with the same output bits:
+`np.random.default_rng(seed).integers(b)` is three fixed algorithms. Numpy
+runs each for one generator at a time; two of them are replayed here for
+many generators at once, with the same output bits:
 
-  * Seeding. A seed is one uint32 word. `SeedSequence` hashes its entropy
-    words into a 4-word pool with 32-bit multiply-xorshift mixes; its
-    `generate_state` hashes the pool into output words. `generate_state`
-    below runs both hashes on uint32 columns, one row per entropy.
-  * The stream. `PCG64` takes generate_state(4, uint64) as its 128-bit seed
-    and increment, seeds itself as PCG's srandom does, and steps the 128-bit
-    LCG state = state * MULT + inc before each 64-bit output, the XSL-RR
-    permutation of the state (O'Neill, "PCG", 2014). After j steps the
-    state is MULT**j * state + (MULT**(j-1) + ... + 1) * inc, so every
-    output of every stream comes from one table of those two constants.
-    The uint32 stream a bounded draw reads is each output's low half, then
-    its high half.
-  * The draw. A bound b > 1 takes uint32 words x until the low 32 bits of
-    x * b are at least 2**32 mod b and returns the high 32 bits (Lemire,
-    "Fast random integer generation in an interval", ACM TOMACS 2019). A
-    bound of 1 returns 0 and reads no word. Since 2**32 mod b < b, a word
-    whose low half is at least b is never rejected: a round of draws where
-    every low half clears its bound is returned at once, and only the
+  * Seeding (replayed). A seed is one uint32 word. `SeedSequence` hashes
+    its entropy words into a 4-word pool with 32-bit multiply-xorshift
+    mixes; its `generate_state` hashes the pool into output words.
+    `generate_state` below runs both hashes on uint32 columns, one row per
+    entropy.
+  * The stream (numpy's). Each stream is a real `np.random.PCG64`, seeded
+    with its row of generate_state(8) read as four uint64 words: the
+    generate_state(4, uint64) that PCG64 asks its seed sequence for. Its
+    64-bit outputs come from `random_raw`. The uint32 stream a bounded draw
+    reads is each output's low half, then its high half.
+  * The draw (replayed). A bound b > 1 takes uint32 words x until the low
+    32 bits of x * b are at least 2**32 mod b and returns the high 32 bits
+    (Lemire, "Fast random integer generation in an interval", ACM TOMACS
+    2019). A bound of 1 returns 0 and reads no word. Since 2**32 mod b < b,
+    a word whose low half is at least b is never rejected: a round of draws
+    where every low half clears its bound is returned at once, and only the
     others take the remainder and re-draw the rejected views.
 
 The tests check each piece against numpy itself, so a numpy release that
@@ -29,22 +29,18 @@ changed any of them would fail there.
 The first call of a numpy loop maps its part of numpy's shared library
 into the process, in 64 KB steps that count in the resident set. So the
 code keeps to the integer add, multiply, shift and bitwise loops: it
-compares as int64, takes the 128-bit carry with bitwise ops and reads
-seeds as uint32 words, without object arrays. A training run maps one
-64 KB chunk for it, where uint64 comparisons, casts and object arrays
-would map four. The words are stored as int64 and a draw multiplies them
-as int64, but it takes the product's halves on its uint64 view: the int64
-`&` loop is not otherwise used in training, and would map one more 64 KB
-chunk.
+compares as int64 and reads seeds as uint32 words, without object arrays.
+The words are stored as int64 and a draw multiplies them as int64, but it
+takes the product's halves on its uint64 view: the int64 `&` loop is not
+otherwise used in training, and would map one more 64 KB chunk.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -54,9 +50,7 @@ _POOL = 4
 # SeedSequence's order (the entry at d == s is not used).
 _MIX_AT = np.array([[_POOL + (_POOL - 1) * s + d - (d > s) if d != s else 0
                      for d in range(_POOL)] for s in range(_POOL)])
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U32, _U58, _U63 = np.uint64(32), np.uint64(58), np.uint64(63)
+_U32 = np.uint64(32)
 
 
 def _hash_constants(init, mult, count):
@@ -101,53 +95,17 @@ def generate_state(entropy, n_words):
     return _hashmix(pool[np.arange(n_words) % _POOL], xor[:, None], mult[:, None]).T
 
 
-def _mul_hi(a, b):
-    """The high 64 bits of the 128-bit products of uint64 arrays."""
-    a0, a1, b0, b1 = a & _M32, a >> _U32, b & _M32, b >> _U32
-    lo, m1, m2 = a0 * b0, a1 * b0, a0 * b1
-    mid = (lo >> _U32) + (m1 & _M32) + (m2 & _M32)
-    return a1 * b1 + (m1 >> _U32) + (m2 >> _U32) + (mid >> _U32)
+class _Row(ISeedSequence):
+    """A seed sequence whose state is one precomputed row: PCG64 asks it
+    once for generate_state(4, uint64), its 128-bit seed and increment, and
+    reads the row through a pointer, so it must be a contiguous (4,) native
+    uint64 array."""
 
+    def __init__(self, row):
+        self.row = row
 
-def _mul128(a, b):
-    """Products mod 2**128 of 128-bit numbers held as (high, low) uint64 pairs."""
-    (ah, al), (bh, bl) = a, b
-    return _mul_hi(al, bl) + al * bh + ah * bl, al * bl
-
-
-def _add128(a, b):
-    (ah, al), (bh, bl) = a, b
-    lo = al + bl
-    carry = ((al & bl) | ((al | bl) & (lo ^ _M64))) >> _U63
-    return ah + bh + carry, lo
-
-
-def _split128(values):
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _M64 for v in values], dtype=np.uint64))
-
-
-def _jump_table(count):
-    """MULT**j and MULT**(j-1) + ... + 1 mod 2**128 for j = 1..count, each a
-    (high, low) pair of uint64 rows."""
-    powers, sums, a, s = [], [], 1, 0
-    for _ in range(count):
-        s = (s + a) & _M128
-        a = a * _MULT & _M128
-        powers.append(a)
-        sums.append(s)
-    return _split128(powers), _split128(sums)
-
-
-def _pcg_seed(seeds):
-    """PCG64's (state, increment) after seeding from each 32-bit seed's
-    SeedSequence, as PCG's srandom does: state 0, step, add the seed, step."""
-    # generate_state(4, uint64) reads each pair of words as one little-endian uint64
-    words = np.ascontiguousarray(generate_state(np.asarray(seeds, dtype=np.uint32)[:, None], 8))
-    seed_hi, seed_lo, inc_hi, inc_lo = words.view("<u8").T
-    inc = ((inc_hi << np.uint64(1)) | (inc_lo >> _U63), (inc_lo << np.uint64(1)) | np.uint64(1))
-    state = _mul128(_add128(inc, (seed_hi, seed_lo)), _split128([_MULT]))
-    return _add128(state, inc), inc
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
 
 
 class Streams:
@@ -158,14 +116,18 @@ class Streams:
     .integers(bounds[i])` call would. Each stream's first `words` uint32
     words are made up front (rounded up to even); a draw moves a cursor by
     one word at most, so once there have been as many draws as words,
-    every stream makes two more from its own saved state before the next
+    every stream's PCG64 makes one more output, two words, before the next
     draw. The words are int64 in one flat array, word j of stream i at
     j * streams + i, so a cursor is a flat index and the words a round
     reads are one gather.
     """
 
     def __init__(self, seeds, words):
-        self._state, self._inc = _pcg_seed(seeds)
+        # SeedSequence.generate_state(4, uint64) reads each pair of uint32
+        # words as one little-endian uint64, then converts it to native order
+        rows = np.ascontiguousarray(generate_state(np.asarray(seeds, dtype=np.uint32)[:, None], 8))
+        self._pcgs = [np.random.PCG64(_Row(row))
+                      for row in rows.view("<u8").astype(np.uint64, copy=False)]
         self._words = np.empty(0, dtype=np.int64)
         self._cursor = np.arange(len(seeds))
         self._draws = 0
@@ -174,11 +136,7 @@ class Streams:
     def _extend(self, outputs):
         """Append each stream's next `outputs` 64-bit outputs, as the uint32
         words bounded draws read: the low half, then the high half."""
-        powers, sums = (tuple(x[:, None] for x in pair) for pair in _jump_table(outputs))
-        hi, lo = _add128(_mul128(self._state, powers), _mul128(self._inc, sums))
-        self._state = hi[-1], lo[-1]
-        x, rot = hi ^ lo, hi >> _U58
-        out = (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))   # (outputs, streams)
+        out = np.stack([pcg.random_raw(outputs) for pcg in self._pcgs], axis=1)
         words = np.stack([out & _M32, out >> _U32], axis=1).ravel()
         self._words = np.concatenate([self._words, words.view(np.int64)])
 

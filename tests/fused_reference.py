@@ -1,7 +1,7 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
 supervised loss, the total objective, Adam, the four encoder layers, the
-predictor's logits and the step's objective as they were written before
-they were fused, kept as the test reference.
+predictor's logits, the row gather and the step's objective as they were
+written before they were fused, kept as the test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
@@ -22,6 +22,19 @@ from dsgc.losses import (BCE_PROB_FLOOR, info_nce_labeled, info_nce_unlabeled,
 from dsgc.losses import supervised_loss as fused_supervised
 from dsgc.losses import total_objective as fused_total
 from dsgc.poincare import NORM_FLOOR
+
+
+def take_rows(x, rows):
+    """The rows of x picked by the index array rows, as one tape node; the
+    VJP scatter-adds each row's adjoint back to where it came from."""
+    xv = ad.values_of(x)
+
+    def vjp(g):
+        gx = np.zeros_like(xv)
+        np.add.at(gx, rows, g)
+        return (gx,)
+
+    return ad.link((x,), xv[rows], vjp)
 
 
 def check_inside(ball, x, what):
@@ -96,7 +109,7 @@ def contrastive_head(sup, h_e, h_h, ball, cfg):
     Euclidean rows, row gathers, the two InfoNCE blocks (four similarity
     nodes) and the total; returns the total and the contrastive value."""
     def rows(emb, picked):
-        return GraphEmbedding(ad.take_rows(emb.tensor, picked), emb.space)
+        return GraphEmbedding(take_rows(emb.tensor, picked), emb.space)
 
     first, rest = [0], list(range(1, h_h.tensor.shape[0]))
     h_eh = to_hyperbolic(h_e, ball)
@@ -112,7 +125,7 @@ def step_objective(h_e, h_h, predictor, label, ball, cfg):
     labeled row's gather, `predict` (the logits and sigmoid nodes), the
     supervised loss node and, unless omega is 0, the head above; returns the
     total, the supervised and contrastive values and the prediction."""
-    p = predict(GraphEmbedding(ad.take_rows(h_e.tensor, [0]), EUCLIDEAN), predictor)
+    p = predict(GraphEmbedding(take_rows(h_e.tensor, [0]), EUCLIDEAN), predictor)
     sup = fused_supervised(p, label)
     total, contrastive = (sup, 0.0) if cfg.omega == 0.0 else contrastive_head(sup, h_e, h_h,
                                                                                ball, cfg)

@@ -91,7 +91,8 @@ class TestConfig:
          ("learning_rate", "nan"), ("weight_decay", "nan"), ("omega", float("nan")),
          ("lambda_u", "inf"), ("temperature", float("inf")), ("curvature", "inf"),
          ("learning_rate", "inf"), ("omega", "inf"), ("omega", True), ("alpha_h", False),
-         ("dataset", None), ("euclidean_encoder", 3), ("seed", -1), ("seed", 2**32)],
+         ("dataset", None), ("euclidean_encoder", 3), ("seed", -1), ("seed", 2**32),
+         ("omega", 10**400)],
     )
     def test_field_validation(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -104,10 +105,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("mobius_layers", "false", "a bool"), ("independent_draws", 1, "a bool"),
+         ("mobius_layers", None, "a bool"), ("omega", "0.1", "a real number"),
+         ("omega", True, "a real number"), ("learning_rate", np.bool_(True), "a real number"),
+         ("temperature", None, "a real number"), ("curvature", 1j, "a real number"),
+         ("dataset", 5, "a string"), ("euclidean_encoder", 3, "a string"),
+         ("hyperbolic_encoder", None, "a string"), ("curvature", 10**400, "finite")],
+    )
+    def test_fields_take_their_annotated_type_when_built_directly(self, field, value, kind):
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got"):
+            ExperimentConfig(**{field: value})
+
     def test_numpy_integers_become_ints(self):
         cfg = ExperimentConfig(epochs=np.int64(3), seed=np.uint32(7))
         assert (cfg.epochs, cfg.seed) == (3, 7)
         assert type(cfg.epochs) is int and type(cfg.seed) is int
+
+    def test_numbers_in_float_fields_become_floats(self):
+        cfg = ExperimentConfig(omega=np.float32(0.25), temperature=2, curvature=np.int64(3),
+                               mobius_layers=np.bool_(True))
+        assert (cfg.omega, cfg.temperature, cfg.curvature) == (0.25, 2.0, 3.0)
+        assert all(type(v) is float for v in (cfg.omega, cfg.temperature, cfg.curvature))
+        assert cfg.mobius_layers is True
+        # so that the config is written as JSON and reruns equal
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_round_trip(self):
         cfg = ExperimentConfig(hidden_dim=32, omega=0.0)

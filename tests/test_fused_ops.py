@@ -116,7 +116,7 @@ class TestAgainstTheComposites:
         t = tangent_rows(ball, np.random.default_rng(5))[:6]
 
         def chain(exp0, log0, sim):
-            return lambda x: sim(exp0(x), exp0(log0(exp0(ad.take_rows(x, np.arange(6)[::-1])))))
+            return lambda x: sim(exp0(x), exp0(log0(exp0(ref.take_rows(x, np.arange(6)[::-1])))))
 
         compare(chain(ball.expmap0, ball.logmap0, ball.geodesic_similarity),
                 chain(lambda x: ref.expmap0(ball, x), lambda x: ref.logmap0(ball, x),

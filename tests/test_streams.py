@@ -2,7 +2,8 @@
 itself: SeedSequence's hash for entropies of 0-8 words and for 32-bit
 seeds, and Generator.integers for small bounds, random bounds and bounds
 where rejections are common, alone or mixed with bounds that never reject
-in one draw, with the words made up front or one output at a time."""
+in one draw, with the words made up front or one output at a time; and
+each stream's words against numpy's own PCG64 outputs."""
 
 import numpy as np
 import pytest
@@ -113,3 +114,17 @@ class TestBoundedDraws:
         got, want = self.replay([7], [([0], [1])] * 5 + [([0], [10])] * 5, 1)
         assert got == want
         assert got[:5] == [[0]] * 5
+
+
+class TestWordSource:
+    @pytest.mark.parametrize("words", [1, 12])
+    def test_words_are_pcg64_outputs_low_half_first(self, words):
+        # a bound of 2**32 rejects no word and returns it whole; with
+        # words=1 each stream holds one output and every second draw refills
+        seeds, k = [0, 1, 2**31, 2**32 - 1], 6
+        streams = Streams(seeds, words)
+        got = np.array([streams.draw(slice(None), np.full(len(seeds), 2**32))
+                        for _ in range(2 * k)]).T
+        for seed, row in zip(seeds, got):
+            raw = np.random.PCG64(seed).random_raw(k)
+            assert row.tolist() == np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().tolist()
