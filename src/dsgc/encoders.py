@@ -26,24 +26,30 @@ Every encoder call takes a GraphBatch: B graphs in the layout of a
 stacked graph after graph, (sum of n_b, width), with no padding. A
 `BatchPlan` builds the batches of many steps in one pass and serves each
 as slices of its flat arrays; `GraphBatch(graphs)` is its one-row case.
-Each layer of
-the four kinds, relu included, is one tape node whatever B is. Its
-closed-form VJP repeats the adjoints of the chain of primitives it
-replaced, in that chain's order, so values and gradients equal the chain's
-bit for bit (tests/fused_reference.py keeps the chains). A layer never
-computes the adjoint of a constant input: layer 0's features get none.
+Each layer of the four kinds, relu included, is an array form that
+returns its value and a closed-form VJP, which repeats the adjoints of the
+chain of primitives it replaced, in that chain's order, so values and
+gradients equal the chain's bit for bit (tests/fused_reference.py keeps
+the chains). An encoder call (`GraphEncoder.embed`) runs the whole stack
+and the readout as one tape node whatever B is, whose VJP runs the
+layers' VJPs in reverse; `layer_forward` makes one layer its own node, the
+per-layer reference. A layer never computes the adjoint of a constant
+input: layer 0's features get none.
 Inside a layer the per-graph aggregation is `autodiff.block_product`: it
 scatters the rows into a zero-padded (B, n_max, width) block, applies the
 stacked (B, n_max, n_max) operators with one 3-D matmul and gathers the
 real rows back. Padding lives only inside that op, so GIN's bias never
 reaches a pad row and GAT's softmax never divides by a pad row's empty
-mask. The Mobius path stays composite: each of its layers chains a
-`block_aggregate` node, the ball maps and the Mobius ops. The readout is
-one matmul with the constant (B, sum n_b) averaging matrix, giving one row
-per graph. Only the entry points `encode_euclidean` and `encode_hyperbolic`
-also take a single Graph, as a batch of one. Each kind's padded operator
-stack is written at the plan's entries for the batch's edges and
-self-loops the first time a layer asks for it, and dies with the batch.
+mask. The readout is one matmul with the constant (B, sum n_b) averaging
+matrix, giving one row per graph; the hyperbolic side maps it into the
+ball with its own `expmap0` node. The Mobius path stays composite: each of
+its layers chains a `block_aggregate` node, the ball maps and the Mobius
+ops. A frozen copy runs the same stack on plain arrays, builds no node and
+drops each layer's VJP with the layer. Only the entry points
+`encode_euclidean` and `encode_hyperbolic` also take a single Graph, as a
+batch of one. Each kind's padded operator stack is written at the plan's
+entries for the batch's edges and self-loops the first time a layer asks
+for it, and dies with the batch.
 
 The features are one-hot degree classes, and `data.synthesize_features`
 caches each node's class in `Graph.cache["classes"]`; the samplers carry
@@ -360,22 +366,52 @@ class GraphEncoder(_Module):
             return ad.block_aggregate(X, batch.slots, ops, scores)
         return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
+    def layer_rows(self, hv, batch, layer, need_h):
+        """Layer `layer` over the node rows hv, an array: its value and VJP,
+        which gives the adjoints of hv (None unless need_h) and of the
+        layer's parameters, in `layer_params` order."""
+        expect = self.in_dim if layer == 0 else self.hidden_dim
+        if hv.shape[1] != expect:
+            raise ShapeError(
+                f"layer {layer} of {self.kind.value} expects width {expect}, got {hv.shape[1]}"
+            )
+        return _LAYERS[self.kind](hv, batch, self.kind, self.layer_params[layer], need_h)
+
     def layer_forward(self, H, batch, layer):
         """One relu-activated layer of this encoder's kind over the node
         rows H of a GraphBatch, as one tape node."""
-        expect = self.in_dim if layer == 0 else self.hidden_dim
-        if H.shape[1] != expect:
-            raise ShapeError(
-                f"layer {layer} of {self.kind.value} expects width {expect}, got {H.shape[1]}"
-            )
-        return _LAYERS[self.kind](H, batch, self.kind, self.layer_params[layer])
+        v, vjp = self.layer_rows(ad.values_of(H), batch, layer, isinstance(H, Tensor))
+        return ad.link((H, *self.layer_params[layer].values()), v, vjp)
 
     def node_embeddings(self, batch):
-        """The layer stack over the batch's row-stacked features."""
+        """The layer stack over the batch's row-stacked features, one node
+        per layer."""
         H = batch.features
         for layer in range(self.num_layers):
             H = self.layer_forward(H, batch, layer)
         return H
+
+    def embed(self, batch):
+        """The layer stack and the mean readout over the batch's features,
+        one row per graph, as one tape node linked to the parameters; its
+        VJP runs the layers' VJPs in reverse. A frozen copy builds no node
+        and drops each layer's VJP with the layer."""
+        params, H, vjps = self.params, batch.features, []
+        for layer in range(self.num_layers):
+            if isinstance(params[0], Tensor):
+                H, layer_vjp = self.layer_rows(H, batch, layer, layer > 0)
+                vjps.append(layer_vjp)
+            else:
+                H = self.layer_rows(H, batch, layer, False)[0]
+
+        def vjp(g):
+            gh, grads = batch.readout.T @ g, []
+            for layer_vjp in reversed(vjps):
+                gh, *g_params = layer_vjp(gh)
+                grads[:0] = g_params
+            return grads
+
+        return ad.link(params, batch.readout @ H, vjp)
 
     # --- optional fully-hyperbolic path -----------------------------------
 
@@ -392,24 +428,22 @@ class GraphEncoder(_Module):
 
 
 # --- fused layers (see the module docstring) ------------------------------
-# Only H may be a constant (the features, at layer 0). The parameters are
-# all Tensors, or all arrays in a frozen() copy, which builds no node.
+# Array forms: each takes the node rows as an array and returns the layer's
+# value and VJP. The parameters are all Tensors, or all arrays in a frozen()
+# copy, which builds no node.
 
 
-def _linear_then_aggregate(H, batch, kind, p):
+def _linear_then_aggregate(hv, batch, kind, p, need_h):
     """gcn and gat: relu(P (H W)), P the normalized adjacency, or the
     attention over H W with scores (H W) a_src and (H W) a_dst."""
-    hv, W = ad.values_of(H), ad.values_of(p["W"])
-    classes = batch.classes_of(H)
+    W = ad.values_of(p["W"])
+    classes = batch.classes_of(hv)
     z = hv @ W if classes is None else W[classes]  # a one-hot row picks its class's row
-    parts = (H, p["W"])
     scores = None
     if kind is EncoderKind.GAT:
-        parts += (p["a_src"], p["a_dst"])
         a_src, a_dst = ad.values_of(p["a_src"]), ad.values_of(p["a_dst"])
         scores = (z @ a_src, z @ a_dst)
     agg, agg_vjp = ad.block_product(z, batch.slots, batch.operators(kind), scores)
-    need_h = isinstance(H, Tensor)
 
     def vjp(g):
         gz, *g_scores = agg_vjp(g * (agg > 0.0))
@@ -420,16 +454,15 @@ def _linear_then_aggregate(H, batch, kind, p):
             g_scores = (z.T @ gs, z.T @ gt)
         return (gz @ W.T if need_h else None, hv.T @ gz, *g_scores)
 
-    return ad.link(parts, np.maximum(agg, 0.0), vjp)
+    return np.maximum(agg, 0.0), vjp
 
 
-def _sage_layer(H, batch, kind, p):
+def _sage_layer(hv, batch, kind, p, need_h):
     """relu([H, P H] W), P the neighbor mean."""
-    hv, W = ad.values_of(H), ad.values_of(p["W"])
+    W = ad.values_of(p["W"])
     agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
     cat = np.concatenate([hv, agg], axis=1)
     y = cat @ W
-    need_h = isinstance(H, Tensor)
 
     def vjp(g):
         gy = g * (y > 0.0)
@@ -439,23 +472,23 @@ def _sage_layer(H, batch, kind, p):
             gh = g_self + agg_vjp(g_agg)[0]
         return gh, cat.T @ gy
 
-    return ad.link((H, p["W"]), np.maximum(y, 0.0), vjp)
+    return np.maximum(y, 0.0), vjp
 
 
-def _gin_layer(H, batch, kind, p):
+def _gin_layer(hv, batch, kind, p, need_h):
     """relu(MLP((A + I) H)), the MLP as in `_mlp_rows`; (A + I) H is a class
     count when H is the batch's one-hot features."""
-    if batch.classes_of(H) is None:
-        agg, agg_vjp = ad.block_product(ad.values_of(H), batch.slots, batch.operators(kind))
+    if batch.classes_of(hv) is None:
+        agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
     else:  # a constant H needs no agg_vjp
         agg, agg_vjp = batch.neighbor_classes(), None
-    a2, mlp_vjp = _mlp_rows(agg, p, isinstance(H, Tensor))
+    a2, mlp_vjp = _mlp_rows(agg, p, need_h)
 
     def vjp(g):
         g_agg, *g_params = mlp_vjp(g * (a2 > 0.0))
         return (None if g_agg is None else agg_vjp(g_agg)[0], *g_params)
 
-    return ad.link((H, *p.values()), np.maximum(a2, 0.0), vjp)
+    return np.maximum(a2, 0.0), vjp
 
 
 _LAYERS = {
@@ -474,18 +507,17 @@ def readout_mean(node_embeddings, batch):
 
 def encode_euclidean(graphs, enc):
     """One embedding row per graph of `graphs` (a GraphBatch or one Graph)."""
-    batch = _as_batch(graphs)
-    return readout_mean(enc.node_embeddings(batch), batch)
+    return GraphEmbedding(enc.embed(_as_batch(graphs)), EUCLIDEAN)
 
 
 def encode_hyperbolic(graphs, enc, ball):
     """Same architecture on its own parameters; readout mapped into the ball."""
     batch = _as_batch(graphs)
     if enc.mobius:
-        tangent = ball.logmap0(enc.mobius_node_points(batch, ball))
+        tangent = readout_mean(ball.logmap0(enc.mobius_node_points(batch, ball)), batch).tensor
     else:
-        tangent = enc.node_embeddings(batch)
-    return GraphEmbedding(ball.expmap0(readout_mean(tangent, batch).tensor), HYPERBOLIC)
+        tangent = enc.embed(batch)
+    return GraphEmbedding(ball.expmap0(tangent), HYPERBOLIC)
 
 
 class Predictor(_Module):

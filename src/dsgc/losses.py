@@ -14,8 +14,11 @@ InfoNCE terms:
   total = supervised + omega * (labeled + (lambda_u / N) * sum_i unlabeled_i)
 
 Each space encodes all N + 1 views of a step in one encoder call (labeled
-view first), one row per graph. In training, everything after the two
-readouts is one tape node, `step_objective`, with one closed-form VJP:
+view first), one row per graph; each call is one tape node over its layer
+stack and readout, and the hyperbolic readout's exp0 is one more, so a
+default step builds 4 Tensors and an omega-0 step 2. In training,
+everything after the two readouts is one tape node, `step_objective`,
+with one closed-form VJP:
   * the supervised part: the predictor MLP over the labeled Euclidean row
     (`encoders._mlp_rows`), the sigmoid and the binary cross-entropy;
   * the contrastive part: one exp0 of the Euclidean rows, one ball check

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dsgc import autodiff as ad
 from dsgc.data import Dataset, Graph, canonical_edges, write_tu_dataset
 from dsgc.encoders import EncoderKind
 
@@ -72,6 +73,14 @@ def assert_same_batch(got, want):
     for g, w in zip(got.graphs, want.graphs):
         assert Graph.unchecked(g.n, g.edges, w.features, g.label, g.orig_ids, {}) == w
         assert np.array_equal(g.cache.get("classes", []), w.cache.get("classes", []))
+
+
+def tensors_built(fn):
+    """fn()'s result and the number of Tensors it created, read off the
+    tape's creation counter (each read takes one number)."""
+    start = next(ad._created)
+    out = fn()
+    return out, next(ad._created) - start - 1
 
 
 @pytest.fixture

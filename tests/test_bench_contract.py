@@ -22,9 +22,9 @@ from dsgc import autodiff as ad
 from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
-# the traced child's autodiff.tensors_per_step on the tiny set: 6 layers, 2 readouts,
+# the traced child's autodiff.tensors_per_step on the tiny set: one node per encoder,
 # the hyperbolic exp0 and the objective node
-TENSORS_PER_STEP = 10
+TENSORS_PER_STEP = 4
 
 WRAPPED = [
     "experiment.train_step",
@@ -104,4 +104,4 @@ def test_traced_benchmark_child_runs_on_a_tiny_set(tmp_path):
     assert out["layers"]["samplers.diffusion.calls"] == passes
     assert out["layers"]["samplers.community.calls"] == passes
     # every step builds the same tape, so the count repeats exactly
-    assert out["layers"]["autodiff.tensors_per_step"] <= TENSORS_PER_STEP
+    assert out["layers"]["autodiff.tensors_per_step"] == TENSORS_PER_STEP

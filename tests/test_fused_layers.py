@@ -2,15 +2,15 @@
 primitives they replaced (kept in fused_reference.py): the output and every
 gradient equal bit for bit on a batch of mixed-size graphs, with the layer
 input a Tensor and a constant; finite differences per kind; no adjoint for
-a constant input; and the tape counts: one node per layer and for the
-predictor's logits, and the Tensors a training step builds, by default and
-at omega 0."""
+a constant input; and the tape counts: one node per layer, per encoder
+stack and for the predictor's logits, and the Tensors a training step
+builds, by default and at omega 0."""
 
 import numpy as np
 import pytest
 
 import fused_reference as ref
-from conftest import synthetic_dataset
+from conftest import synthetic_dataset, tensors_built
 from dsgc import autodiff as ad
 from dsgc.autodiff import Tensor
 from dsgc.data import Graph, synthesize_features
@@ -22,8 +22,8 @@ from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
 KINDS = list(EncoderKind)
 WIDTH = 16
 SIZES = (1, 7, 3, 12, 2, 5)  # a single node, a pair, larger graphs
-DEFAULT_STEP_TENSORS = 10    # 6 layers, 2 readouts, the hyperbolic exp0, the objective
-OMEGA0_STEP_TENSORS = 5      # 3 Euclidean layers, 1 readout, the objective
+DEFAULT_STEP_TENSORS = 4     # one node per encoder, the hyperbolic exp0, the objective
+OMEGA0_STEP_TENSORS = 2      # the Euclidean encoder, the objective
 
 
 def mixed_batch(seed=0):
@@ -159,14 +159,6 @@ def test_predictor_is_one_node_equal_to_the_chain_bit_for_bit(rows):
     assert np.array_equal(logits, ref.predictor_logits(frozen, hv))
 
 
-def tensors_built(fn):
-    """fn()'s result and the number of Tensors it created, read off the
-    tape's creation counter (each read takes one number)."""
-    start = next(ad._created)
-    out = fn()
-    return out, next(ad._created) - start - 1
-
-
 @pytest.mark.parametrize("as_tensor", [True, False], ids=["tensor", "constant"])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_each_layer_is_one_tape_node(kind, as_tensor):
@@ -176,9 +168,9 @@ def test_each_layer_is_one_tape_node(kind, as_tensor):
     out, built = tensors_built(lambda: enc.layer_forward(H, batch, 0))
     assert built == 1
     assert out._parents == ((H,) if as_tensor else ()) + tuple(enc.layer_params[0].values())
-    # the stack: one node per layer, one for the readout
+    # the stack: its layers and the readout are one node
     _, built = tensors_built(lambda: encode_euclidean(batch, enc))
-    assert built == enc.num_layers + 1
+    assert built == 1
 
 
 def default_step(**changes):

@@ -1,5 +1,6 @@
-"""The pass/fail logic of `.github/workflows/tier1.yml`: its two heredoc
-gate scripts, cut out of the workflow text and run on made-up reports."""
+"""The pass/fail logic of `.github/workflows/tier1.yml`: its three heredoc
+gate scripts (the tests, the benchmark run and the traced benchmark run),
+cut out of the workflow text and run on made-up reports."""
 
 import json
 import shutil
@@ -27,7 +28,7 @@ def gate_scripts():
             body = None
         else:
             body.append(line)
-    assert body is None and len(scripts) == 2, "expected two closed heredoc scripts"
+    assert body is None and len(scripts) == 3, "expected three closed heredoc scripts"
     return scripts
 
 
@@ -71,28 +72,32 @@ class TestTier1Gate:
                 in done.stdout)
 
 
+BENCH_GATES = [(1, "bench.log", 0), (2, "bench-traced.log", 1)]  # (script, log, trace)
+
+
+@pytest.mark.parametrize("gate,log,trace", BENCH_GATES, ids=["untraced", "traced"])
 class TestBenchmarkGate:
     @staticmethod
-    def write_log(tmp_path, correct):
-        """BENCHMARK.json beside a bench.log with one result line per entry
+    def write_log(tmp_path, correct, log, trace):
+        """BENCHMARK.json beside the gate's log with one result line per entry
         of `correct`, each after a report line like those run.py prints."""
         shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
         names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
         lines = []
         for name, ok in zip(names, correct):
-            lines.append(f"workload {name}  seed 0  trace 0")
+            lines.append(f"workload {name}  seed 0  trace {trace}")
             lines.append(json.dumps({"correct": ok, "attempted": 12, "failed": 0,
                                      "metrics": {}}))
-        (tmp_path / "bench.log").write_text("\n".join(lines) + "\n")
+        (tmp_path / log).write_text("\n".join(lines) + "\n")
         return len(names)
 
-    def test_every_workload_correct_passes(self, tmp_path):
-        assert self.write_log(tmp_path, [True, True]) == 2
-        done = run_gate(1, tmp_path)
+    def test_every_workload_correct_passes(self, tmp_path, gate, log, trace):
+        assert self.write_log(tmp_path, [True, True], log, trace) == 2
+        done = run_gate(gate, tmp_path)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "2 result lines" in done.stdout
 
     @pytest.mark.parametrize("correct", [[True, False], [False, True], [True]])
-    def test_an_incorrect_or_missing_workload_fails(self, tmp_path, correct):
-        self.write_log(tmp_path, correct)
-        assert run_gate(1, tmp_path).returncode == 1
+    def test_an_incorrect_or_missing_workload_fails(self, tmp_path, correct, gate, log, trace):
+        self.write_log(tmp_path, correct, log, trace)
+        assert run_gate(gate, tmp_path).returncode == 1
