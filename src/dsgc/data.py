@@ -7,8 +7,8 @@ rows), `<DS>_graph_indicator.txt` (graph id per node line) and
 features are synthesized from degrees so all datasets are treated alike.
 
 `GraphStack` is the one layout of a list of graphs as a disjoint union:
-the samplers grow views over it, and `encoders.BatchPlan` stacks the
-graphs of many batches in it at once, so that each batch is a slice.
+the samplers grow views over it, and `encoders.BatchPlan` is the stack
+of the graphs of many batches at once, so that each batch is a slice.
 """
 
 from __future__ import annotations

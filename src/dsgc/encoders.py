@@ -21,35 +21,32 @@ Mobius linear layer there. The predictor is the same MLP, d -> d -> K:
 step's objective node (`losses.step_objective`); `Predictor.logits`, one
 tape node over it, and `predict` serve evaluation, on frozen parameters.
 
-Every encoder call takes a GraphBatch: B graphs in the layout of a
-`data.GraphStack`, which the samplers' union shares, with their node rows
-stacked graph after graph, (sum of n_b, width), with no padding. A
-`BatchPlan` builds the batches of many steps in one pass and serves each
-as slices of its flat arrays; `GraphBatch(graphs)` is its one-row case.
-Each layer of the four kinds, relu included, is an array form that
-returns its value and a closed-form VJP, which repeats the adjoints of the
+Every encoder call takes a GraphBatch: B graphs' node rows stacked graph
+after graph, (sum of n_b, width), with no padding, and what a layer reads
+of them. A `BatchPlan`, the `data.GraphStack` of many steps' graphs (the
+samplers' union shares the layout), builds their batches in one pass as
+slices of its flat arrays; `GraphBatch(graphs)` is its one-row case.
+Each kind aggregates in one place, `_aggregate_rows`, an array form that
+returns its value and a closed-form VJP; each fused layer, relu included,
+wraps it in the same form, and the Mobius path links it as one tape node
+per layer (`mobius_aggregate`). Every VJP repeats the adjoints of the
 chain of primitives it replaced, in that chain's order, so values and
 gradients equal the chain's bit for bit (tests/fused_reference.py keeps
 the chains). An encoder call (`GraphEncoder.embed`) runs the whole stack
 and the readout as one tape node whatever B is, whose VJP runs the
 layers' VJPs in reverse; `layer_forward` makes one layer its own node, the
 per-layer reference. A layer never computes the adjoint of a constant
-input: layer 0's features get none.
-Inside a layer the per-graph aggregation is `autodiff.block_product`: it
-scatters the rows into a zero-padded (B, n_max, width) block, applies the
-stacked (B, n_max, n_max) operators with one 3-D matmul and gathers the
-real rows back. Padding lives only inside that op, so GIN's bias never
-reaches a pad row and GAT's softmax never divides by a pad row's empty
-mask. The readout is one matmul with the constant (B, sum n_b) averaging
-matrix, giving one row per graph; the hyperbolic side maps it into the
-ball with its own `expmap0` node. The Mobius path stays composite: each of
-its layers chains a `block_aggregate` node, the ball maps and the Mobius
-ops. A frozen copy runs the same stack on plain arrays, builds no node and
-drops each layer's VJP with the layer. Only the entry points
-`encode_euclidean` and `encode_hyperbolic` also take a single Graph, as a
-batch of one. Each kind's padded operator stack is written at the plan's
-entries for the batch's edges and self-loops the first time a layer asks
-for it, and dies with the batch.
+input: layer 0's features get none. A frozen copy runs the same stack on
+plain arrays, builds no node and drops each layer's VJP with the layer.
+The per-graph product inside an aggregation is `autodiff.block_product`:
+it scatters the rows into a zero-padded (B, n_max, width) block, applies
+the stacked (B, n_max, n_max) operators, written at the plan's entries
+the first time a layer asks, with one 3-D matmul and gathers the real rows
+back. Padding lives only inside that op, so GIN's bias never reaches a pad
+row and GAT's softmax never divides by a pad row's empty mask. The readout
+is one matmul with the constant (B, sum n_b) averaging matrix; the
+hyperbolic side maps it into the ball with its own `expmap0` node. Only
+`encode_euclidean` and `encode_hyperbolic` also take a single Graph.
 
 The features are one-hot degree classes, and `data.synthesize_features`
 caches each node's class in `Graph.cache["classes"]`; the samplers carry
@@ -60,11 +57,11 @@ classes (one bincount over the batch's edges) in place of the padded
 (A + I) X product. Both give exactly the dense values, and the weight
 gradients still multiply by the dense X and (A + I) X, so outputs equal
 the dense path's bit for bit. graphsage, the Mobius path, hidden layers
-and batches with a graph that has no cached classes take the dense path.
-Training encodes each space's views of a step as one planned batch,
-labeled view first, whose features are written as the one-hot rows of
-the classes. `experiment.evaluate_accuracy` sizes the evaluation batches
-and plans them together.
+and the batches of a plan with a graph that has no cached classes take
+the dense path. Training encodes each space's views of a step as one
+planned batch, labeled view first, whose features are written as the
+one-hot rows of the classes. `experiment.evaluate_accuracy` sizes the
+evaluation batches and plans them together.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, glorot_uniform
 from .data import GraphStack
 from .errors import ContractError, ShapeError
-from .poincare import PoincareBall
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -115,58 +111,44 @@ class GraphEmbedding:
         return ad.values_of(self.tensor)
 
 
-class BatchPlan:
+class BatchPlan(GraphStack):
     """The parameter-free structure of many GraphBatches, built in one pass.
 
-    Row s of `rows` lists the positions in `graphs` of batch s's graphs,
-    in order; a graph may recur, within a row too. All batches' graphs are
-    stacked in one `data.GraphStack`, batch after batch, so a batch's
-    sizes, edge rows, degrees, degree classes and padded slots are slices
-    of flat arrays. The operator entries (flat indices into each batch's
-    padded operator stack, and each kind's values there) and GIN's
-    class-count keys are flat arrays too, in three parts: at every edge
-    i -> j in edge-row order, at its reverse j -> i, and at every node's
-    self-loop in node order; each is computed for all batches when a batch
-    first asks for it. `batch(s)` slices these arrays and writes only
-    batch s's dense ones: features, readout and, on request, operator
-    stacks. With a `width`, every graph caches its degree classes and a
-    batch's features are their one-hot rows, `width` columns; without one
-    they are the graphs' own rows.
+    Row s of `rows` lists the positions in `graphs` of batch s's graphs, in
+    order; a graph may recur, within a row too. The plan is the GraphStack
+    of all batches' graphs, batch after batch, plus each node's padded
+    slot. The operator entries (flat indices into each batch's padded
+    operator stack, and each kind's values there) and GIN's class-count
+    keys are flat arrays too, in three parts: at every edge i -> j in
+    edge-row order, at its reverse j -> i, and at every node's self-loop in
+    node order, each computed for all batches on a batch's first request.
+    `batch(s)` slices them and writes batch s's features and readout.
+    Batches have degree classes when every graph of the plan caches them.
+    With a `width` every graph must, and a batch's features are the one-hot
+    rows of the classes, `width` columns; else they are the graphs' rows.
     """
 
     def __init__(self, graphs, rows, width=None):
         lens = [len(row) for row in rows]
         if not all(lens):
             raise ContractError("a graph batch needs at least one graph")
-        slots = [graphs[i] for row in rows for i in row]
-        has = np.array(["classes" in g.cache for g in slots])
-        if width is not None and not has.all():
+        super().__init__([graphs[i] for row in rows for i in row])
+        if width is not None and self.classes is None:
             raise ContractError("one-hot feature rows need every graph's degree classes")
-        if width is None and any(g.features is None for g in slots):
+        if width is None and any(g.features is None for g in self.graphs):
             raise ContractError("graph has no features; synthesize them first")
-        stack = GraphStack(slots)
-        self.graphs, self.width, self.sizes = stack.graphs, width, stack.sizes
-        self.edge_counts, self.edges, self.degrees = stack.edge_counts, stack.edges, stack.degrees
-        self.classes = stack.classes
-        if self.classes is None and has.any():  # zeros where a graph has none: no batch reads them
-            self.classes = np.concatenate([g.cache.get("classes", np.zeros(g.n, dtype=np.int64))
-                                           for g in slots])
+        self.width = width
         self._first = list(itertools.accumulate(lens, initial=0))
         first = np.array(self._first[:-1])
-        n_max = np.maximum.reduceat(stack.sizes, first)
-        nodes = np.append(stack.starts[first], stack.n)
+        n_max = np.maximum.reduceat(self.sizes, first)
+        nodes = np.append(self.starts[first], self.n)
         self.n_max, self._nodes = n_max.tolist(), nodes.tolist()
-        self._edge_at = [0, *itertools.accumulate(np.add.reduceat(stack.edge_counts, first).tolist())]
-        self._cached = np.logical_and.reduceat(has, first).tolist()
+        self._edge_at = [0, *itertools.accumulate(np.add.reduceat(self.edge_counts, first).tolist())]
         # per slot: its batch, and then its place b * n_max + i in the batch's padding
         self._step = np.repeat(np.arange(len(lens)), lens)
-        self.starts = stack.starts - nodes[self._step]
-        pad = (np.arange(len(slots)) - first[self._step]) * n_max[self._step] - stack.starts
-        node = np.arange(stack.n)
-        self.slots = node + np.repeat(pad, stack.sizes)
-        self.onehot_at = None if width is None else (
-            (node - np.repeat(nodes[self._step], stack.sizes)) * width + self.classes)
-        self._mean = 1.0 / stack.sizes
+        pad = (np.arange(len(self.graphs)) - first[self._step]) * n_max[self._step] - self.starts
+        self.slots = np.arange(self.n) + np.repeat(pad, self.sizes)
+        self._onehot = None if width is None else np.eye(width)  # row k: class k's one-hot row
         self._entries = {}
 
     def batch(self, s):
@@ -177,20 +159,14 @@ class BatchPlan:
 
     def _fill(self, b, s):
         q0, q1, n0, n1 = self._first[s], self._first[s + 1], self._nodes[s], self._nodes[s + 1]
-        b.graphs, b.edge_counts = self.graphs[q0:q1], self.edge_counts[q0:q1]
-        b.sizes, b.starts, b.n = self.sizes[q0:q1], self.starts[q0:q1], n1 - n0
-        b.edges = self.edges[self._edge_at[s]:self._edge_at[s + 1]] - n0
-        b.degrees = self.degrees[n0:n1]
-        b.classes = self.classes[n0:n1] if self._cached[s] else None
-        b.n_max, b.slots = self.n_max[s], self.slots[n0:n1]
+        b.graphs, b.n, b.n_max, b.slots = self.graphs[q0:q1], n1 - n0, self.n_max[s], self.slots[n0:n1]
+        b.classes = None if self.classes is None else self.classes[n0:n1]
         # row b holds 1 / n_b at graph b's columns
-        b.readout = np.repeat(np.diag(self._mean[q0:q1]), b.sizes, axis=1)
+        b.readout = np.repeat(np.diag(1.0 / self.sizes[q0:q1]), self.sizes[q0:q1], axis=1)
         if self.width is None:
             b.features = np.concatenate([g.features for g in b.graphs])
         else:
-            features = np.zeros(b.n * self.width)
-            features[self.onehot_at[n0:n1]] = 1.0
-            b.features = features.reshape(b.n, self.width)
+            b.features = self._onehot.take(b.classes, axis=0)
         b.plan, b.index, b._ops = self, s, {}
 
     def _parts(self, s, parts):
@@ -231,22 +207,21 @@ class BatchPlan:
         keys = self._entries.get(width)
         if keys is None:
             i, j = self.edges.T
-            row = (np.arange(len(self.slots)) - np.repeat(np.array(self._nodes[:-1])[self._step],
-                                                          self.sizes)) * width
+            row = (np.arange(self.n) - np.repeat(np.array(self._nodes[:-1])[self._step],
+                                                 self.sizes)) * width
             keys = self._entries[width] = (row[i] + self.classes[j], row[j] + self.classes[i],
                                            row + self.classes)
         return np.concatenate(self._parts(s, keys))
 
 
 class GraphBatch:
-    """Graphs row-stacked for one encoder pass, in the layout of
-    `data.GraphStack`: `graphs`, `sizes`, `starts`, `n`, `edge_counts`,
-    `edges`, `degrees` and `classes`, plus `features`, the node rows graph
-    after graph. `slots` gives each row its place b * n_max + i in the
-    padded layout of `autodiff.block_aggregate`, and `readout` is the
-    constant (B, n) matrix whose row b averages graph b's rows. Built as
-    the one-row `BatchPlan` of its graphs, on their own features, or as
-    batch `index` of a larger `plan`.
+    """Graphs row-stacked for one encoder pass, with what a layer reads:
+    `graphs`, `n` rows of `features` graph after graph, their degree
+    `classes` or None, each row's place b * n_max + i in the padded layout
+    of `autodiff.block_aggregate` (`slots`), the constant (B, n) `readout`
+    whose row b averages graph b's rows and, on request, the `operators`
+    and `neighbor_classes`. Built as the one-row `BatchPlan` of its graphs,
+    on their own features, or as batch `index` of a larger `plan`.
     """
 
     def __init__(self, graphs):
@@ -295,7 +270,7 @@ def _mlp_rows(x, p, need_x):
     which gives the adjoints of x (None unless need_x), W1, b1, W2 and b2,
     each as the chain of primitives computes it; `link` sums the bias
     adjoints over the rows."""
-    W1, b1, W2, b2 = (ad.values_of(t) for t in p.values())
+    W1, b1, W2, b2 = map(ad.values_of, p.values())
     a1 = x @ W1 + b1
     h = np.maximum(a1, 0.0)
 
@@ -353,19 +328,6 @@ class GraphEncoder(_Module):
             return {"W1": glorot_uniform(rng, w_in, w_out), "b1": Tensor(np.zeros((1, w_out)))}
         return _mlp_params(rng, w_in, w_out, w_out)
 
-    def _aggregate(self, X, batch, layer):
-        """Kind-specific neighborhood aggregation of the node rows X, one
-        block_aggregate node for every graph of the batch (Mobius path)."""
-        k = self.kind
-        ops = batch.operators(k)
-        if k is EncoderKind.GRAPHSAGE:
-            return ad.concat_cols([X, ad.block_aggregate(X, batch.slots, ops)])
-        if k is EncoderKind.GAT:
-            p = self.layer_params[layer]
-            scores = (ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]))
-            return ad.block_aggregate(X, batch.slots, ops, scores)
-        return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
-
     def layer_rows(self, hv, batch, layer, need_h):
         """Layer `layer` over the node rows hv, an array: its value and VJP,
         which gives the adjoints of hv (None unless need_h) and of the
@@ -416,12 +378,11 @@ class GraphEncoder(_Module):
     # --- optional fully-hyperbolic path -----------------------------------
 
     def mobius_node_points(self, batch, ball):
-        """Ball-valued node states: aggregate in tangent space, then the
-        Mobius linear/bias/activation composition per layer."""
+        """Ball-valued node states: aggregate in tangent space, one node per
+        layer, then the Mobius linear/bias/activation composition."""
         U = ball.expmap0(batch.features)
-        for layer in range(self.num_layers):
-            p = self.layer_params[layer]
-            agg = ball.expmap0(self._aggregate(ball.logmap0(U), batch, layer))
+        for p in self.layer_params:
+            agg = ball.expmap0(mobius_aggregate(ball.logmap0(U), batch, self.kind, p))
             W = p["W"] if "W" in p else p["W1"]
             U = ball.hyperbolic_activation(agg, ad.transpose(W), p.get("b1", 0.0), "relu")
         return U
@@ -433,25 +394,53 @@ class GraphEncoder(_Module):
 # copy, which builds no node.
 
 
+def _aggregate_rows(xv, batch, kind, p):
+    """The kind's aggregation of the node rows xv, an array: its value and
+    vjp(g, need_x=True), which gives xv's adjoint (None unless need_x) and,
+    for gat, those of a_src and a_dst. gcn and gin apply their operator P,
+    graphsage gives [X, P X] with P the neighbor mean, and gat attends with
+    the scores X a_src and X a_dst of the rows it aggregates."""
+    ops = batch.operators(kind)
+    if kind is EncoderKind.GAT:
+        a_src, a_dst = ad.values_of(p["a_src"]), ad.values_of(p["a_dst"])
+        agg, agg_vjp = ad.block_product(xv, batch.slots, ops, (xv @ a_src, xv @ a_dst))
+
+        def vjp(g, need_x=True):
+            gx, gs, gt = agg_vjp(g, need_x)
+            if need_x:  # the chain added the a_dst term before the a_src one
+                gx = gx + gt @ a_dst.T + gs @ a_src.T
+            return gx, xv.T @ gs, xv.T @ gt
+
+        return agg, vjp
+    agg, agg_vjp = ad.block_product(xv, batch.slots, ops)
+    if kind is not EncoderKind.GRAPHSAGE:
+        return agg, agg_vjp
+
+    def vjp(g, need_x=True):
+        g_self, g_agg = np.split(g, [xv.shape[1]], axis=1)
+        return (g_self + agg_vjp(g_agg)[0] if need_x else None,)
+
+    return np.concatenate([xv, agg], axis=1), vjp
+
+
+def mobius_aggregate(X, batch, kind, p):
+    """`_aggregate_rows` of the node rows X as one tape node, linked to X
+    and gat's score vectors: the Mobius path's aggregation of a layer."""
+    v, vjp = _aggregate_rows(ad.values_of(X), batch, kind, p)
+    need_x = isinstance(X, Tensor)
+    return ad.link((X, p.get("a_src"), p.get("a_dst")), v, lambda g: vjp(g, need_x))
+
+
 def _linear_then_aggregate(hv, batch, kind, p, need_h):
     """gcn and gat: relu(P (H W)), P the normalized adjacency, or the
     attention over H W with scores (H W) a_src and (H W) a_dst."""
     W = ad.values_of(p["W"])
     classes = batch.classes_of(hv)
     z = hv @ W if classes is None else W[classes]  # a one-hot row picks its class's row
-    scores = None
-    if kind is EncoderKind.GAT:
-        a_src, a_dst = ad.values_of(p["a_src"]), ad.values_of(p["a_dst"])
-        scores = (z @ a_src, z @ a_dst)
-    agg, agg_vjp = ad.block_product(z, batch.slots, batch.operators(kind), scores)
+    agg, agg_vjp = _aggregate_rows(z, batch, kind, p)
 
     def vjp(g):
         gz, *g_scores = agg_vjp(g * (agg > 0.0))
-        if scores is not None:  # the chain added the a_dst term before the a_src one
-            gs, gt = g_scores
-            gz = gz + gt @ a_dst.T
-            gz = gz + gs @ a_src.T
-            g_scores = (z.T @ gs, z.T @ gt)
         return (gz @ W.T if need_h else None, hv.T @ gz, *g_scores)
 
     return np.maximum(agg, 0.0), vjp
@@ -460,17 +449,12 @@ def _linear_then_aggregate(hv, batch, kind, p, need_h):
 def _sage_layer(hv, batch, kind, p, need_h):
     """relu([H, P H] W), P the neighbor mean."""
     W = ad.values_of(p["W"])
-    agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
-    cat = np.concatenate([hv, agg], axis=1)
+    cat, cat_vjp = _aggregate_rows(hv, batch, kind, p)
     y = cat @ W
 
     def vjp(g):
         gy = g * (y > 0.0)
-        gh = None
-        if need_h:
-            g_self, g_agg = np.split(gy @ W.T, [hv.shape[1]], axis=1)
-            gh = g_self + agg_vjp(g_agg)[0]
-        return gh, cat.T @ gy
+        return cat_vjp(gy @ W.T)[0] if need_h else None, cat.T @ gy
 
     return np.maximum(y, 0.0), vjp
 
@@ -479,7 +463,7 @@ def _gin_layer(hv, batch, kind, p, need_h):
     """relu(MLP((A + I) H)), the MLP as in `_mlp_rows`; (A + I) H is a class
     count when H is the batch's one-hot features."""
     if batch.classes_of(hv) is None:
-        agg, agg_vjp = ad.block_product(hv, batch.slots, batch.operators(kind))
+        agg, agg_vjp = _aggregate_rows(hv, batch, kind, p)
     else:  # a constant H needs no agg_vjp
         agg, agg_vjp = batch.neighbor_classes(), None
     a2, mlp_vjp = _mlp_rows(agg, p, need_h)

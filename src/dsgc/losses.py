@@ -360,9 +360,11 @@ class ViewSampler:
 
     def batches(self, graphs, hyperbolic=True):
         """The GraphBatch of the graphs' Euclidean views and, with
-        `hyperbolic`, that of their hyperbolic views (else None)."""
-        return (GraphBatch([self.euclidean_view(g) for g in graphs]),
-                GraphBatch([self.hyperbolic_view(g) for g in graphs]) if hyperbolic else None)
+        `hyperbolic`, that of their hyperbolic views (else None), each
+        space's views drawn in one sampler call."""
+        return (GraphBatch(diffusion_sample(graphs, [self._cfg_e] * len(graphs))),
+                GraphBatch(community_expansion_sample(graphs, [self._cfg_h] * len(graphs)))
+                if hyperbolic else None)
 
 
 @dataclass

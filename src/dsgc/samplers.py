@@ -9,8 +9,8 @@ always connected.
 Each sampler takes a list of graphs and a matching list of SamplerConfigs
 and returns the list of views; a single Graph with a single config is a
 batch of one and returns one view. A call builds one CSR adjacency over
-the batch's disjoint union (`data.GraphStack`, the layout the encoders'
-batch shares), its graphs ordered by target size, largest first, and
+the batch's disjoint union (`data.GraphStack`, as the encoders'
+`BatchPlan` is), its graphs ordered by target size, largest first, and
 grows every graph's S in lockstep, one node per graph per pass while any
 graph is below its target size, with all bookkeeping in arrays
 over the union. The graphs still growing are then always a prefix of the

@@ -1,7 +1,8 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
 supervised loss, the total objective, Adam, the four encoder layers, the
-predictor's logits, the row gather and the step's objective as they were
-written before they were fused, kept as the test reference.
+Mobius path's aggregation, the predictor's logits, the row gather and the
+step's objective as they were written before they were fused, kept as the
+test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
@@ -182,6 +183,19 @@ def layer_forward(enc, H, batch, layer):
     else:  # gin: (A + I) H through the two-layer MLP
         pre = mlp(ad.block_aggregate(H, batch.slots, ops), p)
     return ad.relu(pre)
+
+
+def mobius_aggregate(X, batch, kind, p):
+    """The Mobius path's aggregation of the node rows X as a chain: one
+    block_aggregate node, joined to X for graphsage and scored by two
+    matmul nodes for gat."""
+    ops = batch.operators(kind)
+    if kind is EncoderKind.GRAPHSAGE:
+        return ad.concat_cols([X, ad.block_aggregate(X, batch.slots, ops)])
+    if kind is EncoderKind.GAT:
+        scores = (ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]))
+        return ad.block_aggregate(X, batch.slots, ops, scores)
+    return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
 
 def mlp(x, p):

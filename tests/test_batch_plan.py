@@ -83,8 +83,14 @@ def test_planned_batches_equal_graph_batches(rows, source, classes):
     graphs, rows = graphs_from(source, classes), ROWS[rows]
     plan = plan_of(graphs, rows)
     assert (plan.width is None) == (classes != "cached")
+    lacking = any("classes" not in graphs[i].cache for row in rows for i in row)
+    assert lacking == (classes == "none" or (classes == "mixed" and rows is ROWS["repeats"]))
     for s, row in enumerate(rows):
-        assert_same_batch(plan.batch(s), GraphBatch([graphs[i] for i in row]))
+        got, want = plan.batch(s), GraphBatch([graphs[i] for i in row])
+        if lacking:  # a plan with a graph lacking classes gives them to no batch
+            assert got.classes is None
+            want.classes = None
+        assert_same_batch(got, want)
 
 
 def make_encoder(kind, space, seed=0):
@@ -109,7 +115,7 @@ def outputs_and_gradients(batch, enc, space, ball):
     return rows.values.copy(), [p.grad.copy() for p in enc.params]
 
 
-@pytest.mark.parametrize("classes", ["cached", "none"])
+@pytest.mark.parametrize("classes", CLASSES)  # mixed: dense first layers against the classes
 @pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize("kind", [k.value for k in EncoderKind])
 def test_encoders_give_equal_outputs_and_gradients(kind, space, classes):

@@ -10,6 +10,7 @@ from dsgc.data import Graph, synthesize_features
 from dsgc.encoders import (
     EUCLIDEAN,
     HYPERBOLIC,
+    BatchPlan,
     EncoderKind,
     GraphBatch,
     GraphEmbedding,
@@ -248,9 +249,10 @@ class TestLayout:
             assert np.array_equal(block[:g.n, :g.n], ref.prop_matrix(g, kind))
             assert not block[g.n:].any() and not block[:, g.n:].any()
 
-    @pytest.mark.parametrize("stack", [GraphBatch, _Union])
+    @pytest.mark.parametrize("stack", [lambda graphs: BatchPlan(graphs, [range(len(graphs))]),
+                                       _Union], ids=["BatchPlan", "_Union"])
     def test_the_stack_is_each_graphs_own(self, stack):
-        # the sampler's union and the encoders' batch share one layout
+        # the sampler's union and the encoders' batch plan share one layout
         graphs = stack_contract_graphs()
         s = stack(graphs)
         sizes = [g.n for g in graphs]

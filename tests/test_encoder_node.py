@@ -9,6 +9,10 @@ and `expmap0` on the hyperbolic side. Values and every parameter gradient
 must be equal under np.array_equal, for every kind in both spaces, on the
 cached-classes first layer and on dense features, on a batch of one graph
 and on a mixed batch in which one graph appears twice.
+
+The Mobius path aggregates each layer as one node
+(`encoders.mobius_aggregate`); its reference is the chain it replaced
+(`fused_reference.mobius_aggregate`), alone and through the whole stack.
 """
 
 import weakref
@@ -16,6 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
+import fused_reference as fused
 from conftest import tensors_built
 from dsgc import autodiff as ad
 from dsgc import encoders
@@ -60,9 +65,9 @@ def make_batch(first_layer, rows):
     return batch
 
 
-def make_encoder(kind, seed=0, num_layers=3):
+def make_encoder(kind, seed=0, num_layers=3, mobius=False):
     """Small layers whose parameters, biases included, are all nonzero."""
-    enc = GraphEncoder(kind, CAP + 1, HIDDEN, num_layers, np.random.default_rng(seed))
+    enc = GraphEncoder(kind, CAP + 1, HIDDEN, num_layers, np.random.default_rng(seed), mobius)
     rng = np.random.default_rng(seed + 1)
     for t in enc.params:
         t.values[...] = rng.uniform(-0.5, 0.5, t.values.shape)
@@ -185,3 +190,58 @@ def test_hyperbolic_node_gradcheck(kind):
 
     err = ad.finite_difference_gradcheck(objective, enc.params, h=1e-6)
     assert err < 1e-4, f"{kind.value}: {err}"
+
+
+MOBIUS_TENSORS = {EncoderKind.GCN: 41, EncoderKind.GAT: 44, EncoderKind.GRAPHSAGE: 41,
+                  EncoderKind.GIN: 41}  # a 3-layer Mobius encoder call, exp0 included
+
+
+def run_aggregate(aggregate, enc, batch, xv, as_tensor):
+    """The aggregation of layer 1's parameters over the rows xv (a Tensor or
+    a constant), the gradients of <output, weights> for every parameter and,
+    for a Tensor, the rows', and the Tensors built."""
+    for p in enc.params:
+        p.zero_grad()
+    X = Tensor(xv.copy()) if as_tensor else xv
+    out, built = tensors_built(lambda: aggregate(X, batch, enc.kind, enc.layer_params[1]))
+    if isinstance(out, Tensor):
+        weights = np.random.default_rng(3).standard_normal(out.shape)
+        ad.backward(ad.asum(ad.mul(out, weights)))
+    grads = [p.grad.copy() for p in enc.params] + ([X.grad] if as_tensor else [])
+    return ad.values_of(out), grads, built
+
+
+@pytest.mark.parametrize("as_tensor", [True, False], ids=["tensor", "constant"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_mobius_aggregation_node_equals_the_chain_bit_for_bit(kind, as_tensor):
+    batch = make_batch("classes", "mixed")  # graph 3 twice
+    enc = make_encoder(kind, mobius=True)
+    xv = np.random.default_rng(4).uniform(-0.3, 0.3, (batch.n, HIDDEN))
+    got = run_aggregate(encoders.mobius_aggregate, enc, batch, xv, as_tensor)
+    want = run_aggregate(fused.mobius_aggregate, enc, batch, xv, as_tensor)
+    # a node when a Tensor meets it: the rows, or gat's score vectors
+    assert got[2] == int(as_tensor or kind is EncoderKind.GAT)
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)
+    if as_tensor:
+        assert (got[1][-1] != 0.0).any()
+
+
+@pytest.mark.parametrize("rows", list(ROWS))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_mobius_stack_equals_the_chain_bit_for_bit(kind, rows, monkeypatch):
+    # layer 0 aggregates the constant exp0 of the features, later layers Tensors
+    batch = make_batch("classes", rows)
+    enc = make_encoder(kind, mobius=True)
+    weights = np.random.default_rng(2).standard_normal((len(batch.graphs), HIDDEN))
+    out, built = tensors_built(lambda: node("hyperbolic", batch, enc))
+    assert built == MOBIUS_TENSORS[kind]
+    got = run(lambda: node("hyperbolic", batch, enc), enc, weights)
+    monkeypatch.setattr(encoders, "mobius_aggregate", fused.mobius_aggregate)
+    want = run(lambda: node("hyperbolic", batch, enc), enc, weights)
+    assert np.array_equal(got[0], want[0])
+    assert (want[1][0] != 0.0).any()  # the adjoint reaches the first layer
+    for a, b in zip(got[1], want[1]):
+        assert np.array_equal(a, b)

@@ -33,7 +33,11 @@ CONFIGS = {
                          "curvature": 2.0},
     "gat-graphsage-c2-mobius": {"euclidean_encoder": "gat", "hyperbolic_encoder": "graphsage",
                                 "curvature": 2.0, "mobius_layers": True},
-    "gin-gcn": {"euclidean_encoder": "gin", "hyperbolic_encoder": "gcn"},
+    "gin-gat-mobius": {"euclidean_encoder": "gin", "hyperbolic_encoder": "gat",
+                       "mobius_layers": True},
+    "gat-gin-c1.5-mobius": {"euclidean_encoder": "gat", "hyperbolic_encoder": "gin",
+                            "curvature": 1.5, "mobius_layers": True},
+    "gin-gcn":{"euclidean_encoder": "gin", "hyperbolic_encoder": "gcn"},
     "graphsage-gat": {"euclidean_encoder": "graphsage", "hyperbolic_encoder": "gat"},
     "default-no-classes": {},
 }

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_same_batch
 from dsgc import autodiff as ad
 from dsgc.autodiff import Adam, Tensor
 from dsgc.data import Graph, synthesize_features
 from dsgc.encoders import (
     EUCLIDEAN,
     HYPERBOLIC,
+    GraphBatch,
     GraphEmbedding,
     GraphEncoder,
     Predictor,
@@ -289,6 +291,19 @@ class TestViewSampler:
         for view in (vs.euclidean_view(g), vs.hyperbolic_view(g)):
             assert view.n == 2
             assert view.is_connected()
+
+    @pytest.mark.parametrize("hyperbolic", [True, False])
+    def test_batches_are_the_graph_batches_of_the_per_graph_views(self, hyperbolic):
+        # a view does not depend on the sampler call it is drawn in; g0 is listed twice
+        g0, g1, g2 = toy_graphs()
+        graphs = [g0, g2, g1, g0]
+        vs = ViewSampler(0.6, 0.7, seed=4)
+        got_e, got_h = vs.batches(graphs, hyperbolic)
+        assert_same_batch(got_e, GraphBatch([vs.euclidean_view(g) for g in graphs]))
+        if hyperbolic:
+            assert_same_batch(got_h, GraphBatch([vs.hyperbolic_view(g) for g in graphs]))
+        else:
+            assert got_h is None
 
 
 class TestTrainStep:
