@@ -120,8 +120,10 @@ class GraphStack:
         self.edges = (np.concatenate([g.edges for g in graphs])
                       + np.repeat(self.starts, self.edge_counts)[:, None])
         self.degrees = np.bincount(self.edges.ravel(), minlength=self.n)
-        classes = [g.cache.get("classes") for g in graphs]
-        self.classes = None if any(c is None for c in classes) else np.concatenate(classes)
+        try:
+            self.classes = np.concatenate([g.cache["classes"] for g in graphs])
+        except KeyError:  # a graph caches no classes
+            self.classes = None
 
 
 def check_edge_rows(edges, sizes, counts=None):

@@ -44,9 +44,12 @@ the stacked (B, n_max, n_max) operators, written at the plan's entries
 the first time a layer asks, with one 3-D matmul and gathers the real rows
 back. Padding lives only inside that op, so GIN's bias never reaches a pad
 row and GAT's softmax never divides by a pad row's empty mask. The readout
-is one matmul with the constant (B, sum n_b) averaging matrix; the
-hyperbolic side maps it into the ball with its own `expmap0` node. Only
-`encode_euclidean` and `encode_hyperbolic` also take a single Graph.
+is one matmul with the constant (B, sum n_b) averaging matrix. The
+hyperbolic side's readout stays in the tangent space (`tangent_readout`):
+`encode_hyperbolic` maps it into the ball with an `expmap0` node, and in
+training the step's objective node maps it together with the Euclidean
+rows. Only `encode_euclidean`, `tangent_readout` and `encode_hyperbolic`
+also take a single Graph.
 
 The features are one-hot degree classes, and `data.synthesize_features`
 caches each node's class in `Graph.cache["classes"]`; the samplers carry
@@ -494,14 +497,19 @@ def encode_euclidean(graphs, enc):
     return GraphEmbedding(enc.embed(_as_batch(graphs)), EUCLIDEAN)
 
 
-def encode_hyperbolic(graphs, enc, ball):
-    """Same architecture on its own parameters; readout mapped into the ball."""
+def tangent_readout(graphs, enc, ball):
+    """The hyperbolic branch's readout in the tangent space at the origin,
+    one row per graph: `enc.embed`, or on the Mobius path the mean of the
+    node points' log0."""
     batch = _as_batch(graphs)
     if enc.mobius:
-        tangent = readout_mean(ball.logmap0(enc.mobius_node_points(batch, ball)), batch).tensor
-    else:
-        tangent = enc.embed(batch)
-    return GraphEmbedding(ball.expmap0(tangent), HYPERBOLIC)
+        return readout_mean(ball.logmap0(enc.mobius_node_points(batch, ball)), batch).tensor
+    return enc.embed(batch)
+
+
+def encode_hyperbolic(graphs, enc, ball):
+    """Same architecture on its own parameters; readout mapped into the ball."""
+    return GraphEmbedding(ball.expmap0(tangent_readout(graphs, enc, ball)), HYPERBOLIC)
 
 
 class Predictor(_Module):

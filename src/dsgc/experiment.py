@@ -357,7 +357,7 @@ class _EpochViews:
     def batches(self, graphs, hyperbolic=True):
         """The planned GraphBatch of the graphs' Euclidean views and, with
         `hyperbolic`, that of their hyperbolic views (else None)."""
-        key = tuple(self._gid_of.get(id(g)) for g in graphs)
+        key = tuple(map(self._gid_of.get, map(id, graphs)))
         s = self._step_of.get(key)
         if s is None:
             raise ContractError(f"graphs {list(key)} are not a batch of the plan of fold "

@@ -15,17 +15,17 @@ InfoNCE terms:
 
 Each space encodes all N + 1 views of a step in one encoder call (labeled
 view first), one row per graph; each call is one tape node over its layer
-stack and readout, and the hyperbolic readout's exp0 is one more, so a
-default step builds 4 Tensors and an omega-0 step 2. In training,
-everything after the two readouts is one tape node, `step_objective`,
-with one closed-form VJP:
+stack and readout, the hyperbolic one left in the tangent space at the
+origin (`encoders.tangent_readout`). In training, everything after the two
+readouts is one tape node, `step_objective`, with one closed-form VJP, so
+a default step builds 3 Tensors and an omega-0 step 2:
   * the supervised part: the predictor MLP over the labeled Euclidean row
     (`encoders._mlp_rows`), the sigmoid and the binary cross-entropy;
-  * the contrastive part: one exp0 of the Euclidean rows, one ball check
-    of both blocks of points, one similarity evaluation over the 3N + 1
-    stacked (u, v) row pairs of both blocks whatever N, and the two blocks
-    of terms (the labeled s-_i fill one row; unlabeled_i is row i of one
-    (N, 1) column);
+  * the contrastive part: one exp0 of the hyperbolic tangent rows stacked
+    over the Euclidean rows, one ball check of both blocks of points, one
+    similarity evaluation over the 3N + 1 stacked (u, v) row pairs of both
+    blocks whatever N, and the two blocks of terms (the labeled s-_i fill
+    one row; unlabeled_i is row i of one (N, 1) column);
   * the total. At omega = 0 the node computes the supervised part alone.
 The public node functions (`encoders.predict`, `supervised_loss`,
 `to_hyperbolic`, `info_nce_labeled`, `info_nce_unlabeled`,
@@ -33,7 +33,10 @@ The public node functions (`encoders.predict`, `supervised_loss`,
 (`encoders._mlp_rows`, `autodiff.sigmoid_rows`, `_bce_rows`,
 `PoincareBall.exp0_rows` and `.similarity_rows`, `_nce_rows`,
 `_total_rows`), so no formula is written twice; the node equals their
-composite over row gathers bit for bit. A training step runs none of them.
+composite over row gathers, after an `expmap0` node of the hyperbolic
+tangent rows, bit for bit: exp0 maps each row on its own, and a row that
+is not pulled back onto the projection radius is scaled by exactly 1. A
+training step runs none of them.
 
 Similarities are capped near 7.07e5 (coincident points), so every term is
 evaluated as a max-shifted logsumexp along its row of scores; the shift is
@@ -59,8 +62,9 @@ from .encoders import (
     GraphEmbedding,
     _mlp_rows,
     encode_euclidean,
-    encode_hyperbolic,
+    encode_hyperbolic,  # noqa: F401  perfbench wraps losses.encode_hyperbolic by name
     predict,  # noqa: F401  perfbench wraps losses.predict by name
+    tangent_readout,
 )
 from .errors import ContractError, ShapeError
 
@@ -259,18 +263,19 @@ def _head_pairs(n):
     return iu, iv
 
 
-def _head_rows(ev, hv, ball, cfg):
+def _head_rows(ev, tv, ball, cfg):
     """The two InfoNCE blocks of `step_objective` on arrays: the labeled
     term, the (N, 1) column of unlabeled terms, and vjp(g_l, g_terms), the
-    adjoints of ev and hv from those of the terms."""
-    n = hv.shape[0]
-    if ev.shape != hv.shape or n < 2:
+    adjoints of ev and tv from those of the terms."""
+    n = tv.shape[0]
+    if ev.shape != tv.shape or n < 2:
         raise ContractError(f"step_objective: need two views of the same n >= 2 graphs, "
-                            f"got {ev.shape} and {hv.shape}")
-    k, d = n - 1, hv.shape[1]
-    eh, exp0_vjp = ball.exp0_rows(ev)
-    pts, sq = ball.scaled_rows(np.concatenate([hv, eh]), " of the hyperbolic view",
-                               " of the mapped Euclidean view")
+                            f"got {ev.shape} and {tv.shape}")
+    k, d = n - 1, tv.shape[1]
+    # one exp0 maps both readouts: the hyperbolic points over the mapped Euclidean rows
+    mapped, exp0_vjp = ball.exp0_rows(np.concatenate([tv, ev]), " of the hyperbolic readout",
+                                      " of the Euclidean readout")
+    pts, sq = ball.scaled_rows(mapped, " of the hyperbolic view", " of the mapped Euclidean view")
     # one gather per operand fetches the pairs' points with their squared norms
     both = np.concatenate([pts, sq], axis=1)
     iu, iv = _head_pairs(n)
@@ -284,40 +289,46 @@ def _head_rows(ev, hv, ball, cfg):
         g_lpos, g_lneg = l_vjp(g_l)
         gu, gv = sim_vjp(np.concatenate([g_pos, g_neg, g_lpos, g_lneg.T]))
         # each row sums what the taped composite summed from its two uses;
-        # a broadcast operand sums its rows as `_unbroadcast` does
-        gh, geh = np.empty_like(hv), np.empty_like(eh)
-        gh[:1] = gu[2 * k:2 * k + 1] + np.add.reduce(gu[k:2 * k], axis=0, keepdims=True)
-        gh[1:] = gv[2 * k + 1:] + gu[:k]
-        geh[:1] = np.add.reduce(gu[2 * k + 1:], axis=0, keepdims=True) + gv[2 * k:2 * k + 1]
-        geh[1:] = gv[k:2 * k] + gv[:k]
-        return exp0_vjp(geh), gh
+        # a broadcast operand sums its rows as `_unbroadcast` does. Rows
+        # :n are the hyperbolic points', n: the mapped Euclidean rows'
+        gp = np.empty_like(mapped)
+        gp[:1] = gu[2 * k:2 * k + 1] + np.add.reduce(gu[k:2 * k], axis=0, keepdims=True)
+        gp[1:n] = gv[2 * k + 1:] + gu[:k]
+        gp[n:n + 1] = np.add.reduce(gu[2 * k + 1:], axis=0, keepdims=True) + gv[2 * k:2 * k + 1]
+        gp[n + 1:] = gv[k:2 * k] + gv[:k]
+        gt = exp0_vjp(gp)
+        return gt[n:], gt[:n]
 
     return lv, terms, vjp
 
 
-def step_objective(h_e, h_h, predictor, label, ball, cfg):
+def step_objective(h_e, t_h, predictor, label, ball, cfg):
     """The step's total objective from the two readouts, the predictor and
     the label, as one tape node. Returns the total, the supervised and the
     contrastive values, and the prediction: the (K,) class probabilities of
     the labeled graph.
 
-    h_e holds the Euclidean readout rows and h_h the hyperbolic points, one
-    row per graph of the batch, labeled graph first. The predictor reads
-    h_e's row 0 (`encoders.predict` with `supervised_loss`). The
-    contrastive part maps h_e into the ball (exp0), scores all 3N + 1 pairs
-    of both InfoNCE blocks in one similarity evaluation (`_head_pairs`),
-    and adds up as `total_objective`. At cfg.omega == 0 only the supervised
-    part runs and h_h, which may be None, is not read. The values equal,
-    bit for bit, those of the node functions over row gathers (see the
-    module docstring). A point outside the ball raises DomainError naming
-    its view and batch row.
+    h_e holds the Euclidean readout rows, and the Tensor t_h the hyperbolic
+    readout in the tangent space at the origin (`encoders.tangent_readout`),
+    one row per graph of the batch, labeled graph first. The predictor
+    reads h_e's row 0 (`encoders.predict` with `supervised_loss`). The
+    contrastive part maps t_h stacked over h_e into the ball in one exp0,
+    scores all 3N + 1 pairs of both InfoNCE blocks in one similarity
+    evaluation (`_head_pairs`), and adds up as `total_objective`. At
+    cfg.omega == 0 only the supervised part runs and t_h, which may be
+    None, is not read. The values equal, bit for bit, those of the node
+    functions over row gathers after an `expmap0` node of t_h (see the
+    module docstring). A readout row whose norm is not finite raises
+    DomainError naming expmap0, its readout and its batch row.
     """
     _require_space(h_e, EUCLIDEAN, "step_objective")
     ev, params = ad.values_of(h_e.tensor), predictor.layer_params[0]
     contrast = cfg.omega != 0.0
     if contrast:  # first, so that a bad readout row is named before any product
-        _require_space(h_h, HYPERBOLIC, "step_objective")
-        lv, terms, head_vjp = _head_rows(ev, ad.values_of(h_h.tensor), ball, cfg)
+        if not isinstance(t_h, ad.Tensor):
+            raise ContractError(f"step_objective: expected the hyperbolic tangent readout "
+                                f"as a Tensor, got {type(t_h).__name__}")
+        lv, terms, head_vjp = _head_rows(ev, t_h.values, ball, cfg)
     logits, mlp_vjp = _mlp_rows(ev[:1], params, True)
     prob, sigmoid_vjp = ad.sigmoid_rows(logits)
     sv, bce_vjp = _bce_rows(prob, label)
@@ -326,14 +337,14 @@ def step_objective(h_e, h_h, predictor, label, ball, cfg):
     def vjp(g):
         if contrast:
             g_sup, g_l, g_terms = total_vjp(g)
-            ge, gh = head_vjp(g_l, g_terms)
+            ge, gt = head_vjp(g_l, g_terms)
         else:
             g_sup, ge = g, np.zeros_like(ev)
         gx, *g_params = mlp_vjp(sigmoid_vjp(bce_vjp(g_sup)))
         ge[:1] += gx  # row 0's adjoint from the predictor, where the row gather put it
-        return (ge, gh, *g_params) if contrast else (ge, *g_params)
+        return (ge, gt, *g_params) if contrast else (ge, *g_params)
 
-    parts = (h_e.tensor, h_h.tensor) if contrast else (h_e.tensor,)
+    parts = (h_e.tensor, t_h) if contrast else (h_e.tensor,)
     return (ad.link((*parts, *params.values()), total, vjp), float(sv[0, 0]),
             float(contra[0, 0]) if contrast else 0.0, prob[0])
 
@@ -386,7 +397,8 @@ def train_step(batch, model, views, cfg, optimizer):
 
     Each space encodes its views of the batch as one GraphBatch, labeled
     view first, which `views.batches` provides, and `step_objective` takes
-    both readouts, the predictor and the label to the total. With omega
+    both readouts (the hyperbolic one in the tangent space), the predictor
+    and the label to the total. With omega
     == 0 the contrastive half (unlabeled and hyperbolic views, hyperbolic
     encoder, head) is skipped entirely; the objective value is identical
     either way.
@@ -396,9 +408,9 @@ def train_step(batch, model, views, cfg, optimizer):
     graphs = [g_l] + list(batch.unlabeled) if contrast else [g_l]
     batch_e, batch_h = views.batches(graphs, contrast)
     h_e = encode_euclidean(batch_e, model.encoder_e)
-    h_h = encode_hyperbolic(batch_h, model.encoder_h, model.ball) if contrast else None
+    t_h = tangent_readout(batch_h, model.encoder_h, model.ball) if contrast else None
     total, supervised, contrastive, prediction = step_objective(
-        h_e, h_h, model.predictor, g_l.label, model.ball, cfg)
+        h_e, t_h, model.predictor, g_l.label, model.ball, cfg)
 
     optimizer.zero_grad()
     ad.backward(total)

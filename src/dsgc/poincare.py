@@ -38,8 +38,9 @@ compute them:
   * expmap0 pulls its result back with the same radial projection as
     `project`, which keeps floating-point drift strictly inside the ball;
   * a row that is not finite, or not strictly inside the ball where a
-    point is expected, raises one DomainError naming the op and the row,
-    before any arithmetic that could warn; a finite row whose squared norm
+    point is expected, raises one DomainError naming the op and the row
+    (for stacked operands, the operand and the row within it), before any
+    arithmetic that could warn; a finite row whose squared norm
     overflows is squared with numpy's overflow warning off, so it reaches
     that check as an infinite norm.
 The Mobius operations are compositions of these nodes.
@@ -68,11 +69,16 @@ def _row_norms(xv):
         return np.sqrt(np.add.reduce(xv * xv, axis=1, keepdims=True))
 
 
-def _reject(ok, message):
-    """Raise DomainError for the first row where the (n, 1) mask ok is False;
-    message(i) words it for row i."""
+def _reject(ok, op, detail, operands=()):
+    """Raise DomainError for the first row where the (n, 1) mask ok is False.
+    ok stacks one equal block of rows per operand name (one unnamed block
+    when none is given); the message names op, the operand and the row
+    within its block, then detail(i) for stacked row i."""
     if not ok.all():
-        raise DomainError(message(int(np.flatnonzero(~ok)[0])))
+        operands = operands or ("",)
+        i = int(np.flatnonzero(~ok)[0])
+        size = len(ok) // len(operands)
+        raise DomainError(f"{op}: row {i % size}{operands[i // size]} {detail(i)}")
 
 
 class PoincareBall:
@@ -96,11 +102,9 @@ class PoincareBall:
     @staticmethod
     def _check_inside(csq, op, *operands):
         """Reject rows whose c * ||x||^2, the (n, 1) column csq, is not below 1
-        (NaN included). csq stacks one equal block of rows per operand name;
-        the message names the operand and the row within its block."""
-        size = len(csq) // len(operands)
-        _reject(csq < 1.0, lambda i: f"{op}: row {i % size}{operands[i // size]} is not "
-                                     f"strictly inside the ball, c*||x||^2 = {csq[i, 0]:.6g}")
+        (NaN included), naming them as `_reject` does."""
+        _reject(csq < 1.0, op, lambda i: f"is not strictly inside the ball, "
+                                         f"c*||x||^2 = {csq[i, 0]:.6g}", operands)
 
     def _pull_back(self, xv, op):
         """The (n, 1) factors that pull rows with norm > max_norm back onto
@@ -109,7 +113,7 @@ class PoincareBall:
         norms = _row_norms(xv)
         if (norms <= self.max_norm).all():
             return None
-        _reject(np.isfinite(norms), lambda i: f"{op}: row {i} has a non-finite norm {norms[i, 0]}")
+        _reject(np.isfinite(norms), op, lambda i: f"has a non-finite norm {norms[i, 0]}")
         factors = np.where(norms > self.max_norm, self.max_norm / np.maximum(norms, NORM_FLOOR), 1.0)
         # rounding can leave a rescaled row an ulp or two past the radius
         while (over := _row_norms(xv * factors) > self.max_norm).any():
@@ -199,10 +203,13 @@ class PoincareBall:
 
         return (y if factors is None else y * factors), vjp
 
-    def exp0_rows(self, tv):
-        """`expmap0` on an array: the mapped rows and vjp(g), the adjoint of tv."""
+    def exp0_rows(self, tv, *operands):
+        """`expmap0` on an array: the mapped rows and vjp(g), the adjoint of tv.
+        tv may stack one equal block of rows per operand name; a row whose
+        norm is not finite raises DomainError naming expmap0, the operand
+        and the row within it."""
         r = _row_norms(tv)
-        _reject(np.isfinite(r), lambda i: f"expmap0: row {i} has a non-finite norm {r[i, 0]}")
+        _reject(np.isfinite(r), "expmap0", lambda i: f"has a non-finite norm {r[i, 0]}", operands)
         return self._rescale_rows(tv, r, np.tanh, lambda n, s: 1.0 - s * s, "expmap0")
 
     def expmap0(self, t):
@@ -216,7 +223,7 @@ class PoincareBall:
         with np.errstate(over="ignore"):  # an overflowed norm is rejected below
             sq = np.add.reduce(uv * uv, axis=1, keepdims=True)
             csq = self.c * sq
-        self._check_inside(csq, "logmap0", "")
+        self._check_inside(csq, "logmap0")
         y, vjp = self._rescale_rows(
             uv, np.sqrt(sq), lambda n: np.arctanh(np.minimum(n, ad.ARTANH_MAX)),
             lambda n, s: 1.0 / (1.0 - np.minimum(n, ad.ARTANH_MAX) ** 2))

@@ -22,9 +22,10 @@ from dsgc import autodiff as ad
 from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
-# the traced child's autodiff.tensors_per_step on the tiny set: one node per encoder,
-# the hyperbolic exp0 and the objective node
-TENSORS_PER_STEP = 4
+# the traced child's autodiff.tensors_per_step on the tiny set: the Euclidean encoder's
+# node, the hyperbolic encoder's tangent readout node and the objective node, which
+# maps both readouts into the ball
+TENSORS_PER_STEP = 3
 
 WRAPPED = [
     "experiment.train_step",

@@ -2,13 +2,14 @@
 
 `encode_euclidean` and the tangent-space `encode_hyperbolic` run the whole
 layer stack and the mean readout as one node linked to the encoder's
-parameters; the hyperbolic side then maps that node into the ball with its
-own `expmap0` node. The reference is the per-layer chain the node replaced:
-one `layer_forward` node per layer (`node_embeddings`), `readout_mean`,
-and `expmap0` on the hyperbolic side. Values and every parameter gradient
-must be equal under np.array_equal, for every kind in both spaces, on the
-cached-classes first layer and on dense features, on a batch of one graph
-and on a mixed batch in which one graph appears twice.
+parameters (`encoders.tangent_readout` on the hyperbolic side, what a
+training step reads); `encode_hyperbolic` then maps that node into the
+ball with its own `expmap0` node. The reference is the per-layer chain
+the node replaced: one `layer_forward` node per layer (`node_embeddings`),
+`readout_mean`, and `expmap0` on the hyperbolic side. Values and every
+parameter gradient must be equal under np.array_equal, for every kind in
+both spaces, on the cached-classes first layer and on dense features, on a
+batch of one graph and on a mixed batch in which one graph appears twice.
 
 The Mobius path aggregates each layer as one node
 (`encoders.mobius_aggregate`); its reference is the chain it replaced
@@ -93,6 +94,18 @@ def run(fn, enc, weights):
     out = fn()
     ad.backward(ad.asum(ad.mul(out, weights)))
     return out.values.copy(), [p.grad.copy() for p in enc.params]
+
+
+@pytest.mark.parametrize("mobius", [False, True])
+def test_encode_hyperbolic_is_expmap0_of_the_tangent_readout(mobius):
+    batch = make_batch("classes", "mixed")
+    enc = make_encoder(EncoderKind.GAT, mobius=mobius)
+    tangent = encoders.tangent_readout(batch, enc, BALL)
+    points = encode_hyperbolic(batch, enc, BALL)
+    assert points.space == "hyperbolic"
+    assert np.array_equal(points.values, BALL.expmap0(tangent).values)
+    if not mobius:  # the encoder call's one node, linked to the parameters
+        assert tangent._parents == tuple(enc.params)
 
 
 @pytest.mark.parametrize("rows", list(ROWS))

@@ -316,26 +316,26 @@ class TestRunExperiment:
         assert "project: row 0" in str(err.value.__cause__)
         assert "project: row 0" in str(err.value)
 
-    @pytest.mark.parametrize("space, message", [
-        ("euclidean", "expmap0: row 2 has a non-finite norm nan"),
-        ("hyperbolic", "geodesic_similarity: row 2 of the hyperbolic view is not strictly inside"),
+    @pytest.mark.parametrize("readout, message", [
+        ("encode_euclidean", "expmap0: row 2 of the Euclidean readout has a non-finite norm nan"),
+        ("tangent_readout", "expmap0: row 2 of the hyperbolic readout has a non-finite norm nan"),
     ])
-    def test_head_domain_error_names_fold_epoch_and_batch_row(self, monkeypatch, space, message):
+    def test_head_domain_error_names_fold_epoch_and_batch_row(self, monkeypatch, readout, message):
         # row 2 of a step's readouts turns NaN from the second epoch on; the
-        # contrastive head rejects it, naming the batch row
+        # contrastive head rejects it, naming the readout and the batch row
         from dsgc import losses
         ds, cfg, fold = featured_rings(), ExperimentConfig(**FAST), 1
         split = split_folds(ds, cfg)[fold]
-        real, steps = getattr(losses, f"encode_{space}"), []
+        real, steps = getattr(losses, readout), []
 
         def corrupt(*args):
             out = real(*args)
             steps.append(1)
             if len(steps) > len(split.labeled):
-                out.tensor.values[2] = np.nan
+                getattr(out, "tensor", out).values[2] = np.nan
             return out
 
-        monkeypatch.setattr(losses, f"encode_{space}", corrupt)
+        monkeypatch.setattr(losses, readout, corrupt)
         with pytest.raises(TrainingDivergedError) as err:
             _train_fold(cfg, ds.graphs, ds.num_classes, split, fold)
         assert (err.value.fold, err.value.epoch) == (1, 1)

@@ -18,11 +18,12 @@ from dsgc.encoders import (EncoderKind, GraphBatch, GraphEncoder, Predictor,
                            encode_euclidean)
 from dsgc.experiment import ExperimentConfig, _build_model
 from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
+from dsgc.poincare import PoincareBall
 
 KINDS = list(EncoderKind)
 WIDTH = 16
 SIZES = (1, 7, 3, 12, 2, 5)  # a single node, a pair, larger graphs
-DEFAULT_STEP_TENSORS = 4     # one node per encoder, the hyperbolic exp0, the objective
+DEFAULT_STEP_TENSORS = 3     # one node per encoder, the objective (it runs the one exp0)
 OMEGA0_STEP_TENSORS = 2      # the Euclidean encoder, the objective
 
 
@@ -207,6 +208,26 @@ def test_default_train_step_builds_the_pinned_tensor_count():
     for _ in range(2):  # the count repeats exactly, step after step
         _, built = tensors_built(step)
         assert built == DEFAULT_STEP_TENSORS
+
+
+def test_default_train_step_maps_both_readouts_in_one_exp0(monkeypatch):
+    # the objective node maps the hyperbolic tangent rows and the Euclidean
+    # rows together; no expmap0 node is built
+    calls = []
+
+    def spy(name):
+        real = getattr(PoincareBall, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    step = default_step()
+    for name in ("exp0_rows", "expmap0"):
+        monkeypatch.setattr(PoincareBall, name, spy(name))
+    step()
+    assert calls == ["exp0_rows"]
 
 
 def test_omega_0_train_step_builds_the_pinned_tensor_count():

@@ -206,10 +206,10 @@ class TestTotalObjective:
 
 class TestStepObjective:
     """The one objective node against the nodes train_step built before it
-    (the labeled row's gather, `predict`, `supervised_loss` and the head's
-    composite): the total, the supervised and contrastive values, the
-    prediction and the adjoints of h_e, h_h, W1, b1, W2 and b2 equal bit for
-    bit."""
+    (an `expmap0` node of the hyperbolic tangent rows, the labeled row's
+    gather, `predict`, `supervised_loss` and the head's composite): the
+    total, the supervised and contrastive values, the prediction and the
+    adjoints of h_e, t_h, W1, b1, W2 and b2 equal bit for bit."""
 
     SETTINGS = [(1.0, LossConfig()),
                 (0.25, LossConfig(temperature=0.5, lambda_u=0.7, omega=1.0)),
@@ -218,40 +218,50 @@ class TestStepObjective:
     CLASSES = 3
 
     def arrays(self, ball, n, variant, seed=0):
-        """Euclidean rows, hyperbolic points and predictor weights for n
-        graphs. "pulled" gives the last Euclidean row a norm whose exp0 is
-        pulled back onto the projection radius; "coincident" puts the
-        labeled and the last hyperbolic point on their mapped Euclidean
-        rows, so those positives hit the cap; "floored" biases the logits so
-        that the label's probability and another class's complement fall
-        under BCE_PROB_FLOOR."""
+        """Euclidean rows, hyperbolic tangent rows and predictor weights for
+        n graphs. "pulled" gives the last Euclidean row a norm whose exp0 is
+        pulled back onto the projection radius, and "pulled hyperbolic" the
+        second hyperbolic tangent row; "coincident" gives the labeled and
+        the last hyperbolic tangent rows those of the Euclidean readout, so
+        those positives hit the cap; "floored" biases the logits so that the
+        label's probability and another class's complement fall under
+        BCE_PROB_FLOOR."""
         rng = np.random.default_rng(seed)
         h_e = directions(rng, n) * (rng.uniform(0.2, 3.0, (n, 1)) / ball.sqrt_c)
-        h_h = directions(rng, n) * (rng.uniform(0.1, 0.9, (n, 1)) * ball.max_norm)
+        t_h = directions(rng, n) * (rng.uniform(0.1, 1.5, (n, 1)) / ball.sqrt_c)
         shapes = [(D, D), (1, D), (D, self.CLASSES), (1, self.CLASSES)]
         weights = [rng.uniform(-0.5, 0.5, shape) for shape in shapes]
         if variant == "pulled":
             h_e[-1] *= 30.0 / np.linalg.norm(h_e[-1]) / ball.sqrt_c
+        elif variant == "pulled hyperbolic":
+            t_h[1] *= 30.0 / np.linalg.norm(t_h[1]) / ball.sqrt_c
         elif variant == "coincident":
-            h_h[[0, -1]] = ball.expmap0(h_e[[0, -1]])
+            t_h[[0, -1]] = h_e[[0, -1]]
         elif variant == "floored":
             weights[3][0] = [-60.0, 60.0, 0.0]  # label 0; sigmoid(60) rounds to 1
-        return h_e, h_h, weights
+        return h_e, t_h, weights
 
     def run(self, objective, ball, cfg, arrays, label=0):
-        """The objective's four outputs and the adjoints of h_e, h_h, W1, b1,
+        """The objective's four outputs and the adjoints of h_e, t_h, W1, b1,
         W2 and b2, on fresh leaves."""
-        h_e, h_h, weights = arrays
+        h_e, t_h, weights = arrays
         pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
         for t, w in zip(pred.params, weights):
             t.values[...] = w
-        e, h = Tensor(h_e.copy()), Tensor(h_h.copy())
-        out = objective(GraphEmbedding(e, EUCLIDEAN), GraphEmbedding(h, HYPERBOLIC), pred,
-                        label, ball, cfg)
+        e, t = Tensor(h_e.copy()), Tensor(t_h.copy())
+        out = objective(GraphEmbedding(e, EUCLIDEAN), t, pred, label, ball, cfg)
         ad.backward(out[0])
-        return out, [e.grad, h.grad] + [t.grad for t in pred.params]
+        return out, [e.grad, t.grad] + [p.grad for p in pred.params]
 
-    @pytest.mark.parametrize("variant", ["plain", "pulled", "coincident", "floored"])
+    @staticmethod
+    def composite(h_e, t_h, predictor, label, ball, cfg):
+        """The objective as train_step composed it: an `expmap0` node of the
+        tangent rows, then the node functions of the reference."""
+        return ref.step_objective(h_e, GraphEmbedding(ball.expmap0(t_h), HYPERBOLIC), predictor,
+                                  label, ball, cfg)
+
+    @pytest.mark.parametrize("variant", ["plain", "pulled", "pulled hyperbolic", "coincident",
+                                         "floored"])
     @pytest.mark.parametrize("setting", range(len(SETTINGS)))
     @pytest.mark.parametrize("unlabeled", [1, 2, 7])
     def test_bit_identical_to_the_composite(self, unlabeled, setting, variant):
@@ -260,18 +270,20 @@ class TestStepObjective:
         arrays = self.arrays(ball, unlabeled + 1, variant, seed=unlabeled)
         (total, sup, contrastive, prediction), grads = self.run(step_objective, ball, cfg,
                                                                 arrays)
-        want, want_grads = self.run(ref.step_objective, ball, cfg, arrays)
+        want, want_grads = self.run(self.composite, ball, cfg, arrays)
         assert np.array_equal(total.values, want[0].values)
         assert (sup, contrastive) == want[1:3]
         assert np.array_equal(prediction, want[3])
         assert len(grads) == len(want_grads) == 6
         for got, expect in zip(grads, want_grads):
             assert np.array_equal(got, expect)
-        if variant == "pulled":  # tanh saturates: the row sits on the projection radius
-            mapped = ball.expmap0(arrays[0][-1:])
+        if variant.startswith("pulled"):  # tanh saturates: the row sits on the radius
+            row = arrays[0][-1:] if variant == "pulled" else arrays[1][1:2]
+            mapped = ball.expmap0(row)
             assert np.linalg.norm(mapped) == pytest.approx(ball.max_norm, rel=1e-15)
         if variant == "coincident":
-            sim = ball.geodesic_similarity(arrays[1][-1:], ball.expmap0(arrays[0][-1:]))
+            sim = ball.geodesic_similarity(ball.expmap0(arrays[1][-1:]),
+                                           ball.expmap0(arrays[0][-1:]))
             assert sim[0, 0] == pytest.approx(SIMILARITY_CAP * ball.sqrt_c, rel=1e-12)
         if variant == "floored":  # no gradient passes a floored entry
             assert prediction[0] < BCE_PROB_FLOOR and 1.0 - prediction[1] < BCE_PROB_FLOOR
@@ -291,57 +303,75 @@ class TestStepObjective:
 
     def views(self, n=4, seed=3):
         ball = PoincareBall(2.0)
-        h_e, h_h, _ = self.arrays(ball, n, "plain", seed)
-        return ball, h_e, h_h
+        h_e, t_h, _ = self.arrays(ball, n, "plain", seed)
+        return ball, h_e, t_h
 
-    def raises(self, message, ball, h_e, h_h):
+    def raises(self, message, ball, h_e, t_h):
         pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN),
-                               GraphEmbedding(Tensor(h_h), HYPERBOLIC), pred, 0, ball,
-                               LossConfig())
+                step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN), Tensor(t_h), pred, 0,
+                               ball, LossConfig())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
     @pytest.mark.parametrize("row", [0, 2])
     def test_non_finite_euclidean_row_names_expmap0_and_the_row(self, value, row):
-        ball, h_e, h_h = self.views()
+        # the row named is the batch row, not a row of the stacked readouts
+        ball, h_e, t_h = self.views()
         h_e[row, 1] = value
-        self.raises(f"^expmap0: row {row} has a non-finite norm ", ball, h_e, h_h)
+        self.raises(f"^expmap0: row {row} of the Euclidean readout has a non-finite norm ",
+                    ball, h_e, t_h)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.8])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
     @pytest.mark.parametrize("row", [0, 3])
-    def test_bad_hyperbolic_point_names_the_batch_row(self, value, row):
-        # 0.8 is outside the ball of c = 2 (radius 0.707); the row named is
-        # the batch row, not a row of the stacked pairs
-        ball, h_e, h_h = self.views()
-        h_h[row, 0] = value
-        self.raises(f"^geodesic_similarity: row {row} of the hyperbolic view is not "
-                    f"strictly inside the ball", ball, h_e, h_h)
+    def test_non_finite_hyperbolic_row_names_expmap0_and_the_row(self, value, row):
+        ball, h_e, t_h = self.views()
+        t_h[row, 0] = value
+        self.raises(f"^expmap0: row {row} of the hyperbolic readout has a non-finite norm ",
+                    ball, h_e, t_h)
+
+    @staticmethod
+    def leaky(at):
+        """A ball of c = 2 whose exp0 leaks stacked row `at` out of the ball:
+        exp0 keeps its rows inside, so this stands in for a point the check
+        must catch."""
+        class Leaky(PoincareBall):
+            def exp0_rows(self, tv, *operands):
+                y, vjp = super().exp0_rows(tv, *operands)
+                y[at] *= 1.5 / np.linalg.norm(y[at]) / self.sqrt_c
+                return y, vjp
+
+        return Leaky(2.0)
 
     @pytest.mark.parametrize("row", [0, 3])
     def test_mapped_euclidean_point_outside_names_the_batch_row(self, row):
-        # exp0 keeps its rows inside, so a ball whose exp0 leaks one out
-        # stands in for a mapped row the check must catch
-        class Leaky(PoincareBall):
-            def exp0_rows(self, tv):
-                y, vjp = super().exp0_rows(tv)
-                y[row] *= 1.5 / np.linalg.norm(y[row]) / self.sqrt_c
-                return y, vjp
-
-        _, h_e, h_h = self.views()
+        _, h_e, t_h = self.views()
         self.raises(f"^geodesic_similarity: row {row} of the mapped Euclidean view is not "
                     f"strictly inside the ball, c\\*\\|\\|x\\|\\|\\^2 = 2.25$",
-                    Leaky(2.0), h_e, h_h)
+                    self.leaky(len(t_h) + row), h_e, t_h)
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_hyperbolic_point_outside_names_the_batch_row(self, row):
+        _, h_e, t_h = self.views()
+        self.raises(f"^geodesic_similarity: row {row} of the hyperbolic view is not "
+                    f"strictly inside the ball", self.leaky(row), h_e, t_h)
 
     def test_views_of_different_sizes_are_rejected(self):
-        ball, h_e, h_h = self.views()
+        ball, h_e, t_h = self.views()
         pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
         with pytest.raises(ContractError, match="^step_objective: "):
+            step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN), Tensor(t_h[:3]), pred, 0,
+                           ball, LossConfig())
+
+    def test_hyperbolic_points_in_place_of_the_tangent_rows_are_rejected(self):
+        ball, h_e, t_h = self.views()
+        pred = Predictor(D, self.CLASSES, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="^step_objective: expected the hyperbolic "
+                                                "tangent readout as a Tensor, got GraphEmbedding"):
             step_objective(GraphEmbedding(Tensor(h_e), EUCLIDEAN),
-                           GraphEmbedding(Tensor(h_h[:3]), HYPERBOLIC), pred, 0, ball,
-                           LossConfig())
+                           GraphEmbedding(ball.expmap0(Tensor(t_h)), HYPERBOLIC), pred, 0,
+                           ball, LossConfig())
 
 
 class TestFiniteDifferences:
