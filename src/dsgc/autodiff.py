@@ -311,42 +311,54 @@ def block_aggregate(x, slots, ops, scores=None):
 
     slots[r] is row r's place b * n_max + i in a zero-padded (B, n_max, cols)
     block, and ops is the constant (B, n_max, n_max) stack of per-graph
-    operators, zero outside each graph's own corner. The rows are scattered
+    operators, zero outside each graph's own corner. The rows are written
     into the block, multiplied by one 3-D matmul and gathered back, so pad
-    rows exist only inside this op and never reach its result.
+    rows never reach the result. This node pads into blocks of its own;
+    an encoder's products write into the blocks their GraphBatch owns
+    (`block_product`'s `blocks`).
 
     With scores = (s, t), two (rows, 1) columns, ops is a 0/1 mask and the
     operator is the attention row-softmax of LeakyReLU(ATTENTION_SLOPE)(s_i + t_j)
     over the entries row i's mask keeps. A pad row keeps no entry; its
     weights stay zero instead of being divided by an empty sum.
     """
-    v, vjp = block_product(values_of(x), slots, ops,
+    v, vjp = block_product(values_of(x), slots, ops, {},
                            scores and tuple([values_of(c) for c in scores]))
     need_x = isinstance(x, Tensor)
     return link((x, *(scores or ())), v, lambda g: vjp(g, need_x))
 
 
-def block_product(xv, slots, ops, scores=None):
+def block_product(xv, slots, ops, blocks, scores=None):
     """`block_aggregate` on arrays, for fused ops that build their own node:
     the product and vjp(g, need_x), which gives x's adjoint (None unless
-    need_x) followed, with scores, by the adjoints of s and t."""
+    need_x) followed, with scores, by the adjoints of s and t.
+
+    `blocks` maps a width to a zero-padded (B * n_max, width) block that
+    the caller keeps for these slots; a new one is made and kept on first
+    use. Only the real rows are ever written, so the pad rows stay zero
+    and a kept block, once written, holds exactly what a new one would.
+    Attention's rows, which the VJP reads after later calls may have
+    rewritten the kept block, and its two width-1 score columns, which
+    would share one, get blocks of the call's own.
+    """
     count, n_max, _ = ops.shape
     if xv.shape[0] != len(slots):
         raise ShapeError(f"block_aggregate: {xv.shape[0]} rows for {len(slots)} slots")
 
-    def scatter(a):
-        block = np.zeros((count * n_max, a.shape[1]))
+    def scatter(a, store):
+        block = store.get(a.shape[1])
+        if block is None:
+            block = store[a.shape[1]] = np.zeros((count * n_max, a.shape[1]))
         block[slots] = a
         return block.reshape(count, n_max, a.shape[1])
 
     def gather(block):
-        return block.reshape(count * n_max, -1)[slots]
+        return block.reshape(count * n_max, -1).take(slots, axis=0)
 
-    xb = scatter(xv)
     if scores is None:
-        w = ops
+        xb, w = scatter(xv, blocks), ops
     else:
-        s, t = (scatter(c) for c in scores)
+        xb, s, t = [scatter(a, {}) for a in (xv, *scores)]
         pre = s + t.transpose(0, 2, 1)
         masked = np.where(pre > 0.0, pre, ATTENTION_SLOPE * pre) * ops - _MASK_OFFSET * (1.0 - ops)
         kept = np.exp(masked - masked.max(axis=2, keepdims=True)) * ops
@@ -354,7 +366,7 @@ def block_product(xv, slots, ops, scores=None):
         w = kept / np.where(total > 0.0, total, 1.0)
 
     def vjp(g, need_x=True):
-        gb = scatter(g)
+        gb = scatter(g, blocks)
         gx = gather(w.transpose(0, 2, 1) @ gb) if need_x else None
         if scores is None:
             return (gx,)

@@ -39,11 +39,17 @@ per-layer reference. A layer never computes the adjoint of a constant
 input: layer 0's features get none. A frozen copy runs the same stack on
 plain arrays, builds no node and drops each layer's VJP with the layer.
 The per-graph product inside an aggregation is `autodiff.block_product`:
-it scatters the rows into a zero-padded (B, n_max, width) block, applies
+it writes the rows into a zero-padded (B, n_max, width) block, applies
 the stacked (B, n_max, n_max) operators, written at the plan's entries
 the first time a layer asks, with one 3-D matmul and gathers the real rows
-back. Padding lives only inside that op, so GIN's bias never reaches a pad
-row and GAT's softmax never divides by a pad row's empty mask. The readout
+back. The batch owns one such block per width (`GraphBatch.blocks`), made
+zero on first use: every product on the batch, forward or in a VJP,
+writes only the real rows, so the pad rows stay zero and no call fills a
+new block. GAT's forward rows stay the op's own, because its VJP reads
+them after later products may have rewritten the batch's blocks, and so
+do its two width-1 score columns, which would share one block. Pad rows
+never leave the op, so GIN's bias never reaches a pad row and GAT's
+softmax never divides by a pad row's empty mask. The readout
 is one matmul with the constant (B, sum n_b) averaging matrix. The
 hyperbolic side's readout stays in the tangent space (`tangent_readout`):
 `encode_hyperbolic` maps it into the ball with an `expmap0` node, and in
@@ -170,7 +176,7 @@ class BatchPlan(GraphStack):
             b.features = np.concatenate([g.features for g in b.graphs])
         else:
             b.features = self._onehot.take(b.classes, axis=0)
-        b.plan, b.index, b._ops = self, s, {}
+        b.plan, b.index, b._ops, b.blocks = self, s, {}, {}
 
     def _parts(self, s, parts):
         """Batch s's slices of three-part entry arrays (a scalar stays)."""
@@ -222,8 +228,9 @@ class GraphBatch:
     `graphs`, `n` rows of `features` graph after graph, their degree
     `classes` or None, each row's place b * n_max + i in the padded layout
     of `autodiff.block_aggregate` (`slots`), the constant (B, n) `readout`
-    whose row b averages graph b's rows and, on request, the `operators`
-    and `neighbor_classes`. Built as the one-row `BatchPlan` of its graphs,
+    whose row b averages graph b's rows, the zero-padded `blocks` by width
+    that its products write into, and, on request, the `operators` and
+    `neighbor_classes`. Built as the one-row `BatchPlan` of its graphs,
     on their own features, or as batch `index` of a larger `plan`.
     """
 
@@ -238,10 +245,11 @@ class GraphBatch:
 
     def neighbor_classes(self):
         """(A + I) X for the one-hot X = `features`, as the per-row counts of
-        the classes over each row's neighbors-with-self; needs `classes`."""
+        the classes over each row's neighbors-with-self, one float
+        histogram; needs `classes`."""
         width = self.features.shape[1]
-        counts = np.bincount(self.plan.class_keys(width, self.index), minlength=self.n * width)
-        return counts.reshape(self.n, width).astype(np.float64)
+        keys = self.plan.class_keys(width, self.index)
+        return np.bincount(keys, np.ones(keys.size), self.n * width).reshape(self.n, width)
 
     def operators(self, kind):
         """The (B, n_max, n_max) stack of the graphs' propagation operators,
@@ -406,7 +414,8 @@ def _aggregate_rows(xv, batch, kind, p):
     ops = batch.operators(kind)
     if kind is EncoderKind.GAT:
         a_src, a_dst = ad.values_of(p["a_src"]), ad.values_of(p["a_dst"])
-        agg, agg_vjp = ad.block_product(xv, batch.slots, ops, (xv @ a_src, xv @ a_dst))
+        agg, agg_vjp = ad.block_product(xv, batch.slots, ops, batch.blocks,
+                                        (xv @ a_src, xv @ a_dst))
 
         def vjp(g, need_x=True):
             gx, gs, gt = agg_vjp(g, need_x)
@@ -415,7 +424,7 @@ def _aggregate_rows(xv, batch, kind, p):
             return gx, xv.T @ gs, xv.T @ gt
 
         return agg, vjp
-    agg, agg_vjp = ad.block_product(xv, batch.slots, ops)
+    agg, agg_vjp = ad.block_product(xv, batch.slots, ops, batch.blocks)
     if kind is not EncoderKind.GRAPHSAGE:
         return agg, agg_vjp
 

@@ -1,8 +1,8 @@
 """The Poincare maps, the geodesic similarity, the InfoNCE row, the
 supervised loss, the total objective, Adam, the four encoder layers, the
-Mobius path's aggregation, the predictor's logits, the row gather and the
-step's objective as they were written before they were fused, kept as the
-test reference.
+Mobius path's aggregation, the predictor's logits, the row gather, the
+step's objective and the padded block product as they were written before
+they were fused, kept as the test reference.
 
 Each map is a chain of autodiff primitives, one tape node per primitive,
 and Adam loops over its parameters' own arrays. The fused versions in
@@ -11,6 +11,9 @@ the ops to 1e-12, Adam bit for bit. The layers and the predictor of
 `dsgc.encoders` must match theirs bit for bit, values and gradients, and
 `dsgc.losses.step_objective` must match, bit for bit, the composite of
 node functions that `train_step` ran before it (`step_objective` below).
+`block_product` pads into a new zero block on every call; the layers here
+aggregate through it, so `dsgc.autodiff.block_product` writing into a
+batch's kept blocks must match it bit for bit.
 """
 
 import numpy as np
@@ -166,22 +169,69 @@ class LoopAdam:
             p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+def block_product(xv, slots, ops, scores=None):
+    """`dsgc.autodiff.block_product` as it was before batches kept their
+    blocks: every scatter fills a new zero block, then writes the rows."""
+    count, n_max, _ = ops.shape
+
+    def scatter(a):
+        block = np.zeros((count * n_max, a.shape[1]))
+        block[slots] = a
+        return block.reshape(count, n_max, a.shape[1])
+
+    def gather(block):
+        return block.reshape(count * n_max, -1)[slots]
+
+    xb = scatter(xv)
+    if scores is None:
+        w = ops
+    else:
+        s, t = (scatter(c) for c in scores)
+        pre = s + t.transpose(0, 2, 1)
+        masked = (np.where(pre > 0.0, pre, ad.ATTENTION_SLOPE * pre) * ops
+                  - ad._MASK_OFFSET * (1.0 - ops))
+        kept = np.exp(masked - masked.max(axis=2, keepdims=True)) * ops
+        total = kept.sum(axis=2, keepdims=True)
+        w = kept / np.where(total > 0.0, total, 1.0)
+
+    def vjp(g, need_x=True):
+        gb = scatter(g)
+        gx = gather(w.transpose(0, 2, 1) @ gb) if need_x else None
+        if scores is None:
+            return (gx,)
+        gw = gb @ xb.transpose(0, 2, 1)
+        gpre = w * (gw - (w * gw).sum(axis=2, keepdims=True))
+        gpre *= np.where(pre > 0.0, 1.0, ad.ATTENTION_SLOPE)
+        return gx, gather(gpre.sum(axis=2)), gather(gpre.sum(axis=1))
+
+    return gather(w @ xb), vjp
+
+
+def block_aggregate(x, slots, ops, scores=None):
+    """`block_product` above as one tape node, like
+    `dsgc.autodiff.block_aggregate`."""
+    v, vjp = block_product(ad.values_of(x), slots, ops,
+                           scores and tuple([ad.values_of(c) for c in scores]))
+    need_x = isinstance(x, ad.Tensor)
+    return ad.link((x, *(scores or ())), v, lambda g: vjp(g, need_x))
+
+
 def layer_forward(enc, H, batch, layer):
     """One relu-activated layer of enc's kind over the node rows H of a
     GraphBatch, as a chain of primitives."""
     p = enc.layer_params[layer]
     ops = batch.operators(enc.kind)
     if enc.kind is EncoderKind.GCN:
-        pre = ad.block_aggregate(ad.matmul(H, p["W"]), batch.slots, ops)
+        pre = block_aggregate(ad.matmul(H, p["W"]), batch.slots, ops)
     elif enc.kind is EncoderKind.GAT:
         Z = ad.matmul(H, p["W"])
         scores = (ad.matmul(Z, p["a_src"]), ad.matmul(Z, p["a_dst"]))
-        pre = ad.block_aggregate(Z, batch.slots, ops, scores)
+        pre = block_aggregate(Z, batch.slots, ops, scores)
     elif enc.kind is EncoderKind.GRAPHSAGE:
-        cat = ad.concat_cols([H, ad.block_aggregate(H, batch.slots, ops)])
+        cat = ad.concat_cols([H, block_aggregate(H, batch.slots, ops)])
         pre = ad.matmul(cat, p["W"])
     else:  # gin: (A + I) H through the two-layer MLP
-        pre = mlp(ad.block_aggregate(H, batch.slots, ops), p)
+        pre = mlp(block_aggregate(H, batch.slots, ops), p)
     return ad.relu(pre)
 
 
@@ -191,11 +241,11 @@ def mobius_aggregate(X, batch, kind, p):
     matmul nodes for gat."""
     ops = batch.operators(kind)
     if kind is EncoderKind.GRAPHSAGE:
-        return ad.concat_cols([X, ad.block_aggregate(X, batch.slots, ops)])
+        return ad.concat_cols([X, block_aggregate(X, batch.slots, ops)])
     if kind is EncoderKind.GAT:
         scores = (ad.matmul(X, p["a_src"]), ad.matmul(X, p["a_dst"]))
-        return ad.block_aggregate(X, batch.slots, ops, scores)
-    return ad.block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
+        return block_aggregate(X, batch.slots, ops, scores)
+    return block_aggregate(X, batch.slots, ops)  # gcn / gin (eps = 0: (A + I) X)
 
 
 def mlp(x, p):

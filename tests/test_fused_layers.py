@@ -230,6 +230,30 @@ def test_default_train_step_maps_both_readouts_in_one_exp0(monkeypatch):
     assert calls == ["exp0_rows"]
 
 
+def test_default_train_step_keeps_one_padded_block_per_batch(monkeypatch):
+    # every block product of a step writes into its batch's one block of
+    # the hidden width (gin's first layer counts classes instead); pad rows
+    # stay zero
+    batches = []
+
+    def spy(self, *args, real=ViewSampler.batches):
+        got = real(self, *args)
+        batches.extend(got)
+        return got
+
+    step = default_step()
+    monkeypatch.setattr(ViewSampler, "batches", spy)
+    step()
+    hidden = ExperimentConfig().hidden_dim
+    assert len(batches) == 2
+    for batch in batches:
+        assert list(batch.blocks) == [hidden]
+        block = batch.blocks[hidden]
+        assert block.shape == (len(batch.graphs) * batch.n_max, hidden)
+        assert not np.delete(block, batch.slots, axis=0).any()
+        assert block[batch.slots].any()
+
+
 def test_omega_0_train_step_builds_the_pinned_tensor_count():
     step = default_step(omega=0.0)
     for _ in range(2):
