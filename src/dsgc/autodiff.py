@@ -37,7 +37,7 @@ from .errors import ContractError, DomainError, ShapeError
 ARCOSH_MIN = 1.0 + 1e-12
 ARTANH_MAX = 1.0 - 1e-7
 DIV_FLOOR = 1e-15
-ATTENTION_SLOPE = 0.2  # LeakyReLU slope of block_aggregate's attention scores
+ATTENTION_SLOPE = 0.2  # LeakyReLU slope of block_product's attention scores
 _MASK_OFFSET = 1e4     # pushes scores outside the attention mask below any real one
 
 _created = itertools.count()  # creation numbers, one count for all: any Tensors may meet
@@ -305,33 +305,22 @@ def transpose(x):
     return link((x,), values_of(x).T.copy(), lambda g: (g.T,))
 
 
-def block_aggregate(x, slots, ops, scores=None):
+def block_product(xv, slots, ops, blocks, scores=None):
     """Per-graph products ops[b] @ X_b over the node rows of B graphs stacked
-    graph after graph in x, as one tape node.
+    graph after graph in the array xv, for fused ops that build their own
+    node: the product and vjp(g, need_x), which gives x's adjoint (None
+    unless need_x) followed, with scores, by the adjoints of s and t.
 
     slots[r] is row r's place b * n_max + i in a zero-padded (B, n_max, cols)
     block, and ops is the constant (B, n_max, n_max) stack of per-graph
     operators, zero outside each graph's own corner. The rows are written
     into the block, multiplied by one 3-D matmul and gathered back, so pad
-    rows never reach the result. This node pads into blocks of its own;
-    an encoder's products write into the blocks their GraphBatch owns
-    (`block_product`'s `blocks`).
+    rows never reach the result.
 
     With scores = (s, t), two (rows, 1) columns, ops is a 0/1 mask and the
     operator is the attention row-softmax of LeakyReLU(ATTENTION_SLOPE)(s_i + t_j)
     over the entries row i's mask keeps. A pad row keeps no entry; its
     weights stay zero instead of being divided by an empty sum.
-    """
-    v, vjp = block_product(values_of(x), slots, ops, {},
-                           scores and tuple([values_of(c) for c in scores]))
-    need_x = isinstance(x, Tensor)
-    return link((x, *(scores or ())), v, lambda g: vjp(g, need_x))
-
-
-def block_product(xv, slots, ops, blocks, scores=None):
-    """`block_aggregate` on arrays, for fused ops that build their own node:
-    the product and vjp(g, need_x), which gives x's adjoint (None unless
-    need_x) followed, with scores, by the adjoints of s and t.
 
     `blocks` maps a width to a zero-padded (B * n_max, width) block that
     the caller keeps for these slots; a new one is made and kept on first
@@ -343,7 +332,7 @@ def block_product(xv, slots, ops, blocks, scores=None):
     """
     count, n_max, _ = ops.shape
     if xv.shape[0] != len(slots):
-        raise ShapeError(f"block_aggregate: {xv.shape[0]} rows for {len(slots)} slots")
+        raise ShapeError(f"block_product: {xv.shape[0]} rows for {len(slots)} slots")
 
     def scatter(a, store):
         block = store.get(a.shape[1])

@@ -300,21 +300,6 @@ def parse_tu_dataset(directory):
     return Dataset(name=name, graphs=graphs, num_classes=len(classes))
 
 
-def write_tu_dataset(ds, directory):
-    """Write a Dataset back to TU format (both edge directions, 1-indexed)."""
-    os.makedirs(directory, exist_ok=True)
-    sizes = [g.n for g in ds.graphs]
-    rows = {
-        "A": [f"{b + x}, {b + y}" for g, b in zip(ds.graphs, np.cumsum([1] + sizes))
-              for i, j in g.edges for x, y in ((i, j), (j, i))],
-        "graph_indicator": np.repeat(np.arange(1, len(sizes) + 1), sizes),
-        "graph_labels": [0 if g.label is None else g.label for g in ds.graphs],
-    }
-    for suffix, values in rows.items():
-        with open(os.path.join(directory, f"{ds.name}_{suffix}.txt"), "w") as fh:
-            fh.write("\n".join(map(str, values)) + "\n")
-
-
 def filter_connected(ds):
     """Keep only single-component graphs (subsumes dropping isolated nodes)."""
     kept = [g for g in ds.graphs if g.is_connected()]

@@ -34,8 +34,7 @@ chain of primitives it replaced, in that chain's order, so values and
 gradients equal the chain's bit for bit (tests/fused_reference.py keeps
 the chains). An encoder call (`GraphEncoder.embed`) runs the whole stack
 and the readout as one tape node whatever B is, whose VJP runs the
-layers' VJPs in reverse; `layer_forward` makes one layer its own node, the
-per-layer reference. A layer never computes the adjoint of a constant
+layers' VJPs in reverse. A layer never computes the adjoint of a constant
 input: layer 0's features get none. A frozen copy runs the same stack on
 plain arrays, builds no node and drops each layer's VJP with the layer.
 The per-graph product inside an aggregation is `autodiff.block_product`:
@@ -227,7 +226,7 @@ class GraphBatch:
     """Graphs row-stacked for one encoder pass, with what a layer reads:
     `graphs`, `n` rows of `features` graph after graph, their degree
     `classes` or None, each row's place b * n_max + i in the padded layout
-    of `autodiff.block_aggregate` (`slots`), the constant (B, n) `readout`
+    of `autodiff.block_product` (`slots`), the constant (B, n) `readout`
     whose row b averages graph b's rows, the zero-padded `blocks` by width
     that its products write into, and, on request, the `operators` and
     `neighbor_classes`. Built as the one-row `BatchPlan` of its graphs,
@@ -349,20 +348,6 @@ class GraphEncoder(_Module):
                 f"layer {layer} of {self.kind.value} expects width {expect}, got {hv.shape[1]}"
             )
         return _LAYERS[self.kind](hv, batch, self.kind, self.layer_params[layer], need_h)
-
-    def layer_forward(self, H, batch, layer):
-        """One relu-activated layer of this encoder's kind over the node
-        rows H of a GraphBatch, as one tape node."""
-        v, vjp = self.layer_rows(ad.values_of(H), batch, layer, isinstance(H, Tensor))
-        return ad.link((H, *self.layer_params[layer].values()), v, vjp)
-
-    def node_embeddings(self, batch):
-        """The layer stack over the batch's row-stacked features, one node
-        per layer."""
-        H = batch.features
-        for layer in range(self.num_layers):
-            H = self.layer_forward(H, batch, layer)
-        return H
 
     def embed(self, batch):
         """The layer stack and the mean readout over the batch's features,
@@ -495,12 +480,6 @@ _LAYERS = {
 }
 
 
-def readout_mean(node_embeddings, batch):
-    """Euclidean graph embeddings (B, d): row b is the mean of graph b's
-    node rows, one matmul with `batch.readout`."""
-    return GraphEmbedding(ad.matmul(batch.readout, node_embeddings), EUCLIDEAN)
-
-
 def encode_euclidean(graphs, enc):
     """One embedding row per graph of `graphs` (a GraphBatch or one Graph)."""
     return GraphEmbedding(enc.embed(_as_batch(graphs)), EUCLIDEAN)
@@ -512,7 +491,7 @@ def tangent_readout(graphs, enc, ball):
     node points' log0."""
     batch = _as_batch(graphs)
     if enc.mobius:
-        return readout_mean(ball.logmap0(enc.mobius_node_points(batch, ball)), batch).tensor
+        return ad.matmul(batch.readout, ball.logmap0(enc.mobius_node_points(batch, ball)))
     return enc.embed(batch)
 
 

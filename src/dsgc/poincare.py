@@ -94,11 +94,6 @@ class PoincareBall:
     def __repr__(self):
         return f"PoincareBall(c={self.c})"
 
-    def contains(self, x):
-        """True when every row is strictly inside the open ball."""
-        v = ad.values_of(x)
-        return bool((self.c * (v * v).sum(axis=-1) < 1.0).all())
-
     @staticmethod
     def _check_inside(csq, op, *operands):
         """Reject rows whose c * ||x||^2, the (n, 1) column csq, is not below 1

@@ -134,21 +134,6 @@ class _Union(GraphStack):
         ]
 
 
-def induced_subgraph(g, order):
-    """Node-induced sub-graph on `order`, distinct node ids of g (kept as
-    the new node numbering); an entry outside 0..n-1 or repeating an
-    earlier one is a ContractError naming the first such entry."""
-    order = np.asarray(order, dtype=np.int64).reshape(-1)
-    seen = set()
-    for k, v in enumerate(order.tolist()):
-        if not 0 <= v < g.n:
-            raise ContractError(f"induced_subgraph: order[{k}] = {v} is outside 0..{g.n - 1}")
-        if v in seen:
-            raise ContractError(f"induced_subgraph: order[{k}] = {v} repeats an earlier node")
-        seen.add(v)
-    return _Union([g]).cut(order, np.array([len(order)]))[0]
-
-
 def _sample(graphs, cfgs, who, grow):
     """The views of one sampler call; a lone Graph and config are a batch of
     one. `grow(union, targets, seeds)` gets the targets in descending order

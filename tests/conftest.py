@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic TU datasets and the optional real-data hook."""
+"""Shared fixtures and helpers: synthetic TU datasets and their writer, the
+optional real-data hook, and small references the tests share."""
 
 import os
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dsgc import autodiff as ad
-from dsgc.data import Dataset, Graph, canonical_edges, write_tu_dataset
+from dsgc.data import Dataset, Graph, canonical_edges
 from dsgc.encoders import EncoderKind
 
 MUTAG_HINT = (
@@ -52,6 +53,41 @@ def synthetic_dataset(num_graphs=24, seed=0, name="RINGS"):
         else:
             graphs.append(_star_graph(n, 1))
     return Dataset(name=name, graphs=graphs, num_classes=2)
+
+
+def write_tu_dataset(ds, directory):
+    """Write a Dataset in TU text format (both edge directions, 1-indexed)."""
+    os.makedirs(directory, exist_ok=True)
+    sizes = [g.n for g in ds.graphs]
+    rows = {
+        "A": [f"{b + x}, {b + y}" for g, b in zip(ds.graphs, np.cumsum([1] + sizes))
+              for i, j in g.edges for x, y in ((i, j), (j, i))],
+        "graph_indicator": np.repeat(np.arange(1, len(sizes) + 1), sizes),
+        "graph_labels": [0 if g.label is None else g.label for g in ds.graphs],
+    }
+    for suffix, values in rows.items():
+        with open(os.path.join(directory, f"{ds.name}_{suffix}.txt"), "w") as fh:
+            fh.write("\n".join(map(str, values)) + "\n")
+
+
+def induced_subgraph(g, order):
+    """The sub-graph of g induced on the distinct node ids `order`, which
+    number its nodes, with g's features and degree classes at them: the
+    samplers' views, in plain Python."""
+    place = {v: k for k, v in enumerate(order)}
+    edges = sorted(tuple(sorted((place[i], place[j]))) for i, j in g.edges.tolist()
+                   if i in place and j in place)
+    ids = np.array(order, dtype=np.int64)
+    view = Graph(n=len(ids), edges=edges, features=None if g.features is None else g.features[ids],
+                 label=g.label, orig_ids=ids)
+    if "classes" in g.cache:
+        view.cache["classes"] = g.cache["classes"][ids]
+    return view
+
+
+def inside(ball, x):
+    """Every row of the array or Tensor x lies strictly inside the open ball."""
+    return bool((ball.c * (ad.values_of(x) ** 2).sum(axis=-1) < 1.0).all())
 
 
 def assert_same_batch(got, want):

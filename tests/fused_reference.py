@@ -14,6 +14,10 @@ node functions that `train_step` ran before it (`step_objective` below).
 `block_product` pads into a new zero block on every call; the layers here
 aggregate through it, so `dsgc.autodiff.block_product` writing into a
 batch's kept blocks must match it bit for bit.
+
+`layer_node` is the other way round: one fused layer of `dsgc.encoders`
+as its own tape node, the per-layer form that an encoder call
+(`GraphEncoder.embed`, one node for the whole stack) replaced.
 """
 
 import numpy as np
@@ -208,8 +212,7 @@ def block_product(xv, slots, ops, scores=None):
 
 
 def block_aggregate(x, slots, ops, scores=None):
-    """`block_product` above as one tape node, like
-    `dsgc.autodiff.block_aggregate`."""
+    """`block_product` above as one tape node."""
     v, vjp = block_product(ad.values_of(x), slots, ops,
                            scores and tuple([ad.values_of(c) for c in scores]))
     need_x = isinstance(x, ad.Tensor)
@@ -233,6 +236,22 @@ def layer_forward(enc, H, batch, layer):
     else:  # gin: (A + I) H through the two-layer MLP
         pre = mlp(block_aggregate(H, batch.slots, ops), p)
     return ad.relu(pre)
+
+
+def layer_node(enc, H, batch, layer):
+    """One relu-activated layer of enc over the node rows H of a GraphBatch,
+    as one tape node: `GraphEncoder.layer_rows` linked to H and the layer's
+    parameters."""
+    v, vjp = enc.layer_rows(ad.values_of(H), batch, layer, isinstance(H, ad.Tensor))
+    return ad.link((H, *enc.layer_params[layer].values()), v, vjp)
+
+
+def layer_nodes(enc, batch):
+    """enc's layer stack over the batch's features, one `layer_node` per layer."""
+    H = batch.features
+    for layer in range(enc.num_layers):
+        H = layer_node(enc, H, batch, layer)
+    return H
 
 
 def mobius_aggregate(X, batch, kind, p):

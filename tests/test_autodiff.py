@@ -202,9 +202,9 @@ class TestGuardsAndErrors:
         with pytest.raises(DomainError, match="powc: negative base"):
             ad.powc(ad.Tensor([[-2.0, 1.0]]), 0.5)
 
-    def test_block_aggregate_rows_must_fill_the_slots(self):
-        with pytest.raises(ShapeError, match="block_aggregate: 3 rows for 2 slots"):
-            ad.block_aggregate(ad.Tensor(np.ones((3, 2))), np.array([0, 1]), np.zeros((1, 2, 2)))
+    def test_block_product_rows_must_fill_the_slots(self):
+        with pytest.raises(ShapeError, match="block_product: 3 rows for 2 slots"):
+            ad.block_product(np.ones((3, 2)), np.array([0, 1]), np.zeros((1, 2, 2)), {})
 
     def test_log_domain_error_names_op_and_value(self):
         with pytest.raises(DomainError, match="log"):
@@ -413,7 +413,7 @@ class TestGradcheckPrimitives:
         ]:
             self._check(fn, k, shapes=shapes)
 
-    def test_block_aggregate(self):
+    def test_block_product(self):
         # three graphs of 2, 1 and 3 nodes in a (3, 3) padded layout
         slots = np.array([0, 1, 3, 6, 7, 8])
         rng = np.random.default_rng(9)
@@ -424,15 +424,20 @@ class TestGradcheckPrimitives:
             mask[b, :n, :n] = np.maximum(rng.integers(0, 2, (n, n)), np.eye(n))
         weights = rng.standard_normal((6, 4))
 
+        def block(x, ops, scores=None):  # the product as one node, adjoints from its vjp
+            v, vjp = ad.block_product(ad.values_of(x), slots, ops, {},
+                                      scores and tuple(ad.values_of(c) for c in scores))
+            return ad.link((x, *(scores or ())), v, lambda g: vjp(g, isinstance(x, ad.Tensor)))
+
         def p_block(x):
-            return ad.asum(ad.mul(ad.block_aggregate(x, slots, ops), weights))
+            return ad.asum(ad.mul(block(x, ops), weights))
 
         def p_block_attention(x, s, t):
-            return ad.asum(ad.mul(ad.block_aggregate(x, slots, mask, (s, t)), weights))
+            return ad.asum(ad.mul(block(x, mask, (s, t)), weights))
 
         def p_block_attention_scores_only(s, t):
             x = weights[:, ::-1].copy()
-            return ad.asum(ad.mul(ad.block_aggregate(x, slots, mask, (s, t)), weights))
+            return ad.asum(ad.mul(block(x, mask, (s, t)), weights))
 
         self._check(p_block, 1, shapes=[(6, 4)])
         self._check(p_block_attention, 3, shapes=[(6, 4), (6, 1), (6, 1)])

@@ -4,6 +4,7 @@ padded block-aggregation op's layout and pad-row guarantees."""
 import numpy as np
 import pytest
 
+import fused_reference as fused
 import per_graph_reference as ref
 from dsgc import autodiff as ad
 from dsgc.data import Graph, synthesize_features
@@ -198,9 +199,10 @@ class TestPadRows:
             if t.values.shape[0] == 1:
                 t.values[...] = 3.0
         batch = GraphBatch(graphs)
-        nodes = ad.values_of(enc.node_embeddings(batch))
+        nodes = ad.values_of(fused.layer_nodes(enc, batch))
         assert np.isfinite(nodes).all()
-        alone = np.concatenate([ad.values_of(enc.node_embeddings(GraphBatch([g]))) for g in graphs])
+        alone = np.concatenate([ad.values_of(fused.layer_nodes(enc, GraphBatch([g])))
+                                for g in graphs])
         per_graph = np.concatenate([ad.values_of(ref.node_embeddings(enc, g)) for g in graphs])
         assert_close(nodes, alone)
         assert_close(nodes, per_graph)

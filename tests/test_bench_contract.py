@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_dataset
+from conftest import synthetic_dataset, write_tu_dataset
 from dsgc import autodiff as ad
-from dsgc.data import write_tu_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 # the traced child's autodiff.tensors_per_step on the tiny set: the Euclidean encoder's

@@ -7,11 +7,10 @@ import re
 
 import pytest
 
-from conftest import synthetic_dataset
+from conftest import induced_subgraph, synthetic_dataset, write_tu_dataset
 from dsgc import cli
 from dsgc.cli import main
-from dsgc.data import write_tu_dataset
-from dsgc.samplers import diffusion_sample, induced_subgraph
+from dsgc.samplers import diffusion_sample
 
 
 def _die(*args):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import write_tu_dataset
 from dsgc.data import (
     Dataset,
     Graph,
@@ -15,7 +16,6 @@ from dsgc.data import (
     parse_tu_dataset,
     prepare_dataset,
     synthesize_features,
-    write_tu_dataset,
 )
 from dsgc.errors import ContractError, TUParseError
 from dsgc.samplers import SamplerConfig, community_expansion_sample, diffusion_sample

@@ -5,8 +5,8 @@ layer stack and the mean readout as one node linked to the encoder's
 parameters (`encoders.tangent_readout` on the hyperbolic side, what a
 training step reads); `encode_hyperbolic` then maps that node into the
 ball with its own `expmap0` node. The reference is the per-layer chain
-the node replaced: one `layer_forward` node per layer (`node_embeddings`),
-`readout_mean`, and `expmap0` on the hyperbolic side. Values and every
+the node replaced: one node per layer (`fused_reference.layer_nodes`), the
+readout's matmul, and `expmap0` on the hyperbolic side. Values and every
 parameter gradient must be equal under np.array_equal, for every kind in
 both spaces, on the cached-classes first layer and on dense features, on a
 batch of one graph and on a mixed batch in which one graph appears twice.
@@ -27,8 +27,7 @@ from dsgc import autodiff as ad
 from dsgc import encoders
 from dsgc.autodiff import Tensor
 from dsgc.data import Graph, synthesize_features
-from dsgc.encoders import (BatchPlan, EncoderKind, GraphEncoder, encode_euclidean,
-                           encode_hyperbolic, readout_mean)
+from dsgc.encoders import BatchPlan, EncoderKind, GraphEncoder, encode_euclidean, encode_hyperbolic
 from dsgc.errors import DomainError, ShapeError
 from dsgc.poincare import PoincareBall
 
@@ -83,7 +82,7 @@ def node(space, batch, enc):
 
 def chain(space, batch, enc):
     """The per-layer chain: one node per layer, the readout, then exp0."""
-    h = readout_mean(enc.node_embeddings(batch), batch).tensor
+    h = ad.matmul(batch.readout, fused.layer_nodes(enc, batch))
     return h if space == "euclidean" else BALL.expmap0(h)
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fused_reference as ref
 from dsgc import autodiff as ad
 from dsgc.data import Graph, synthesize_features
 from dsgc.encoders import (
@@ -99,8 +100,8 @@ def test_layer_zero_equals_the_dense_layer(kind, source):
     fast, dense = GraphBatch(graphs), GraphBatch(without_classes(graphs))
     enc = make_encoder(kind)
     weights = np.random.default_rng(1).standard_normal((fast.n, HIDDEN))
-    got = run(lambda: enc.layer_forward(fast.features, fast, 0), enc.params, weights)
-    want = run(lambda: enc.layer_forward(dense.features, dense, 0), enc.params, weights)
+    got = run(lambda: ref.layer_node(enc, fast.features, fast, 0), enc.params, weights)
+    want = run(lambda: ref.layer_node(enc, dense.features, dense, 0), enc.params, weights)
     assert_equal(got, want)
 
 
@@ -144,10 +145,10 @@ def test_only_gin_layer_zero_skips_the_block_product(kind, monkeypatch):
 
     monkeypatch.setattr(ad, "block_product", counted)
     batch = GraphBatch(parent_graphs())
-    make_encoder(kind.value).node_embeddings(batch)
+    make_encoder(kind.value).embed(batch)
     assert len(calls) == (2 if kind is EncoderKind.GIN else 3)
     # a copy of the features is not the batch's own array: dense path
     enc = make_encoder(kind.value)
     calls.clear()
-    enc.layer_forward(batch.features.copy(), batch, 0)
+    enc.layer_rows(batch.features.copy(), batch, 0, False)
     assert len(calls) == 1

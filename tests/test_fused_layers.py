@@ -2,9 +2,9 @@
 primitives they replaced (kept in fused_reference.py): the output and every
 gradient equal bit for bit on a batch of mixed-size graphs, with the layer
 input a Tensor and a constant; finite differences per kind; no adjoint for
-a constant input; and the tape counts: one node per layer, per encoder
-stack and for the predictor's logits, and the Tensors a training step
-builds, by default and at omega 0."""
+a constant input; and the tape counts: one node for the predictor's
+logits, and the Tensors a training step builds, by default and at omega 0
+(an encoder call's one node: test_encoder_node.py)."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,7 @@ from conftest import synthetic_dataset, tensors_built
 from dsgc import autodiff as ad
 from dsgc.autodiff import Tensor
 from dsgc.data import Graph, synthesize_features
-from dsgc.encoders import (EncoderKind, GraphBatch, GraphEncoder, Predictor,
-                           encode_euclidean)
+from dsgc.encoders import EncoderKind, GraphBatch, GraphEncoder, Predictor
 from dsgc.experiment import ExperimentConfig, _build_model
 from dsgc.losses import Batch, LossConfig, ViewSampler, train_step
 from dsgc.poincare import PoincareBall
@@ -70,8 +69,7 @@ def test_fused_layer_equals_the_chain_bit_for_bit(kind, layer, as_tensor):
     enc = make_encoder(kind)
     hv = batch.features
     weights = np.random.default_rng(2).standard_normal((batch.n, WIDTH))
-    fused = run_layer(lambda e, H, b, i: e.layer_forward(H, b, i),
-                      enc, hv, batch, layer, weights, as_tensor)
+    fused = run_layer(ref.layer_node, enc, hv, batch, layer, weights, as_tensor)
     chain = run_layer(ref.layer_forward, enc, hv, batch, layer, weights, as_tensor)
     assert (chain[0] == 0.0).any() and (chain[0] > 0.0).any()  # the relu bites
     assert np.array_equal(fused[0], chain[0])
@@ -88,7 +86,7 @@ def test_fused_layer_gradcheck(kind):
     weights = np.random.default_rng(5).standard_normal((batch.n, WIDTH))
 
     def objective():
-        return ad.asum(ad.mul(enc.layer_forward(H, batch, 0), weights))
+        return ad.asum(ad.mul(ref.layer_node(enc, H, batch, 0), weights))
 
     err = ad.finite_difference_gradcheck(objective, [H, *enc.params], h=1e-6)
     assert err < 1e-4, f"{kind.value}: {err}"
@@ -110,7 +108,7 @@ def test_constant_input_gets_no_adjoint(kind, monkeypatch):
     enc = make_encoder(kind)
     for H, want in ((batch.features, []), (Tensor(batch.features), [True])):
         asked.clear()
-        ad.backward(ad.asum(enc.layer_forward(H, batch, 0)))
+        ad.backward(ad.asum(ref.layer_node(enc, H, batch, 0)))
         assert asked == want
 
 
@@ -158,20 +156,6 @@ def test_predictor_is_one_node_equal_to_the_chain_bit_for_bit(rows):
     assert built == 0
     assert np.array_equal(logits, chain.values)
     assert np.array_equal(logits, ref.predictor_logits(frozen, hv))
-
-
-@pytest.mark.parametrize("as_tensor", [True, False], ids=["tensor", "constant"])
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
-def test_each_layer_is_one_tape_node(kind, as_tensor):
-    batch = mixed_batch()
-    enc = make_encoder(kind, num_layers=3)
-    H = Tensor(batch.features) if as_tensor else batch.features
-    out, built = tensors_built(lambda: enc.layer_forward(H, batch, 0))
-    assert built == 1
-    assert out._parents == ((H,) if as_tensor else ()) + tuple(enc.layer_params[0].values())
-    # the stack: its layers and the readout are one node
-    _, built = tensors_built(lambda: encode_euclidean(batch, enc))
-    assert built == 1
 
 
 def default_step(**changes):

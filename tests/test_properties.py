@@ -10,6 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from conftest import induced_subgraph  # noqa: E402
 from dsgc import autodiff as ad  # noqa: E402
 from dsgc.autodiff import Tensor  # noqa: E402
 from dsgc.data import Graph, synthesize_features  # noqa: E402
@@ -23,7 +24,6 @@ from dsgc.samplers import (  # noqa: E402
     check_view,
     community_expansion_sample,
     diffusion_sample,
-    induced_subgraph,
 )
 
 # derandomized: every run draws the same examples, so a failure replays

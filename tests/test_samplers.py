@@ -4,15 +4,10 @@ and the batch contract (errors, lengths, views independent of the batch)."""
 import numpy as np
 import pytest
 
+from conftest import induced_subgraph
 from dsgc.data import Graph, synthesize_features
 from dsgc.errors import ContractError
-from dsgc.samplers import (
-    SamplerConfig,
-    check_view,
-    community_expansion_sample,
-    diffusion_sample,
-    induced_subgraph,
-)
+from dsgc.samplers import SamplerConfig, check_view, community_expansion_sample, diffusion_sample
 
 SAMPLERS = [diffusion_sample, community_expansion_sample]
 
@@ -164,32 +159,11 @@ class TestBatchContract:
                 assert np.array_equal(a, b)
 
 
-class TestInducedSubgraph:
-    def test_mapping_and_edges(self):
-        g = Graph(n=4, edges=[(0, 1), (0, 2), (1, 2), (2, 3)])
-        sub = induced_subgraph(g, [2, 0, 1])
-        assert list(sub.orig_ids) == [2, 0, 1]
-        # original edges among {0,1,2} are (0,1),(0,2),(1,2) -> remapped
-        assert {tuple(e) for e in sub.edges.tolist()} == {(0, 1), (0, 2), (1, 2)}
-
-    @pytest.mark.parametrize("order,message", [
-        ([0, 1, 1], r"order\[2\] = 1 repeats an earlier node"),
-        ([-1, 2], r"order\[0\] = -1 is outside 0..4"),
-        ([0, 7], r"order\[1\] = 7 is outside 0..4"),
-        ([3, 5, 3], r"order\[1\] = 5 is outside"),
-        ([], "at least one node"),
-    ])
-    def test_bad_order_is_a_contract_error(self, order, message):
-        path = Graph(n=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
-        with pytest.raises(ContractError, match=message):
-            induced_subgraph(path, order)
-
+class TestViewClasses:
     def test_views_carry_their_nodes_classes(self):
         g = synthesize_features(Graph(n=5, edges=[(0, 1), (0, 2), (0, 3), (3, 4)]), cap=2)
-        sub = induced_subgraph(g, [3, 0, 4])
-        assert sub.cache["classes"].tolist() == [2, 2, 1]
-        assert np.array_equal(sub.features, g.features[[3, 0, 4]])
-        assert induced_subgraph(Graph(n=2, edges=[(0, 1)]), [1]).cache == {}
+        view = diffusion_sample(g, SamplerConfig(0.6, seed=1))
+        assert np.array_equal(view.cache["classes"], g.cache["classes"][view.orig_ids])
         # one graph without classes: no view of the call gets them
         bare = Graph(n=g.n, edges=g.edges, features=g.features)
         views = diffusion_sample([g, bare], [SamplerConfig(1.0), SamplerConfig(1.0)])
